@@ -16,6 +16,11 @@ cargo test -q
 echo "== full workspace tests =="
 cargo test --workspace --release -q
 
+echo "== benchmark crate: builds and passes its tests against the current API =="
+# e2e_bench is its own workspace with path deps on the crates; building it
+# here makes a crate API change that breaks the benchmark fail CI.
+cargo test --release --offline --manifest-path e2e_bench/Cargo.toml
+
 echo "== zero-alloc gate: steady-state fast path allocates nothing =="
 # Counting-allocator proof that a warm resolve/open/read/close/getuid
 # cycle under the full Protego LSM performs zero heap allocations

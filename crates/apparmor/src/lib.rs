@@ -271,7 +271,7 @@ mod tests {
     #[test]
     fn unconfined_binary_unaffected() {
         let (k, root) = boot_with_apparmor();
-        assert!(k.read_file(root, "/etc/shadow").is_ok());
+        assert!(k.process(root).read_file("/etc/shadow").is_ok());
     }
 
     #[test]
@@ -279,9 +279,12 @@ mod tests {
         let (k, root) = boot_with_apparmor();
         // Simulate the exploited /bin/mount: task runs that binary as root.
         k.task_mut(root).unwrap().binary = "/bin/mount".into();
-        assert_eq!(k.read_file(root, "/etc/shadow").unwrap_err(), Errno::EACCES);
+        assert_eq!(
+            k.process(root).read_file("/etc/shadow").unwrap_err(),
+            Errno::EACCES
+        );
         // But fstab is within the profile.
-        assert!(k.read_file(root, "/etc/fstab").is_ok());
+        assert!(k.process(root).read_file("/etc/fstab").is_ok());
     }
 
     #[test]
@@ -291,7 +294,8 @@ mod tests {
         k.vfs.mkdir_p("/mnt/cdrom").unwrap();
         // The paper's critique: the confined binary can still re-arrange
         // the filesystem tree.
-        k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+        k.process(root)
+            .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
             .unwrap();
     }
 
@@ -301,7 +305,8 @@ mod tests {
         k.task_mut(root).unwrap().binary = "/bin/ping".into();
         k.vfs.mkdir_p("/mnt/cdrom").unwrap();
         assert_eq!(
-            k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+            k.process(root)
+                .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
                 .unwrap_err(),
             Errno::EPERM
         );
@@ -314,15 +319,16 @@ mod tests {
         assert!(text.contains("profile /{bin,sbin}/mount"));
         // Replace profiles through the /proc interface.
         let fd = k
-            .sys_open(
-                root,
+            .process(root)
+            .open(
                 "/proc/apparmor/profiles",
                 sim_kernel::syscall::OpenFlags::write_only(),
             )
             .unwrap();
-        k.sys_write(root, fd, b"profile /bin/x {\n  /etc/hosts r,\n}\n")
+        k.process(root)
+            .write(fd, b"profile /bin/x {\n  /etc/hosts r,\n}\n")
             .unwrap();
-        k.sys_close(root, fd).unwrap();
+        k.process(root).close(fd).unwrap();
         let text = k.read_to_string(root, "/proc/apparmor/profiles").unwrap();
         assert!(text.contains("/bin/x"));
         assert!(!text.contains("mount"));
@@ -332,14 +338,14 @@ mod tests {
     fn malformed_profile_write_is_einval() {
         let (k, root) = boot_with_apparmor();
         let fd = k
-            .sys_open(
-                root,
+            .process(root)
+            .open(
                 "/proc/apparmor/profiles",
                 sim_kernel::syscall::OpenFlags::write_only(),
             )
             .unwrap();
         assert_eq!(
-            k.sys_write(root, fd, b"profile broken {").unwrap_err(),
+            k.process(root).write(fd, b"profile broken {").unwrap_err(),
             Errno::EINVAL
         );
     }
@@ -350,12 +356,12 @@ mod tests {
         let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
         // 0600 root:root — the open itself is refused by DAC.
         assert_eq!(
-            k.sys_open(
-                user,
-                "/proc/apparmor/profiles",
-                sim_kernel::syscall::OpenFlags::write_only(),
-            )
-            .unwrap_err(),
+            k.process(user)
+                .open(
+                    "/proc/apparmor/profiles",
+                    sim_kernel::syscall::OpenFlags::write_only(),
+                )
+                .unwrap_err(),
             Errno::EACCES
         );
     }

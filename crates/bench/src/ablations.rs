@@ -17,21 +17,15 @@ use userland::SystemMode;
 /// Sends `n` kernel-built UDP datagrams (the non-raw fast path the
 /// ApacheBench overhead rides on) and returns the elapsed nanoseconds.
 pub fn udp_burst(f: &mut Fixture, n: u32) -> u128 {
-    let fd = f
-        .sys
-        .kernel
-        .sys_socket(f.user, Domain::Inet, SockType::Dgram, 0)
-        .expect("socket");
+    let mut u = f.sys.kernel.process(f.user);
+    let fd = u.socket(Domain::Inet, SockType::Dgram, 0).expect("socket");
     let start = std::time::Instant::now();
     for _ in 0..n {
-        let _ = f
-            .sys
-            .kernel
-            .sys_sendto(f.user, fd, Ipv4::new(8, 8, 8, 8), 7, b"x");
-        let _ = f.sys.kernel.sys_recv_packet(f.user, fd);
+        let _ = u.sendto(fd, Ipv4::new(8, 8, 8, 8), 7, b"x");
+        let _ = u.recv_packet(fd);
     }
     let elapsed = start.elapsed().as_nanos();
-    let _ = f.sys.kernel.sys_close(f.user, fd);
+    let _ = u.close(fd);
     elapsed
 }
 
@@ -80,8 +74,8 @@ pub fn mount_lookup_cost(n: usize, iters: u32) -> u128 {
     rules.push_str("/dev/cdrom /mnt/cdrom iso9660 user ro\n");
     f.sys
         .kernel
+        .process(f.root)
         .write_file(
-            f.root,
             "/proc/protego/mounts",
             rules.as_bytes(),
             sim_kernel::vfs::Mode(0o600),
@@ -89,11 +83,9 @@ pub fn mount_lookup_cost(n: usize, iters: u32) -> u128 {
         .expect("policy write");
     let start = std::time::Instant::now();
     for _ in 0..iters {
-        let _ = f
-            .sys
-            .kernel
-            .sys_mount(f.user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro");
-        let _ = f.sys.kernel.sys_umount(f.user, "/mnt/cdrom");
+        let mut u = f.sys.kernel.process(f.user);
+        let _ = u.mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro");
+        let _ = u.umount("/mnt/cdrom");
     }
     start.elapsed().as_nanos()
 }
@@ -104,7 +96,8 @@ pub fn raw_send_burst(f: &mut Fixture, user: Pid, n: u32) -> u128 {
     let fd = f
         .sys
         .kernel
-        .sys_socket(user, Domain::Inet, SockType::Raw, 1)
+        .process(user)
+        .socket(Domain::Inet, SockType::Raw, 1)
         .expect("raw socket");
     let start = std::time::Instant::now();
     for i in 0..n {
@@ -115,11 +108,12 @@ pub fn raw_send_burst(f: &mut Fixture, user: Pid, n: u32) -> u128 {
             i as u16,
             f.sys.kernel.task(user).unwrap().cred.euid,
         );
-        let _ = f.sys.kernel.sys_send_packet(user, fd, pkt);
-        let _ = f.sys.kernel.sys_recv_packet(user, fd);
+        let mut u = f.sys.kernel.process(user);
+        let _ = u.send_packet(fd, pkt);
+        let _ = u.recv_packet(fd);
     }
     let elapsed = start.elapsed().as_nanos();
-    let _ = f.sys.kernel.sys_close(user, fd);
+    let _ = f.sys.kernel.process(user).close(fd);
     elapsed
 }
 

@@ -120,14 +120,12 @@ fn print_table5(quick: bool) {
         table5::max_overhead(&rows)
     );
     let mut f = bench::fixture(SystemMode::Protego);
-    let (direct, dispatched, metered) = bench::micro::dispatch_overhead(&mut f, warm, iters);
+    let (dispatched, metered) = bench::micro::dispatch_overhead(&mut f, warm, iters);
     println!(
-        "  syscall ABI dispatch: direct {:.0} ns, dispatched {:.0} ns ({:+.2}%), +meter {:.0} ns ({:+.2}%)",
-        direct,
+        "  syscall ABI dispatch: {:.0} ns, +meter {:.0} ns ({:+.2}%)",
         dispatched,
-        bench::overhead_pct(direct, dispatched),
         metered,
-        bench::overhead_pct(direct, metered),
+        bench::overhead_pct(dispatched, metered),
     );
     let seccomp = table5::measure_dispatch_seccomp(warm, iters);
     println!(

@@ -1,8 +1,7 @@
 //! # bench
 //!
 //! Workloads and fixtures for regenerating the paper's evaluation
-//! (Table 5 and the ablations), shared by the Criterion benches and the
-//! `tables` binary.
+//! (Table 5 and the ablations), driven by the `tables` binary.
 //!
 //! The measured quantity is the cost of the simulated operation path:
 //! Protego and the legacy system run the *identical* kernel mechanism
@@ -51,7 +50,8 @@ pub fn both() -> (Fixture, Fixture) {
 
 /// Measures the mean wall-clock nanoseconds of `op` over `iters`
 /// iterations (after `warmup` unmeasured ones) — the quick estimator used
-/// by the `tables` binary; Criterion provides the rigorous version.
+/// by the `tables` binary; `table5` adds the paired interleaved
+/// median-of-K protocol on top for the committed document.
 pub fn quick_time_ns<F: FnMut()>(warmup: u32, iters: u32, mut op: F) -> f64 {
     for _ in 0..warmup {
         op();

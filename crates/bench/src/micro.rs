@@ -37,14 +37,11 @@ fn no_prep(_f: &mut Fixture) -> Prepared {
 }
 
 fn prep_rw_file(f: &mut Fixture) -> Prepared {
-    f.sys
-        .kernel
-        .write_file(f.user, "/tmp/bench.dat", b"0123456789abcdef", Mode(0o644))
+    let mut u = f.sys.kernel.process(f.user);
+    u.write_file("/tmp/bench.dat", b"0123456789abcdef", Mode(0o644))
         .expect("bench file");
-    let fd = f
-        .sys
-        .kernel
-        .sys_open(f.user, "/tmp/bench.dat", OpenFlags::read_write())
+    let fd = u
+        .open("/tmp/bench.dat", OpenFlags::read_write())
         .expect("open");
     Prepared {
         fds: vec![fd],
@@ -56,7 +53,8 @@ fn prep_modem(f: &mut Fixture) -> Prepared {
     let fd = f
         .sys
         .kernel
-        .sys_open(f.root, "/dev/ttyS0", OpenFlags::read_write())
+        .process(f.root)
+        .open("/dev/ttyS0", OpenFlags::read_write())
         .expect("modem open");
     Prepared {
         fds: vec![fd],
@@ -65,7 +63,12 @@ fn prep_modem(f: &mut Fixture) -> Prepared {
 }
 
 fn prep_socketpair(f: &mut Fixture) -> Prepared {
-    let (a, b) = f.sys.kernel.sys_socketpair(f.user).expect("socketpair");
+    let (a, b) = f
+        .sys
+        .kernel
+        .process(f.user)
+        .socketpair()
+        .expect("socketpair");
     Prepared {
         fds: vec![a, b],
         aux: 0,
@@ -73,7 +76,7 @@ fn prep_socketpair(f: &mut Fixture) -> Prepared {
 }
 
 fn prep_pipe(f: &mut Fixture) -> Prepared {
-    let (r, w) = f.sys.kernel.sys_pipe(f.user).expect("pipe");
+    let (r, w) = f.sys.kernel.process(f.user).pipe().expect("pipe");
     Prepared {
         fds: vec![r, w],
         aux: 0,
@@ -81,16 +84,10 @@ fn prep_pipe(f: &mut Fixture) -> Prepared {
 }
 
 fn prep_tcp_listener(f: &mut Fixture) -> Prepared {
-    let srv = f
-        .sys
-        .kernel
-        .sys_socket(f.user, Domain::Inet, SockType::Stream, 0)
-        .expect("socket");
-    f.sys
-        .kernel
-        .sys_bind(f.user, srv, Ipv4::ANY, 9090)
-        .expect("bind");
-    f.sys.kernel.sys_listen(f.user, srv).expect("listen");
+    let mut u = f.sys.kernel.process(f.user);
+    let srv = u.socket(Domain::Inet, SockType::Stream, 0).expect("socket");
+    u.bind(srv, Ipv4::ANY, 9090).expect("bind");
+    u.listen(srv).expect("listen");
     Prepared {
         fds: vec![srv],
         aux: 9090,
@@ -99,26 +96,13 @@ fn prep_tcp_listener(f: &mut Fixture) -> Prepared {
 
 fn prep_tcp_pair(f: &mut Fixture) -> Prepared {
     // A dedicated port: the "TCP connect" row owns 9090.
-    let srv = f
-        .sys
-        .kernel
-        .sys_socket(f.user, Domain::Inet, SockType::Stream, 0)
-        .expect("socket");
-    f.sys
-        .kernel
-        .sys_bind(f.user, srv, Ipv4::ANY, 9092)
-        .expect("bind");
-    f.sys.kernel.sys_listen(f.user, srv).expect("listen");
-    let cli = f
-        .sys
-        .kernel
-        .sys_socket(f.user, Domain::Inet, SockType::Stream, 0)
-        .expect("socket");
-    f.sys
-        .kernel
-        .sys_connect(f.user, cli, Ipv4::LOOPBACK, 9092)
-        .expect("connect");
-    let conn = f.sys.kernel.sys_accept(f.user, srv).expect("accept");
+    let mut u = f.sys.kernel.process(f.user);
+    let srv = u.socket(Domain::Inet, SockType::Stream, 0).expect("socket");
+    u.bind(srv, Ipv4::ANY, 9092).expect("bind");
+    u.listen(srv).expect("listen");
+    let cli = u.socket(Domain::Inet, SockType::Stream, 0).expect("socket");
+    u.connect(cli, Ipv4::LOOPBACK, 9092).expect("connect");
+    let conn = u.accept(srv).expect("accept");
     Prepared {
         fds: vec![cli, conn],
         aux: 0,
@@ -126,20 +110,10 @@ fn prep_tcp_pair(f: &mut Fixture) -> Prepared {
 }
 
 fn prep_udp_pair(f: &mut Fixture) -> Prepared {
-    let rx = f
-        .sys
-        .kernel
-        .sys_socket(f.user, Domain::Inet, SockType::Dgram, 0)
-        .expect("socket");
-    f.sys
-        .kernel
-        .sys_bind(f.user, rx, Ipv4::ANY, 9091)
-        .expect("bind");
-    let tx = f
-        .sys
-        .kernel
-        .sys_socket(f.user, Domain::Inet, SockType::Dgram, 0)
-        .expect("socket");
+    let mut u = f.sys.kernel.process(f.user);
+    let rx = u.socket(Domain::Inet, SockType::Dgram, 0).expect("socket");
+    u.bind(rx, Ipv4::ANY, 9091).expect("bind");
+    let tx = u.socket(Domain::Inet, SockType::Dgram, 0).expect("socket");
     Prepared {
         fds: vec![tx, rx],
         aux: 9091,
@@ -150,7 +124,8 @@ fn prep_remote_udp(f: &mut Fixture) -> Prepared {
     let fd = f
         .sys
         .kernel
-        .sys_socket(f.user, Domain::Inet, SockType::Dgram, 0)
+        .process(f.user)
+        .socket(Domain::Inet, SockType::Dgram, 0)
         .expect("socket");
     Prepared {
         fds: vec![fd],
@@ -159,14 +134,9 @@ fn prep_remote_udp(f: &mut Fixture) -> Prepared {
 }
 
 fn prep_remote_tcp(f: &mut Fixture) -> Prepared {
-    let fd = f
-        .sys
-        .kernel
-        .sys_socket(f.user, Domain::Inet, SockType::Stream, 0)
-        .expect("socket");
-    f.sys
-        .kernel
-        .sys_connect(f.user, fd, Ipv4::new(8, 8, 8, 8), 7)
+    let mut u = f.sys.kernel.process(f.user);
+    let fd = u.socket(Domain::Inet, SockType::Stream, 0).expect("socket");
+    u.connect(fd, Ipv4::new(8, 8, 8, 8), 7)
         .expect("connect echo");
     Prepared {
         fds: vec![fd],
@@ -183,7 +153,7 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(0.04),
             prepare: no_prep,
             run: |f, _| {
-                let _ = f.sys.kernel.sys_getuid(f.user);
+                let _ = f.sys.kernel.process(f.user).getuid();
             },
         },
         MicroOp {
@@ -192,9 +162,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(0.09),
             prepare: prep_rw_file,
             run: |f, p| {
-                let _ = f.sys.kernel.sys_lseek(f.user, p.fds[0], 0, Whence::Set);
-                let mut buf = Vec::with_capacity(1);
-                let _ = f.sys.kernel.sys_read(f.user, p.fds[0], &mut buf, 1);
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.lseek(p.fds[0], 0, Whence::Set);
+                let _ = u.read(p.fds[0], 1);
             },
         },
         MicroOp {
@@ -203,8 +173,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(0.09),
             prepare: prep_rw_file,
             run: |f, p| {
-                let _ = f.sys.kernel.sys_lseek(f.user, p.fds[0], 0, Whence::Set);
-                let _ = f.sys.kernel.sys_write(f.user, p.fds[0], b"x");
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.lseek(p.fds[0], 0, Whence::Set);
+                let _ = u.write(p.fds[0], b"x");
             },
         },
         MicroOp {
@@ -213,7 +184,7 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(0.33),
             prepare: no_prep,
             run: |f, _| {
-                let _ = f.sys.kernel.sys_stat(f.user, "/etc/motd");
+                let _ = f.sys.kernel.process(f.user).stat("/etc/motd");
             },
         },
         MicroOp {
@@ -222,12 +193,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(1.17),
             prepare: no_prep,
             run: |f, _| {
-                if let Ok(fd) = f
-                    .sys
-                    .kernel
-                    .sys_open(f.user, "/etc/motd", OpenFlags::read_only())
-                {
-                    let _ = f.sys.kernel.sys_close(f.user, fd);
+                let mut u = f.sys.kernel.process(f.user);
+                if let Ok(fd) = u.open("/etc/motd", OpenFlags::read_only()) {
+                    let _ = u.close(fd);
                 }
             },
         },
@@ -237,11 +205,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(531.13),
             prepare: no_prep,
             run: |f, _| {
-                let _ = f
-                    .sys
-                    .kernel
-                    .sys_mount(f.root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro");
-                let _ = f.sys.kernel.sys_umount(f.root, "/mnt/cdrom");
+                let mut r = f.sys.kernel.process(f.root);
+                let _ = r.mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro");
+                let _ = r.umount("/mnt/cdrom");
             },
         },
         MicroOp {
@@ -250,8 +216,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(0.83),
             prepare: no_prep,
             run: |f, _| {
-                let uid = f.sys.kernel.sys_getuid(f.user).unwrap();
-                let _ = f.sys.kernel.sys_setuid(f.user, uid);
+                let mut u = f.sys.kernel.process(f.user);
+                let uid = u.getuid().unwrap();
+                let _ = u.setuid(uid);
             },
         },
         MicroOp {
@@ -260,8 +227,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(0.83),
             prepare: no_prep,
             run: |f, _| {
-                let gid = f.sys.kernel.sys_getgid(f.user).unwrap();
-                let _ = f.sys.kernel.sys_setgid(f.user, gid);
+                let mut u = f.sys.kernel.process(f.user);
+                let gid = u.getgid().unwrap();
+                let _ = u.setgid(gid);
             },
         },
         MicroOp {
@@ -270,11 +238,11 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(2.78),
             prepare: prep_modem,
             run: |f, p| {
-                let _ = f.sys.kernel.sys_ioctl(
-                    f.root,
-                    p.fds[0],
-                    IoctlCmd::Modem(ModemOpt::Baud(57600)),
-                );
+                let _ = f
+                    .sys
+                    .kernel
+                    .process(f.root)
+                    .ioctl(p.fds[0], IoctlCmd::Modem(ModemOpt::Baud(57600)));
             },
         },
         MicroOp {
@@ -283,13 +251,10 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(1.81),
             prepare: no_prep,
             run: |f, _| {
-                if let Ok(fd) = f
-                    .sys
-                    .kernel
-                    .sys_socket(f.user, Domain::Inet, SockType::Stream, 0)
-                {
-                    let _ = f.sys.kernel.sys_bind(f.user, fd, Ipv4::ANY, 8088);
-                    let _ = f.sys.kernel.sys_close(f.user, fd);
+                let mut u = f.sys.kernel.process(f.user);
+                if let Ok(fd) = u.socket(Domain::Inet, SockType::Stream, 0) {
+                    let _ = u.bind(fd, Ipv4::ANY, 8088);
+                    let _ = u.close(fd);
                 }
             },
         },
@@ -299,9 +264,10 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(158.00),
             prepare: no_prep,
             run: |f, _| {
-                if let Ok(child) = f.sys.kernel.sys_fork(f.user) {
-                    let _ = f.sys.kernel.sys_exit(child, 0);
-                    let _ = f.sys.kernel.sys_wait(f.user, child);
+                let mut u = f.sys.kernel.process(f.user);
+                if let Ok(child) = u.fork() {
+                    let _ = f.sys.kernel.process(child).exit(0);
+                    let _ = u.wait(child);
                 }
             },
         },
@@ -329,8 +295,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(5.43 + 3.79),
             prepare: no_prep,
             run: |f, _| {
-                let _ = f.sys.kernel.write_file(f.user, "/tmp/c0", b"", Mode(0o644));
-                let _ = f.sys.kernel.sys_unlink(f.user, "/tmp/c0");
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.write_file("/tmp/c0", b"", Mode(0o644));
+                let _ = u.unlink("/tmp/c0");
             },
         },
         MicroOp {
@@ -339,12 +306,10 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(10.80 + 5.85),
             prepare: no_prep,
             run: |f, _| {
+                let mut u = f.sys.kernel.process(f.user);
                 let data = [0u8; 10 * 1024];
-                let _ = f
-                    .sys
-                    .kernel
-                    .write_file(f.user, "/tmp/c10", &data, Mode(0o644));
-                let _ = f.sys.kernel.sys_unlink(f.user, "/tmp/c10");
+                let _ = u.write_file("/tmp/c10", &data, Mode(0o644));
+                let _ = u.unlink("/tmp/c10");
             },
         },
         MicroOp {
@@ -353,8 +318,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(9.69),
             prepare: prep_socketpair,
             run: |f, p| {
-                let _ = f.sys.kernel.sys_send(f.user, p.fds[0], b"x");
-                let _ = f.sys.kernel.sys_recv(f.user, p.fds[1], 1);
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.send(p.fds[0], b"x");
+                let _ = u.recv(p.fds[1], 1);
             },
         },
         MicroOp {
@@ -363,9 +329,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(6.88),
             prepare: prep_pipe,
             run: |f, p| {
-                let _ = f.sys.kernel.sys_write(f.user, p.fds[1], b"x");
-                let mut buf = Vec::with_capacity(1);
-                let _ = f.sys.kernel.sys_read(f.user, p.fds[0], &mut buf, 1);
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.write(p.fds[1], b"x");
+                let _ = u.read(p.fds[0], 1);
             },
         },
         MicroOp {
@@ -374,13 +340,10 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(18.55),
             prepare: prep_tcp_listener,
             run: |f, _| {
-                if let Ok(cli) = f
-                    .sys
-                    .kernel
-                    .sys_socket(f.user, Domain::Inet, SockType::Stream, 0)
-                {
-                    let _ = f.sys.kernel.sys_connect(f.user, cli, Ipv4::LOOPBACK, 9090);
-                    let _ = f.sys.kernel.sys_close(f.user, cli);
+                let mut u = f.sys.kernel.process(f.user);
+                if let Ok(cli) = u.socket(Domain::Inet, SockType::Stream, 0) {
+                    let _ = u.connect(cli, Ipv4::LOOPBACK, 9090);
+                    let _ = u.close(cli);
                 }
             },
         },
@@ -390,10 +353,11 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(20.87),
             prepare: prep_tcp_pair,
             run: |f, p| {
-                let _ = f.sys.kernel.sys_send(f.user, p.fds[0], b"ping");
-                let _ = f.sys.kernel.sys_recv(f.user, p.fds[1], 4);
-                let _ = f.sys.kernel.sys_send(f.user, p.fds[1], b"pong");
-                let _ = f.sys.kernel.sys_recv(f.user, p.fds[0], 4);
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.send(p.fds[0], b"ping");
+                let _ = u.recv(p.fds[1], 4);
+                let _ = u.send(p.fds[1], b"pong");
+                let _ = u.recv(p.fds[0], 4);
             },
         },
         MicroOp {
@@ -402,11 +366,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(17.90),
             prepare: prep_udp_pair,
             run: |f, p| {
-                let _ =
-                    f.sys
-                        .kernel
-                        .sys_sendto(f.user, p.fds[0], Ipv4::LOOPBACK, p.aux as u16, b"x");
-                let _ = f.sys.kernel.sys_recv_packet(f.user, p.fds[1]);
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.sendto(p.fds[0], Ipv4::LOOPBACK, p.aux as u16, b"x");
+                let _ = u.recv_packet(p.fds[1]);
             },
         },
         MicroOp {
@@ -415,11 +377,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(578.30),
             prepare: prep_remote_udp,
             run: |f, p| {
-                let _ = f
-                    .sys
-                    .kernel
-                    .sys_sendto(f.user, p.fds[0], Ipv4::new(8, 8, 8, 8), 7, b"x");
-                let _ = f.sys.kernel.sys_recv_packet(f.user, p.fds[0]);
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.sendto(p.fds[0], Ipv4::new(8, 8, 8, 8), 7, b"x");
+                let _ = u.recv_packet(p.fds[0]);
             },
         },
         MicroOp {
@@ -428,8 +388,9 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(631.50),
             prepare: prep_remote_tcp,
             run: |f, p| {
-                let _ = f.sys.kernel.sys_send(f.user, p.fds[0], b"x");
-                let _ = f.sys.kernel.sys_recv(f.user, p.fds[0], 1);
+                let mut u = f.sys.kernel.process(f.user);
+                let _ = u.send(p.fds[0], b"x");
+                let _ = u.recv(p.fds[0], 1);
             },
         },
         MicroOp {
@@ -438,57 +399,32 @@ pub fn all_micro_ops() -> Vec<MicroOp> {
             paper_protego_us: Some(64.0 * 1024.0 / 5170.69),
             prepare: prep_pipe,
             run: |f, p| {
+                let mut u = f.sys.kernel.process(f.user);
                 let data = [7u8; 64 * 1024];
-                let _ = f.sys.kernel.sys_write(f.user, p.fds[1], &data);
-                let mut buf = Vec::with_capacity(64 * 1024);
-                let _ = f.sys.kernel.sys_read(f.user, p.fds[0], &mut buf, 64 * 1024);
+                let _ = u.write(p.fds[1], &data);
+                let _ = u.read(p.fds[0], 64 * 1024);
             },
         },
     ]
 }
 
-/// Cost of the typed-ABI boundary itself: the same `stat` measured three
-/// ways — direct `sys_stat`, through [`sim_kernel::kernel::Kernel::dispatch`]
-/// with an empty interceptor chain, and dispatched with a
-/// [`sim_kernel::syscall::SyscallMeter`] attached. Returns
-/// `(direct_ns, dispatched_ns, metered_ns)`.
-pub fn dispatch_overhead(f: &mut Fixture, warmup: u32, iters: u32) -> (f64, f64, f64) {
-    use sim_kernel::syscall::Syscall;
-
-    let direct = {
-        let sys = &mut f.sys;
+/// Cost of the typed-ABI boundary itself: the same `stat` dispatched
+/// through [`sim_kernel::kernel::Kernel::dispatch`] with an empty
+/// interceptor chain, and with a [`sim_kernel::syscall::SyscallMeter`]
+/// attached. Returns `(dispatched_ns, metered_ns)`.
+pub fn dispatch_overhead(f: &mut Fixture, warmup: u32, iters: u32) -> (f64, f64) {
+    let stat = |f: &mut Fixture| {
         let user = f.user;
+        let kernel = &f.sys.kernel;
         crate::quick_time_ns(warmup, iters, || {
-            let _ = sys.kernel.sys_stat(user, "/etc/motd");
+            let _ = kernel.process(user).stat("/etc/motd");
         })
     };
-    let dispatched = {
-        let sys = &mut f.sys;
-        let user = f.user;
-        crate::quick_time_ns(warmup, iters, || {
-            let _ = sys.kernel.dispatch(
-                user,
-                Syscall::Stat {
-                    path: "/etc/motd".into(),
-                },
-            );
-        })
-    };
+    let dispatched = stat(f);
     let meter_slot = f.sys.attach_meter();
-    let metered = {
-        let sys = &mut f.sys;
-        let user = f.user;
-        crate::quick_time_ns(warmup, iters, || {
-            let _ = sys.kernel.dispatch(
-                user,
-                Syscall::Stat {
-                    path: "/etc/motd".into(),
-                },
-            );
-        })
-    };
+    let metered = stat(f);
     f.sys.kernel.remove_interceptor(meter_slot);
-    (direct, dispatched, metered)
+    (dispatched, metered)
 }
 
 #[cfg(test)]
@@ -511,10 +447,10 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_overhead_measures_all_three_ways() {
+    fn dispatch_overhead_measures_both_ways() {
         let mut f = fixture(SystemMode::Protego);
-        let (direct, dispatched, metered) = dispatch_overhead(&mut f, 2, 20);
-        assert!(direct > 0.0 && dispatched > 0.0 && metered > 0.0);
+        let (dispatched, metered) = dispatch_overhead(&mut f, 2, 20);
+        assert!(dispatched > 0.0 && metered > 0.0);
         // The meter must have fed class counters into the registry.
         assert!(f
             .sys

@@ -498,12 +498,13 @@ pub fn collect_cache_metrics() -> Vec<CacheCounters> {
     {
         let f = fixture(SystemMode::Legacy);
         let k = &f.sys.kernel;
-        k.write_file(f.root, "/etc/hosts", b"127.0.0.1 localhost\n", Mode(0o644))
+        k.process(f.root)
+            .write_file("/etc/hosts", b"127.0.0.1 localhost\n", Mode(0o644))
             .expect("hosts file");
         let shell = k.task_mut(f.root).expect("root task").binary.clone();
         k.task_mut(f.root).expect("root task").binary = "/usr/sbin/tcpdump".to_string();
         for _ in 0..8 {
-            let _ = k.read_to_string(f.root, "/etc/hosts");
+            let _ = k.process(f.root).read_to_string("/etc/hosts");
         }
         // The confined binary may not read /proc; restore before sampling.
         k.task_mut(f.root).expect("root task").binary = shell;
@@ -518,10 +519,11 @@ pub fn collect_cache_metrics() -> Vec<CacheCounters> {
     {
         let f = fixture(SystemMode::Protego);
         let k = &f.sys.kernel;
-        k.write_file(f.root, "/etc/hosts", b"127.0.0.1 localhost\n", Mode(0o644))
+        k.process(f.root)
+            .write_file("/etc/hosts", b"127.0.0.1 localhost\n", Mode(0o644))
             .expect("hosts file");
         for _ in 0..8 {
-            let _ = k.read_to_string(f.user, "/etc/hosts");
+            let _ = k.process(f.user).read_to_string("/etc/hosts");
         }
         let text = k
             .read_to_string(f.root, "/proc/protego/metrics")

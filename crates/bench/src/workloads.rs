@@ -58,9 +58,9 @@ pub fn postal(f: &mut Fixture, server: sim_kernel::Pid, fd: i32, messages: u64) 
 /// the fork/exec/open/read/write mix that dominates a real build.
 pub fn compile(f: &mut Fixture, units: u64) -> Throughput {
     // Lay out the "source tree" once.
+    let mut u = f.sys.kernel.process(f.user);
     for i in 0..units {
-        let _ = f.sys.kernel.write_file(
-            f.user,
+        let _ = u.write_file(
             &format!("/tmp/src{}.c", i),
             b"int main(void) { return 0; }\n",
             Mode(0o644),
@@ -70,23 +70,18 @@ pub fn compile(f: &mut Fixture, units: u64) -> Throughput {
     for i in 0..units {
         // cc: fork + exec + read source + write object.
         let _ = f.sys.run(f.user, "/bin/sh", &[], &[]);
-        let src = f
-            .sys
-            .kernel
-            .read_file(f.user, &format!("/tmp/src{}.c", i))
-            .unwrap_or_default();
-        let _ = f
-            .sys
-            .kernel
-            .write_file(f.user, &format!("/tmp/src{}.o", i), &src, Mode(0o644));
+        let mut u = f.sys.kernel.process(f.user);
+        let src = u.read_file(&format!("/tmp/src{}.c", i)).unwrap_or_default();
+        let _ = u.write_file(&format!("/tmp/src{}.o", i), &src, Mode(0o644));
     }
     let t = Throughput {
         ops: units,
         elapsed_ns: start.elapsed().as_nanos(),
     };
+    let mut u = f.sys.kernel.process(f.user);
     for i in 0..units {
-        let _ = f.sys.kernel.sys_unlink(f.user, &format!("/tmp/src{}.c", i));
-        let _ = f.sys.kernel.sys_unlink(f.user, &format!("/tmp/src{}.o", i));
+        let _ = u.unlink(&format!("/tmp/src{}.c", i));
+        let _ = u.unlink(&format!("/tmp/src{}.o", i));
     }
     t
 }
@@ -113,20 +108,10 @@ pub fn apache_bench(
         let batch = concurrency.min(requests - done);
         let mut clients = Vec::with_capacity(batch as usize);
         for _ in 0..batch {
-            if let Ok(cli) = f
-                .sys
-                .kernel
-                .sys_socket(f.user, Domain::Inet, SockType::Stream, 0)
-            {
-                if f.sys
-                    .kernel
-                    .sys_connect(f.user, cli, Ipv4::LOOPBACK, 80)
-                    .is_ok()
-                {
-                    let _ = f
-                        .sys
-                        .kernel
-                        .sys_send(f.user, cli, b"GET / HTTP/1.0\r\n\r\n");
+            let mut u = f.sys.kernel.process(f.user);
+            if let Ok(cli) = u.socket(Domain::Inet, SockType::Stream, 0) {
+                if u.connect(cli, Ipv4::LOOPBACK, 80).is_ok() {
+                    let _ = u.send(cli, b"GET / HTTP/1.0\r\n\r\n");
                     clients.push(cli);
                 }
             }
@@ -134,9 +119,10 @@ pub fn apache_bench(
         for _ in 0..clients.len() {
             let _ = mail::httpd_serve_one(&mut f.sys, server, fd);
         }
+        let mut u = f.sys.kernel.process(f.user);
         for cli in clients {
-            let _ = f.sys.kernel.sys_recv(f.user, cli, 65536);
-            let _ = f.sys.kernel.sys_close(f.user, cli);
+            let _ = u.recv(cli, 65536);
+            let _ = u.close(cli);
             done += 1;
         }
     }
@@ -171,7 +157,12 @@ mod tests {
         let mut f = fixture(SystemMode::Protego);
         let t = compile(&mut f, 5);
         assert_eq!(t.ops, 5);
-        assert!(f.sys.kernel.read_file(f.user, "/tmp/src0.o").is_err());
+        assert!(f
+            .sys
+            .kernel
+            .process(f.user)
+            .read_file("/tmp/src0.o")
+            .is_err());
     }
 
     #[test]

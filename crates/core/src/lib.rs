@@ -28,14 +28,15 @@
 //! k.vfs.mkdir_p("/mnt/cdrom").unwrap();
 //!
 //! // The administrator (or monitoring daemon) whitelists the cdrom.
-//! let fd = k.sys_open(root, "/proc/protego/mounts",
+//! let mut admin = k.process(root);
+//! let fd = admin.open("/proc/protego/mounts",
 //!     sim_kernel::syscall::OpenFlags::write_only()).unwrap();
-//! k.sys_write(root, fd, b"/dev/cdrom /mnt/cdrom iso9660 user ro\n").unwrap();
-//! k.sys_close(root, fd).unwrap();
+//! admin.write(fd, b"/dev/cdrom /mnt/cdrom iso9660 user ro\n").unwrap();
+//! admin.close(fd).unwrap();
 //!
 //! // An unprivileged user now mounts it — no setuid binary involved.
 //! let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/mount");
-//! k.sys_mount(user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro").unwrap();
+//! k.process(user).mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro").unwrap();
 //! ```
 
 #![forbid(unsafe_code)]

@@ -3,6 +3,12 @@
 //! pools and fd table are warm, a resolve/open/read/close/getuid cycle
 //! under the full Protego LSM performs **zero** heap allocations.
 //!
+//! The open/read/close legs run through the kernel's caller-buffer
+//! inspection read ([`Kernel::read_file_into`]) and the getuid leg reads
+//! the task's credentials: `dispatch` cannot serve this gate, because its
+//! owned requests (`Open { path: String }`) and responses (`Data(Vec)`)
+//! allocate by design.
+//!
 //! Built only with `--features alloc-count` (see `[[test]]` in
 //! Cargo.toml) so ordinary test runs keep the stock allocator.
 
@@ -10,7 +16,6 @@ use protego_core::ProtegoLsm;
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::kernel::Kernel;
 use sim_kernel::net::SimNet;
-use sim_kernel::syscall::OpenFlags;
 use sim_kernel::vfs::Mode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -65,13 +70,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 fn fastpath_cycle(k: &Kernel, pid: sim_kernel::task::Pid, buf: &mut Vec<u8>) {
-    let fd = k
-        .sys_open(pid, "/etc/hosts", OpenFlags::read_only())
-        .expect("open");
     buf.clear();
-    k.sys_read(pid, fd, buf, 64).expect("read");
-    k.sys_close(pid, fd).expect("close");
-    k.sys_getuid(pid).expect("getuid");
+    k.read_file_into(pid, "/etc/hosts", buf)
+        .expect("open/read/close");
+    std::hint::black_box(k.task(pid).expect("getuid").cred.ruid);
 }
 
 #[test]

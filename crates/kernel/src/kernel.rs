@@ -1053,7 +1053,7 @@ impl Kernel {
     }
 
     /// Renders a `/sys` attribute (device-backed read-only nodes).
-    pub fn sys_attr_read(&self, attr: &str) -> KResult<String> {
+    pub(crate) fn sys_attr_read(&self, attr: &str) -> KResult<String> {
         let mut parts = attr.split('/');
         match (parts.next(), parts.next(), parts.next()) {
             (Some("dm"), Some(name), Some("device")) => {

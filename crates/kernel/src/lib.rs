@@ -31,9 +31,9 @@
 //! let root = k.spawn_init();
 //! k.vfs.mkdir_p("/mnt/cdrom").unwrap();
 //! // Root can mount; an unprivileged user cannot (stock policy).
-//! k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro").unwrap();
+//! k.process(root).mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro").unwrap();
 //! let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
-//! assert!(k.sys_umount(user, "/mnt/cdrom").is_err());
+//! assert!(k.process(user).umount("/mnt/cdrom").is_err());
 //! ```
 
 #![forbid(unsafe_code)]

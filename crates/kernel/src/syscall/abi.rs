@@ -1,16 +1,17 @@
-//! The unified syscall ABI: a typed request/response boundary over the
-//! `sys_*` entry points.
+//! The unified syscall ABI: the typed request/response boundary that is
+//! the only public way into the kernel.
 //!
-//! Every kernel entry point in the [`crate::syscall`] modules can be
-//! invoked in two equivalent ways: directly (`kernel.sys_open(pid, ..)`)
-//! or through [`Kernel::dispatch`] with a [`Syscall`] request value. The
-//! dispatcher is a thin, total mapping — it calls the very same `sys_*`
-//! method — but it gives the simulation one boundary at which to perturb,
-//! record, and replay a run:
+//! Every kernel entry point in the [`crate::syscall`] modules is a
+//! crate-private `sys_*` body. Callers outside the crate build a
+//! [`Syscall`] request and hand it to [`Kernel::dispatch`], usually
+//! through the pid-bound [`crate::syscall::Process`] handle. The
+//! dispatcher is a thin, total mapping onto the bodies, and it is the
+//! one boundary at which the simulation can confine, perturb, record,
+//! and replay a run:
 //!
 //! * [`crate::syscall::Interceptor`]s registered on the kernel see every
-//!   dispatched call before and after execution. A `before` hook may
-//!   short-circuit the call with an injected errno (fault injection); an
+//!   call before and after execution. A `before` hook may short-circuit
+//!   the call with an errno (seccomp enforcement, fault injection); an
 //!   `after` hook observes the full `(pid, Syscall, SysRet)` triple
 //!   (trace recording, replay checking, metering).
 //! * Because the whole simulation is deterministic, the dispatched stream
@@ -97,8 +98,8 @@ pub enum Whence {
 }
 
 /// A netfilter OUTPUT-chain rule as reported by
-/// [`Kernel::sys_netfilter_list`] — the public view of the kernel's
-/// internal rule representation.
+/// [`Process::netfilter_list`](crate::syscall::Process::netfilter_list)
+/// — the public view of the kernel's internal rule representation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NetfilterRule {
     /// Rule name (iptables comment).
@@ -757,8 +758,9 @@ pub enum SysRet {
 }
 
 /// Typed accessors. Each converts the response into the `KResult` the
-/// matching direct `sys_*` call would have produced; the mismatched-variant
-/// arms are unreachable through [`Kernel::dispatch`].
+/// matching `sys_*` body produced; the mismatched-variant arms are
+/// unreachable through [`Kernel::dispatch`], which maps every variant to
+/// exactly one response shape.
 impl SysRet {
     /// Whether the response is an errno.
     pub fn is_err(&self) -> bool {

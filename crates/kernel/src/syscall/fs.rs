@@ -11,7 +11,7 @@ use crate::task::{Fd, FdObject, Pid};
 use crate::trace::{AuditObject, DecisionKind, Hook};
 use crate::vfs::{Access, Ino, InodeData, Mode, Name, PathArena, ProcHook, Resolved};
 
-/// Flags for [`Kernel::sys_open`].
+/// Flags for [`Process::open`](crate::syscall::Process::open).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct OpenFlags {
     /// Open for reading.
@@ -206,7 +206,7 @@ impl Kernel {
     /// access DAC would grant (AppArmor confinement), grant one DAC would
     /// refuse (Protego's binary-identity rules for ssh-keysign), demand
     /// re-authentication (Protego's shadow files), or force close-on-exec.
-    pub fn sys_open(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<i32> {
+    pub(crate) fn sys_open(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<i32> {
         let want = flags.access();
         let cwd = self.task(pid)?.cwd;
 
@@ -366,7 +366,13 @@ impl Kernel {
     }
 
     /// `lseek(2)` — repositions the file offset relative to `whence`.
-    pub fn sys_lseek(&self, pid: Pid, fd: i32, offset: i64, whence: Whence) -> KResult<usize> {
+    pub(crate) fn sys_lseek(
+        &self,
+        pid: Pid,
+        fd: i32,
+        offset: i64,
+        whence: Whence,
+    ) -> KResult<usize> {
         let (ino, cur) = match &self.task(pid)?.fd(fd)?.object {
             FdObject::File { ino, offset, .. } => (*ino, *offset),
             _ => return Err(Errno::EINVAL),
@@ -388,7 +394,7 @@ impl Kernel {
     }
 
     /// `close(2)`.
-    pub fn sys_close(&self, pid: Pid, fd: i32) -> KResult<()> {
+    pub(crate) fn sys_close(&self, pid: Pid, fd: i32) -> KResult<()> {
         let taken = self.task_mut(pid)?.fd_take(fd)?;
         self.release_fd_object(taken.object);
         Ok(())
@@ -417,7 +423,13 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// `read(2)`.
-    pub fn sys_read(&self, pid: Pid, fd: i32, buf: &mut Vec<u8>, count: usize) -> KResult<usize> {
+    pub(crate) fn sys_read(
+        &self,
+        pid: Pid,
+        fd: i32,
+        buf: &mut Vec<u8>,
+        count: usize,
+    ) -> KResult<usize> {
         let fdo = self.task(pid)?.fd(fd)?.clone();
         match fdo.object {
             FdObject::File {
@@ -508,7 +520,7 @@ impl Kernel {
     }
 
     /// `write(2)`.
-    pub fn sys_write(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
+    pub(crate) fn sys_write(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
         let fdo = self.task(pid)?.fd(fd)?.clone();
         match fdo.object {
             FdObject::File {
@@ -663,45 +675,35 @@ impl Kernel {
     }
 
     // ------------------------------------------------------------------
-    // Convenience wrappers (read_to_string / write_file) used heavily by
-    // userland binaries; they go through the full open/read/write path so
-    // every policy check applies.
+    // Inspection reads: the kernel-side reads that checks, oracles and
+    // benchmark verifiers use. They run the full open/read/close path, so
+    // every policy check applies, but they do not go through `dispatch`:
+    // an armed interceptor (fault plan, enforcing seccomp profile) must
+    // not perturb a check of what the workload did. Tasks do their IO
+    // through `Process`.
     // ------------------------------------------------------------------
 
-    /// Opens, reads fully, and closes.
-    pub fn read_file(&self, pid: Pid, path: &str) -> KResult<Vec<u8>> {
+    /// Opens `path` as `pid`, appends its whole content to `buf`, and
+    /// closes — on every path, errors included.
+    pub fn read_file_into(&self, pid: Pid, path: &str, buf: &mut Vec<u8>) -> KResult<()> {
+        const CHUNK: usize = 65536;
         let fd = self.sys_open(pid, path, OpenFlags::read_only())?;
-        let mut buf = Vec::new();
-        loop {
-            let n = self.sys_read(pid, fd, &mut buf, 65536)?;
-            if n == 0 {
-                break;
+        let read = loop {
+            match self.sys_read(pid, fd, buf, CHUNK) {
+                Ok(CHUNK) => continue,
+                Ok(_) => break Ok(()),
+                Err(e) => break Err(e),
             }
-            if n < 65536 {
-                break;
-            }
-        }
-        self.sys_close(pid, fd)?;
-        Ok(buf)
+        };
+        let closed = self.sys_close(pid, fd);
+        read.and(closed)
     }
 
     /// Opens, reads fully as UTF-8, and closes.
     pub fn read_to_string(&self, pid: Pid, path: &str) -> KResult<String> {
-        String::from_utf8(self.read_file(pid, path)?).map_err(|_| Errno::EINVAL)
-    }
-
-    /// Creates/truncates and writes a whole file.
-    pub fn write_file(&self, pid: Pid, path: &str, data: &[u8], mode: Mode) -> KResult<()> {
-        let fd = self.sys_open(pid, path, OpenFlags::create_trunc(mode))?;
-        self.sys_write(pid, fd, data)?;
-        self.sys_close(pid, fd)
-    }
-
-    /// Appends to an existing file.
-    pub fn append_file(&self, pid: Pid, path: &str, data: &[u8]) -> KResult<()> {
-        let fd = self.sys_open(pid, path, OpenFlags::append_only())?;
-        self.sys_write(pid, fd, data)?;
-        self.sys_close(pid, fd)
+        let mut buf = Vec::new();
+        self.read_file_into(pid, path, &mut buf)?;
+        String::from_utf8(buf).map_err(|_| Errno::EINVAL)
     }
 
     // ------------------------------------------------------------------
@@ -709,7 +711,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// `stat(2)`.
-    pub fn sys_stat(&self, pid: Pid, path: &str) -> KResult<Stat> {
+    pub(crate) fn sys_stat(&self, pid: Pid, path: &str) -> KResult<Stat> {
         let r = self.walk(pid, path)?;
         let i = self.vfs.inode(r.ino);
         Ok(Stat {
@@ -724,7 +726,7 @@ impl Kernel {
     }
 
     /// `lstat(2)` — like stat but does not follow a trailing symlink.
-    pub fn sys_lstat(&self, pid: Pid, path: &str) -> KResult<Stat> {
+    pub(crate) fn sys_lstat(&self, pid: Pid, path: &str) -> KResult<Stat> {
         let r = self.walk_nofollow(pid, path)?;
         let i = self.vfs.inode(r.ino);
         Ok(Stat {
@@ -739,7 +741,7 @@ impl Kernel {
     }
 
     /// `chmod(2)` — owner or CAP_FOWNER.
-    pub fn sys_chmod(&self, pid: Pid, path: &str, mode: Mode) -> KResult<()> {
+    pub(crate) fn sys_chmod(&self, pid: Pid, path: &str, mode: Mode) -> KResult<()> {
         let r = self.walk(pid, path)?;
         let cred = self.task(pid)?.cred.clone();
         let owner = self.vfs.inode(r.ino).uid;
@@ -758,7 +760,7 @@ impl Kernel {
 
     /// `chown(2)` — changing the owner requires CAP_CHOWN; changing the
     /// group requires ownership and membership, or CAP_CHOWN.
-    pub fn sys_chown(
+    pub(crate) fn sys_chown(
         &self,
         pid: Pid,
         path: &str,
@@ -801,7 +803,7 @@ impl Kernel {
     }
 
     /// `mkdir(2)`.
-    pub fn sys_mkdir(&self, pid: Pid, path: &str, mode: Mode) -> KResult<()> {
+    pub(crate) fn sys_mkdir(&self, pid: Pid, path: &str, mode: Mode) -> KResult<()> {
         let cwd = self.task(pid)?.cwd;
         let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
         for d in parent.dirs.iter() {
@@ -815,7 +817,7 @@ impl Kernel {
     }
 
     /// `unlink(2)`.
-    pub fn sys_unlink(&self, pid: Pid, path: &str) -> KResult<()> {
+    pub(crate) fn sys_unlink(&self, pid: Pid, path: &str) -> KResult<()> {
         let cwd = self.task(pid)?.cwd;
         let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
         for d in parent.dirs.iter() {
@@ -826,7 +828,7 @@ impl Kernel {
     }
 
     /// `rmdir(2)`.
-    pub fn sys_rmdir(&self, pid: Pid, path: &str) -> KResult<()> {
+    pub(crate) fn sys_rmdir(&self, pid: Pid, path: &str) -> KResult<()> {
         let cwd = self.task(pid)?.cwd;
         let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
         for d in parent.dirs.iter() {
@@ -837,7 +839,7 @@ impl Kernel {
     }
 
     /// `rename(2)` — both parents need write+search permission.
-    pub fn sys_rename(&self, pid: Pid, from: &str, to: &str) -> KResult<()> {
+    pub(crate) fn sys_rename(&self, pid: Pid, from: &str, to: &str) -> KResult<()> {
         let cwd = self.task(pid)?.cwd;
         let (from_parent, from_name) = self.vfs.resolve_parent(cwd, from)?;
         for d in from_parent.dirs.iter() {
@@ -854,7 +856,7 @@ impl Kernel {
     }
 
     /// `symlink(2)`.
-    pub fn sys_symlink(&self, pid: Pid, target: &str, linkpath: &str) -> KResult<()> {
+    pub(crate) fn sys_symlink(&self, pid: Pid, target: &str, linkpath: &str) -> KResult<()> {
         let cwd = self.task(pid)?.cwd;
         let (parent, name) = self.vfs.resolve_parent(cwd, linkpath)?;
         self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
@@ -865,7 +867,7 @@ impl Kernel {
     }
 
     /// `chdir(2)`.
-    pub fn sys_chdir(&self, pid: Pid, path: &str) -> KResult<()> {
+    pub(crate) fn sys_chdir(&self, pid: Pid, path: &str) -> KResult<()> {
         let r = self.walk(pid, path)?;
         if !self.vfs.inode(r.ino).data.is_dir() {
             return Err(Errno::ENOTDIR);
@@ -876,7 +878,7 @@ impl Kernel {
     }
 
     /// Lists a directory's entry names.
-    pub fn sys_readdir(&self, pid: Pid, path: &str) -> KResult<Vec<String>> {
+    pub(crate) fn sys_readdir(&self, pid: Pid, path: &str) -> KResult<Vec<String>> {
         let r = self.walk(pid, path)?;
         self.check_access(pid, r.ino, Access::READ)?;
         let inode = self.vfs.inode(r.ino);
@@ -887,7 +889,7 @@ impl Kernel {
     }
 
     /// `pipe(2)` — returns (read fd, write fd).
-    pub fn sys_pipe(&self, pid: Pid) -> KResult<(i32, i32)> {
+    pub(crate) fn sys_pipe(&self, pid: Pid) -> KResult<(i32, i32)> {
         let id = self.pipes.alloc();
         let mut t = self.task_mut(pid)?;
         let r = t.fd_install(Fd {
@@ -935,30 +937,44 @@ mod tests {
     #[test]
     fn user_reads_world_readable() {
         let (k, _, u) = boot();
-        assert_eq!(k.read_file(u, "/etc/motd").unwrap(), b"hello\n");
+        assert_eq!(k.process(u).read_file("/etc/motd").unwrap(), b"hello\n");
     }
 
     #[test]
     fn user_cannot_read_shadow() {
         let (k, _, u) = boot();
-        assert_eq!(k.read_file(u, "/etc/shadow").unwrap_err(), Errno::EACCES);
+        assert_eq!(
+            k.process(u).read_file("/etc/shadow").unwrap_err(),
+            Errno::EACCES
+        );
     }
 
     #[test]
     fn root_reads_shadow_via_dac_override() {
         let (k, r, _) = boot();
-        assert!(k.read_file(r, "/etc/shadow").is_ok());
+        assert!(k.process(r).read_file("/etc/shadow").is_ok());
+    }
+
+    #[test]
+    fn inspection_read_closes_its_fd_on_error() {
+        // Regression: a read error returned before the close, leaking the
+        // descriptor, so the next open got fd 1 instead of 0.
+        let (k, _, u) = boot();
+        assert_eq!(k.read_to_string(u, "/tmp").unwrap_err(), Errno::EISDIR);
+        assert_eq!(k.sys_open(u, "/etc/motd", OpenFlags::read_only()), Ok(0));
     }
 
     #[test]
     fn user_cannot_write_etc() {
         let (k, _, u) = boot();
         assert_eq!(
-            k.write_file(u, "/etc/evil", b"x", Mode(0o644)).unwrap_err(),
+            k.process(u)
+                .write_file("/etc/evil", b"x", Mode(0o644))
+                .unwrap_err(),
             Errno::EACCES
         );
         assert_eq!(
-            k.append_file(u, "/etc/motd", b"x").unwrap_err(),
+            k.process(u).append_file("/etc/motd", b"x").unwrap_err(),
             Errno::EACCES
         );
     }
@@ -966,8 +982,10 @@ mod tests {
     #[test]
     fn create_write_read_in_tmp() {
         let (k, _, u) = boot();
-        k.write_file(u, "/tmp/a.txt", b"data", Mode(0o600)).unwrap();
-        assert_eq!(k.read_file(u, "/tmp/a.txt").unwrap(), b"data");
+        k.process(u)
+            .write_file("/tmp/a.txt", b"data", Mode(0o600))
+            .unwrap();
+        assert_eq!(k.process(u).read_file("/tmp/a.txt").unwrap(), b"data");
         let st = k.sys_stat(u, "/tmp/a.txt").unwrap();
         assert_eq!(st.uid, Uid(1000));
         assert_eq!(st.mode, Mode(0o600));
@@ -977,9 +995,11 @@ mod tests {
     #[test]
     fn append_and_offsets() {
         let (k, _, u) = boot();
-        k.write_file(u, "/tmp/log", b"one\n", Mode(0o644)).unwrap();
-        k.append_file(u, "/tmp/log", b"two\n").unwrap();
-        assert_eq!(k.read_file(u, "/tmp/log").unwrap(), b"one\ntwo\n");
+        k.process(u)
+            .write_file("/tmp/log", b"one\n", Mode(0o644))
+            .unwrap();
+        k.process(u).append_file("/tmp/log", b"two\n").unwrap();
+        assert_eq!(k.process(u).read_file("/tmp/log").unwrap(), b"one\ntwo\n");
     }
 
     #[test]
@@ -995,7 +1015,9 @@ mod tests {
     #[test]
     fn read_requires_read_flag() {
         let (k, _, u) = boot();
-        k.write_file(u, "/tmp/y", b"secret", Mode(0o600)).unwrap();
+        k.process(u)
+            .write_file("/tmp/y", b"secret", Mode(0o600))
+            .unwrap();
         let fd = k.sys_open(u, "/tmp/y", OpenFlags::write_only()).unwrap();
         let mut buf = Vec::new();
         assert_eq!(k.sys_read(u, fd, &mut buf, 10).unwrap_err(), Errno::EBADF);
@@ -1004,7 +1026,9 @@ mod tests {
     #[test]
     fn chmod_chown_rules() {
         let (k, r, u) = boot();
-        k.write_file(u, "/tmp/own", b"", Mode(0o644)).unwrap();
+        k.process(u)
+            .write_file("/tmp/own", b"", Mode(0o644))
+            .unwrap();
         k.sys_chmod(u, "/tmp/own", Mode(0o600)).unwrap();
         // Non-owner cannot chmod.
         assert_eq!(
@@ -1025,7 +1049,9 @@ mod tests {
     #[test]
     fn chown_clears_setuid_bit() {
         let (k, r, _) = boot();
-        k.write_file(r, "/tmp/suid", b"", Mode(0o4755)).unwrap();
+        k.process(r)
+            .write_file("/tmp/suid", b"", Mode(0o4755))
+            .unwrap();
         k.sys_chmod(r, "/tmp/suid", Mode(0o4755)).unwrap();
         // Root holds CAP_FSETID so the bit survives root's chown...
         k.sys_chown(r, "/tmp/suid", Some(Uid(1000)), None).unwrap();
@@ -1036,7 +1062,9 @@ mod tests {
     fn mkdir_unlink_rmdir() {
         let (k, _, u) = boot();
         k.sys_mkdir(u, "/tmp/d", Mode(0o755)).unwrap();
-        k.write_file(u, "/tmp/d/f", b"x", Mode(0o644)).unwrap();
+        k.process(u)
+            .write_file("/tmp/d/f", b"x", Mode(0o644))
+            .unwrap();
         assert_eq!(k.sys_rmdir(u, "/tmp/d").unwrap_err(), Errno::ENOTEMPTY);
         k.sys_unlink(u, "/tmp/d/f").unwrap();
         k.sys_rmdir(u, "/tmp/d").unwrap();
@@ -1049,25 +1077,32 @@ mod tests {
         k.vfs.mkdir_p("/secret").unwrap();
         let s = k.vfs.resolve(k.vfs.root(), "/secret").unwrap().ino;
         k.vfs.inode_mut(s).mode = Mode(0o700);
-        k.write_file(r, "/secret/f", b"x", Mode(0o644)).unwrap();
-        assert_eq!(k.read_file(u, "/secret/f").unwrap_err(), Errno::EACCES);
-        assert!(k.read_file(r, "/secret/f").is_ok());
+        k.process(r)
+            .write_file("/secret/f", b"x", Mode(0o644))
+            .unwrap();
+        assert_eq!(
+            k.process(u).read_file("/secret/f").unwrap_err(),
+            Errno::EACCES
+        );
+        assert!(k.process(r).read_file("/secret/f").is_ok());
     }
 
     #[test]
     fn chdir_and_relative_paths() {
         let (k, _, u) = boot();
         k.sys_chdir(u, "/tmp").unwrap();
-        k.write_file(u, "rel.txt", b"r", Mode(0o644)).unwrap();
-        assert_eq!(k.read_file(u, "/tmp/rel.txt").unwrap(), b"r");
+        k.process(u)
+            .write_file("rel.txt", b"r", Mode(0o644))
+            .unwrap();
+        assert_eq!(k.process(u).read_file("/tmp/rel.txt").unwrap(), b"r");
         assert_eq!(k.sys_chdir(u, "/etc/motd").unwrap_err(), Errno::ENOTDIR);
     }
 
     #[test]
     fn readdir_lists_entries() {
         let (k, _, u) = boot();
-        k.write_file(u, "/tmp/a", b"", Mode(0o644)).unwrap();
-        k.write_file(u, "/tmp/b", b"", Mode(0o644)).unwrap();
+        k.process(u).write_file("/tmp/a", b"", Mode(0o644)).unwrap();
+        k.process(u).write_file("/tmp/b", b"", Mode(0o644)).unwrap();
         let names = k.sys_readdir(u, "/tmp").unwrap();
         assert_eq!(names, vec!["a".to_string(), "b".to_string()]);
     }

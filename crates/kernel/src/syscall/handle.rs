@@ -1,26 +1,24 @@
-//! The pid-bound syscall context every userland component calls through.
+//! The pid-bound syscall handle: the public way into the kernel.
 //!
 //! A [`Process`] pairs a kernel borrow with one pid and routes each call
-//! through [`Kernel::dispatch`] — the typed ABI boundary — instead of the
-//! raw `sys_*(pid, ...)` methods. Routing userland through dispatch is
-//! what makes it observable: registered interceptors (fault injection,
-//! trace record/replay, per-class metering) see every call a binary or
-//! daemon makes, which the raw methods bypass.
+//! through [`Kernel::dispatch`] — the typed ABI boundary. The `sys_*`
+//! bodies behind it are crate-private, so every call a binary, daemon,
+//! benchmark or test makes passes the registered interceptors (seccomp,
+//! fault injection, trace record/replay, per-class metering).
 //!
-//! The file helpers ([`Process::read_file`] and friends) mirror the
-//! kernel's convenience helpers but issue their open/read/write/close
-//! legs through dispatch too, so a program's whole-file IO is equally
-//! fault-exposed and traced.
+//! The file helpers ([`Process::read_file`] and friends) issue their
+//! open/read/write/close legs through dispatch too, so a program's
+//! whole-file IO is equally fault-exposed and traced.
 
-use sim_kernel::cred::{Gid, Uid};
-use sim_kernel::error::{Errno, KResult};
-use sim_kernel::kernel::Kernel;
-use sim_kernel::net::{Domain, Ipv4, Packet, SockType};
-use sim_kernel::syscall::{
+use crate::cred::{Gid, Uid};
+use crate::error::{Errno, KResult};
+use crate::kernel::Kernel;
+use crate::net::{Domain, Ipv4, Packet, SockType};
+use crate::syscall::{
     IoctlCmd, IoctlOut, NetfilterOp, NetfilterRule, OpenFlags, RouteOp, Stat, Syscall, Whence,
 };
-use sim_kernel::task::{NsKind, Pid};
-use sim_kernel::vfs::Mode;
+use crate::task::{NsKind, Pid};
+use crate::vfs::Mode;
 
 /// A pid-bound handle issuing typed syscalls through the dispatch
 /// boundary.
@@ -30,8 +28,8 @@ pub struct Process<'k> {
 }
 
 impl<'k> Process<'k> {
-    /// Binds `pid` to `kernel`.
-    pub fn new(kernel: &'k Kernel, pid: Pid) -> Process<'k> {
+    /// Binds `pid` to `kernel`; [`Kernel::process`] is the public way in.
+    pub(crate) fn new(kernel: &'k Kernel, pid: Pid) -> Process<'k> {
         Process { kernel, pid }
     }
 
@@ -528,5 +526,13 @@ impl<'k> Process<'k> {
             return Err(e);
         }
         self.close(fd)
+    }
+}
+
+impl Kernel {
+    /// A [`Process`] handle bound to `pid`: the typed way to issue
+    /// syscalls through [`Kernel::dispatch`].
+    pub fn process(&self, pid: Pid) -> Process<'_> {
+        Process::new(self, pid)
     }
 }

@@ -17,7 +17,7 @@ use crate::trace::{AuditObject, DecisionKind, Hook};
 
 impl Kernel {
     /// `setuid(2)`.
-    pub fn sys_setuid(&self, pid: Pid, target: Uid) -> KResult<()> {
+    pub(crate) fn sys_setuid(&self, pid: Pid, target: Uid) -> KResult<()> {
         let mut attempts = 0;
         loop {
             // The hook context borrows the task's credentials and binary
@@ -162,7 +162,7 @@ impl Kernel {
     /// `seteuid(2)` — stock semantics only (no LSM hook needed: it cannot
     /// reach an identity the task does not already hold without
     /// CAP_SETUID).
-    pub fn sys_seteuid(&self, pid: Pid, target: Uid) -> KResult<()> {
+    pub(crate) fn sys_seteuid(&self, pid: Pid, target: Uid) -> KResult<()> {
         if self.capable(pid, Cap::Setuid) {
             let mut t = self.task_mut(pid)?;
             t.cred.euid = target;
@@ -180,7 +180,7 @@ impl Kernel {
     }
 
     /// `setgid(2)`.
-    pub fn sys_setgid(&self, pid: Pid, target: Gid) -> KResult<()> {
+    pub(crate) fn sys_setgid(&self, pid: Pid, target: Gid) -> KResult<()> {
         let mut attempts = 0;
         loop {
             // Clone-free hook context, as in sys_setuid; the scalar rgid
@@ -297,7 +297,7 @@ impl Kernel {
     }
 
     /// `setgroups(2)` — requires CAP_SETGID.
-    pub fn sys_setgroups(&self, pid: Pid, groups: &[Gid]) -> KResult<()> {
+    pub(crate) fn sys_setgroups(&self, pid: Pid, groups: &[Gid]) -> KResult<()> {
         if !self.capable(pid, Cap::Setgid) {
             return Err(Errno::EPERM);
         }
@@ -306,17 +306,17 @@ impl Kernel {
     }
 
     /// `getuid(2)`.
-    pub fn sys_getuid(&self, pid: Pid) -> KResult<Uid> {
+    pub(crate) fn sys_getuid(&self, pid: Pid) -> KResult<Uid> {
         Ok(self.task(pid)?.cred.ruid)
     }
 
     /// `geteuid(2)`.
-    pub fn sys_geteuid(&self, pid: Pid) -> KResult<Uid> {
+    pub(crate) fn sys_geteuid(&self, pid: Pid) -> KResult<Uid> {
         Ok(self.task(pid)?.cred.euid)
     }
 
     /// `getgid(2)`.
-    pub fn sys_getgid(&self, pid: Pid) -> KResult<Gid> {
+    pub(crate) fn sys_getgid(&self, pid: Pid) -> KResult<Gid> {
         Ok(self.task(pid)?.cred.rgid)
     }
 }

@@ -15,7 +15,7 @@ use crate::task::{FdObject, Pid};
 use crate::trace::{AuditObject, DecisionKind, Hook};
 use crate::vfs::InodeData;
 
-/// Ioctl commands dispatched by [`Kernel::sys_ioctl`].
+/// Ioctl commands dispatched by [`Process::ioctl`](crate::syscall::Process::ioctl).
 #[derive(Clone, Debug)]
 pub enum IoctlCmd {
     /// Configure a modem line (pppd).
@@ -57,7 +57,7 @@ impl Kernel {
     }
 
     /// `ioctl(2)` on a device fd.
-    pub fn sys_ioctl(&self, pid: Pid, fd: i32, cmd: IoctlCmd) -> KResult<IoctlOut> {
+    pub(crate) fn sys_ioctl(&self, pid: Pid, fd: i32, cmd: IoctlCmd) -> KResult<IoctlOut> {
         let dev = self.fd_device(pid, fd)?;
         // Snapshot path + kind so the registry guard is not held across the
         // LSM hooks and audit emissions below.
@@ -485,7 +485,8 @@ mod tests {
     fn ioctl_on_regular_file_is_enotty() {
         let (k, root, _) = boot();
         k.vfs.mkdir_p("/tmp").unwrap();
-        k.write_file(root, "/tmp/f", b"", crate::vfs::Mode(0o644))
+        k.process(root)
+            .write_file("/tmp/f", b"", crate::vfs::Mode(0o644))
             .unwrap();
         let fd = k.sys_open(root, "/tmp/f", OpenFlags::read_only()).unwrap();
         assert_eq!(

@@ -16,7 +16,7 @@ use crate::vfs::{Access, InodeData, MountOptions};
 
 impl Kernel {
     /// `mount(2)`.
-    pub fn sys_mount(
+    pub(crate) fn sys_mount(
         &self,
         pid: Pid,
         source: &str,
@@ -162,7 +162,7 @@ impl Kernel {
     }
 
     /// `umount(2)`.
-    pub fn sys_umount(&self, pid: Pid, target: &str) -> KResult<()> {
+    pub(crate) fn sys_umount(&self, pid: Pid, target: &str) -> KResult<()> {
         // Resolve the *mountpoint* (without crossing into the mount): we
         // look up the path string in the mount table.
         let cwd = self.task(pid)?.cwd;
@@ -265,10 +265,10 @@ mod tests {
         let (k, root, _) = boot();
         k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
             .unwrap();
-        assert!(k.read_file(root, "/mnt/cdrom/README").is_ok());
+        assert!(k.process(root).read_file("/mnt/cdrom/README").is_ok());
         k.sys_umount(root, "/mnt/cdrom").unwrap();
         assert_eq!(
-            k.read_file(root, "/mnt/cdrom/README").unwrap_err(),
+            k.process(root).read_file("/mnt/cdrom/README").unwrap_err(),
             Errno::ENOENT
         );
     }
@@ -350,10 +350,14 @@ mod tests {
         let (k, root, _) = boot();
         k.vfs.mkdir_p("/mnt/t").unwrap();
         k.sys_mount(root, "tmpfs", "/mnt/t", "tmpfs", "rw").unwrap();
-        k.write_file(root, "/mnt/t/x", b"1", crate::vfs::Mode(0o644))
+        k.process(root)
+            .write_file("/mnt/t/x", b"1", crate::vfs::Mode(0o644))
             .unwrap();
         k.sys_umount(root, "/mnt/t").unwrap();
-        assert_eq!(k.read_file(root, "/mnt/t/x").unwrap_err(), Errno::ENOENT);
+        assert_eq!(
+            k.process(root).read_file("/mnt/t/x").unwrap_err(),
+            Errno::ENOENT
+        );
     }
 
     #[test]

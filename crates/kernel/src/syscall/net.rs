@@ -63,7 +63,7 @@ impl Kernel {
     }
 
     /// `socket(2)`.
-    pub fn sys_socket(
+    pub(crate) fn sys_socket(
         &self,
         pid: Pid,
         domain: Domain,
@@ -135,7 +135,7 @@ impl Kernel {
     }
 
     /// `bind(2)`.
-    pub fn sys_bind(&self, pid: Pid, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
+    pub(crate) fn sys_bind(&self, pid: Pid, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
         let sid = self.fd_socket(pid, fd)?;
         let stype = self.net.read().get(sid)?.stype;
         if port != 0 && port < 1024 && !matches!(stype, SockType::Raw) {
@@ -203,7 +203,7 @@ impl Kernel {
     }
 
     /// `listen(2)`.
-    pub fn sys_listen(&self, pid: Pid, fd: i32) -> KResult<()> {
+    pub(crate) fn sys_listen(&self, pid: Pid, fd: i32) -> KResult<()> {
         let sid = self.fd_socket(pid, fd)?;
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
@@ -218,7 +218,7 @@ impl Kernel {
     }
 
     /// `connect(2)`.
-    pub fn sys_connect(&self, pid: Pid, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
+    pub(crate) fn sys_connect(&self, pid: Pid, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
         let sid = self.fd_socket(pid, fd)?;
         let stype = self.net.read().get(sid)?.stype;
         match stype {
@@ -268,7 +268,7 @@ impl Kernel {
     }
 
     /// `accept(2)` — returns a new fd for the next pending connection.
-    pub fn sys_accept(&self, pid: Pid, fd: i32) -> KResult<i32> {
+    pub(crate) fn sys_accept(&self, pid: Pid, fd: i32) -> KResult<i32> {
         let sid = self.fd_socket(pid, fd)?;
         let conn = {
             let mut net = self.net.write();
@@ -285,7 +285,7 @@ impl Kernel {
     }
 
     /// `send(2)` on a connected socket.
-    pub fn sys_send(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
+    pub(crate) fn sys_send(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
         let sid = self.fd_socket(pid, fd)?;
         let (stype, peer, connected, state) = {
             let net = self.net.read();
@@ -324,7 +324,7 @@ impl Kernel {
     }
 
     /// `recv(2)` on a stream socket.
-    pub fn sys_recv(&self, pid: Pid, fd: i32, max: usize) -> KResult<Vec<u8>> {
+    pub(crate) fn sys_recv(&self, pid: Pid, fd: i32, max: usize) -> KResult<Vec<u8>> {
         let sid = self.fd_socket(pid, fd)?;
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
@@ -344,7 +344,7 @@ impl Kernel {
     }
 
     /// `recvfrom(2)` on a datagram/raw socket: returns the next packet.
-    pub fn sys_recv_packet(&self, pid: Pid, fd: i32) -> KResult<Packet> {
+    pub(crate) fn sys_recv_packet(&self, pid: Pid, fd: i32) -> KResult<Packet> {
         let sid = self.fd_socket(pid, fd)?;
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
@@ -353,7 +353,7 @@ impl Kernel {
 
     /// `sendto(2)` on a UDP socket: the kernel builds the headers, so the
     /// source port cannot be forged.
-    pub fn sys_sendto(
+    pub(crate) fn sys_sendto(
         &self,
         pid: Pid,
         fd: i32,
@@ -397,7 +397,7 @@ impl Kernel {
 
     /// Raw transmission: the caller constructed all headers (§4.1.1). The
     /// packet is subject to the OUTPUT netfilter chain with spoof analysis.
-    pub fn sys_send_packet(&self, pid: Pid, fd: i32, mut pkt: Packet) -> KResult<()> {
+    pub(crate) fn sys_send_packet(&self, pid: Pid, fd: i32, mut pkt: Packet) -> KResult<()> {
         let sid = self.fd_socket(pid, fd)?;
         {
             let net = self.net.read();
@@ -528,7 +528,7 @@ impl Kernel {
     }
 
     /// `socketpair(2)` (AF_UNIX, SOCK_STREAM).
-    pub fn sys_socketpair(&self, pid: Pid) -> KResult<(i32, i32)> {
+    pub(crate) fn sys_socketpair(&self, pid: Pid) -> KResult<(i32, i32)> {
         let cred = self.task(pid)?.cred.clone();
         let binary = self.task(pid)?.binary.clone();
         let (a, b) = {
@@ -559,7 +559,7 @@ impl Kernel {
 
     /// Netfilter administration (the iptables backend): appending,
     /// deleting, or flushing OUTPUT rules requires CAP_NET_ADMIN.
-    pub fn sys_netfilter(&self, pid: Pid, op: NetfilterOp) -> KResult<()> {
+    pub(crate) fn sys_netfilter(&self, pid: Pid, op: NetfilterOp) -> KResult<()> {
         if !self.capable(pid, Cap::NetAdmin) {
             return Err(Errno::EPERM);
         }
@@ -579,7 +579,7 @@ impl Kernel {
 
     /// Lists the OUTPUT chain (iptables -L). Readable by anyone, as rule
     /// listing discloses no secrets in this model.
-    pub fn sys_netfilter_list(&self, pid: Pid) -> KResult<Vec<NetfilterRule>> {
+    pub(crate) fn sys_netfilter_list(&self, pid: Pid) -> KResult<Vec<NetfilterRule>> {
         self.task(pid)?;
         Ok(self
             .netfilter
@@ -591,7 +591,7 @@ impl Kernel {
     }
 
     /// Routing-table ioctls (`SIOCADDRT` / `SIOCDELRT`).
-    pub fn sys_ioctl_route(&self, pid: Pid, op: RouteOp) -> KResult<()> {
+    pub(crate) fn sys_ioctl_route(&self, pid: Pid, op: RouteOp) -> KResult<()> {
         match op {
             RouteOp::Add(mut route) => {
                 let cred = self.task(pid)?.cred.clone();
@@ -995,7 +995,8 @@ mod edge_tests {
         k.vfs.mkdir_p("/tmp").unwrap();
         let t = k.vfs.resolve(k.vfs.root(), "/tmp").unwrap().ino;
         k.vfs.inode_mut(t).mode = crate::vfs::Mode(0o1777);
-        k.write_file(u, "/tmp/f", b"", crate::vfs::Mode(0o644))
+        k.process(u)
+            .write_file("/tmp/f", b"", crate::vfs::Mode(0o644))
             .unwrap();
         let fd = k
             .sys_open(u, "/tmp/f", crate::syscall::OpenFlags::read_only())

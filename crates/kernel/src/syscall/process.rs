@@ -14,7 +14,7 @@ use crate::vfs::{Access, InodeData};
 
 impl Kernel {
     /// `fork(2)`.
-    pub fn sys_fork(&self, pid: Pid) -> KResult<Pid> {
+    pub(crate) fn sys_fork(&self, pid: Pid) -> KResult<Pid> {
         let parent = self.task(pid)?.clone();
         let child_pid = self.alloc_pid();
         let mut child = parent;
@@ -42,7 +42,7 @@ impl Kernel {
     }
 
     /// `execve(2)`. Returns the resolved absolute path of the new image.
-    pub fn sys_execve(&self, pid: Pid, path: &str) -> KResult<String> {
+    pub(crate) fn sys_execve(&self, pid: Pid, path: &str) -> KResult<String> {
         let r = self.walk(pid, path)?;
         {
             let inode = self.vfs.inode(r.ino);
@@ -216,7 +216,7 @@ impl Kernel {
     /// anyone may create a *user* namespace, and a task inside one may
     /// unshare the other kinds — the change that deprivileged
     /// chromium-sandbox without any Protego mechanism.
-    pub fn sys_unshare(&self, pid: Pid, kind: crate::task::NsKind) -> KResult<()> {
+    pub(crate) fn sys_unshare(&self, pid: Pid, kind: crate::task::NsKind) -> KResult<()> {
         use crate::caps::Cap;
         use crate::task::NsKind;
         let privileged = self.capable(pid, Cap::SysAdmin);
@@ -238,7 +238,7 @@ impl Kernel {
     }
 
     /// `exit(2)`.
-    pub fn sys_exit(&self, pid: Pid, status: i32) -> KResult<()> {
+    pub(crate) fn sys_exit(&self, pid: Pid, status: i32) -> KResult<()> {
         let fds: Vec<_> = {
             let mut t = self.task_mut(pid)?;
             t.exit_status = Some(status);
@@ -251,7 +251,7 @@ impl Kernel {
     }
 
     /// `waitpid(2)` — reaps an exited child and returns its status.
-    pub fn sys_wait(&self, pid: Pid, child: Pid) -> KResult<i32> {
+    pub(crate) fn sys_wait(&self, pid: Pid, child: Pid) -> KResult<i32> {
         // Scoped: the read guard must drop before `reap` write-locks the
         // same shard.
         let status = {
@@ -341,7 +341,8 @@ mod tests {
         k.sys_mount(root, "/dev/sdb1", "/mnt/usb", "vfat", "nosuid")
             .unwrap();
         // Drop a setuid-root binary onto the removable media.
-        k.write_file(root, "/mnt/usb/evil", b"#!sim", Mode(0o755))
+        k.process(root)
+            .write_file("/mnt/usb/evil", b"#!sim", Mode(0o755))
             .unwrap();
         k.sys_chmod(root, "/mnt/usb/evil", Mode(0o4755)).unwrap();
         k.sys_execve(user, "/mnt/usb/evil").unwrap();
@@ -354,7 +355,9 @@ mod tests {
         k.vfs.mkdir_p("/tmp").unwrap();
         let t = k.vfs.resolve(k.vfs.root(), "/tmp").unwrap().ino;
         k.vfs.inode_mut(t).mode = Mode(0o1777);
-        k.write_file(user, "/tmp/f", b"x", Mode(0o644)).unwrap();
+        k.process(user)
+            .write_file("/tmp/f", b"x", Mode(0o644))
+            .unwrap();
         let mut fl = OpenFlags::read_only();
         fl.cloexec = true;
         let fd_c = k.sys_open(user, "/tmp/f", fl).unwrap();

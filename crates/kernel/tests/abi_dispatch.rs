@@ -1,22 +1,22 @@
-//! The dispatch boundary is a *total, transparent* mapping: every
-//! [`Syscall`] variant routed through [`Kernel::dispatch`] must behave
-//! exactly like the corresponding direct `sys_*` call — same return
-//! value, same state transitions, same audit stream. These tests drive a
-//! twin pair of kernels (one direct, one dispatched) through every
-//! variant, then exercise the interceptor stack: deterministic fault
-//! injection, one-shot faults, per-class metering, and trace recording.
+//! The dispatch boundary, driven only through its public front end.
+//! A sweep drives every [`Syscall`] variant through the [`Process`]
+//! handle and checks that each returns its declared `SysRet` shape; the
+//! rest exercises the interceptor stack: deterministic fault injection,
+//! one-shot faults, per-class metering, and trace recording.
 
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::error::Errno;
 use sim_kernel::kernel::Kernel;
-use sim_kernel::net::{Domain, Ipv4, Packet, SimNet, SockType};
+use sim_kernel::net::{Domain, Ipv4, Packet, Route, SimNet, SockType};
 use sim_kernel::syscall::{
-    FaultConfig, FaultInjector, IoctlCmd, NetfilterOp, OpenFlags, RouteOp, Syscall, SyscallMeter,
-    Whence,
+    FaultConfig, FaultInjector, Interceptor, IoctlCmd, IoctlOut, NetfilterOp, OpenFlags, RouteOp,
+    SysCtx, SysRet, Syscall, SyscallMeter, Whence,
 };
 use sim_kernel::task::{NsKind, Pid};
 use sim_kernel::trace::TraceRecorder;
 use sim_kernel::vfs::Mode;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
 fn boot() -> (Kernel, Pid, Pid) {
     let k = Kernel::new(SimNet::new());
@@ -30,470 +30,171 @@ fn boot() -> (Kernel, Pid, Pid) {
     (k, root, user)
 }
 
-/// Runs the same logical call on the direct kernel and the dispatched
-/// kernel and asserts the observable outcome matches.
-macro_rules! same {
-    ($direct:expr, $via:expr) => {{
-        let d = $direct;
-        let v = $via;
-        assert_eq!(d, v, "direct and dispatched outcomes diverge");
-    }};
+/// Records the ABI index of every dispatched call, and the name and
+/// errno of every call that failed.
+#[derive(Default)]
+struct Seen {
+    calls: BTreeSet<usize>,
+    failures: Vec<(&'static str, Errno)>,
 }
 
-/// Like [`same!`], but yields the (matching) direct result.
-macro_rules! same_val {
-    ($direct:expr, $via:expr) => {{
-        let d = $direct;
-        let v = $via;
-        assert_eq!(d, v, "direct and dispatched outcomes diverge");
-        d
-    }};
+struct SeenHook(Arc<Mutex<Seen>>);
+
+impl Interceptor for SeenHook {
+    fn name(&self) -> &'static str {
+        "seen"
+    }
+
+    fn after(&self, _pid: Pid, call: &Syscall, ret: &SysRet, _ctx: &mut SysCtx<'_>) {
+        let mut seen = self.0.lock().unwrap();
+        seen.calls.insert(call.index());
+        if let Some(e) = ret.err() {
+            seen.failures.push((call.name(), e));
+        }
+    }
 }
 
-/// Every `Syscall` variant, dispatched, behaves exactly like the direct
-/// entry point — on success paths and denial paths alike — and the two
-/// kernels end with identical audit streams.
-#[test]
-fn dispatch_is_equivalent_to_direct_for_every_variant() {
-    let (kd, rootd, userd) = boot();
-    let (kv, rootv, userv) = boot();
-    assert_eq!(rootd, rootv);
-    assert_eq!(userd, userv);
-    let (root, user) = (rootd, userd);
+/// Drives all 46 `Syscall` variants through the [`Process`] handle and
+/// returns the rendered audit stream. Each handle method unwraps the
+/// response through its typed accessor, which panics on an ABI shape
+/// mismatch, so a clean sweep proves every variant returns its declared
+/// `SysRet` shape; the asserted values tell apart bodies that share a
+/// shape (stat/lstat, getuid/geteuid).
+fn sweep() -> Vec<String> {
+    let (k, root, user) = boot();
+    k.vfs
+        .install_file("/bin/true", b"", Mode(0o755), Uid::ROOT, Gid::ROOT)
+        .unwrap();
+    let seen = Arc::new(Mutex::new(Seen::default()));
+    k.push_interceptor(Box::new(SeenHook(seen.clone())));
+    let (mut u, mut r) = (k.process(user), k.process(root));
 
     // ----- fs -----
-    same!(
-        kd.sys_mkdir(user, "/tmp/d", Mode(0o755)),
-        kv.dispatch(
-            user,
-            Syscall::Mkdir {
-                path: "/tmp/d".into(),
-                mode: Mode(0o755),
-            },
-        )
-        .unit()
+    assert_eq!(u.mkdir("/tmp/d", Mode(0o755)), Ok(()));
+    let fd = u
+        .open("/tmp/d/f", OpenFlags::create_trunc(Mode(0o644)))
+        .unwrap();
+    assert_eq!(u.write(fd, b"hello, abi"), Ok(10));
+    assert_eq!(u.lseek(fd, -4, Whence::Cur), Ok(6));
+    let rd = u.open("/tmp/d/f", OpenFlags::read_only()).unwrap();
+    assert_eq!(u.read(rd, 5).unwrap(), b"hello");
+    assert_eq!(u.close(rd), Ok(()));
+    assert_eq!(u.stat("/tmp/d/f").unwrap().size, 10);
+    assert_eq!(u.symlink("/tmp/d/f", "/tmp/d/l"), Ok(()));
+    // lstat names the link itself, stat follows it to the file.
+    let (file, link) = (u.stat("/tmp/d/l").unwrap(), u.lstat("/tmp/d/l").unwrap());
+    assert_eq!(file.ino, u.stat("/tmp/d/f").unwrap().ino);
+    assert_ne!(link.ino, file.ino);
+    assert_eq!(u.chmod("/tmp/d/f", Mode(0o600)), Ok(()));
+    // chown: denied for the user, permitted for root.
+    assert_eq!(
+        u.chown("/tmp/d/f", Some(Uid::ROOT), None),
+        Err(Errno::EPERM)
     );
-    let fd = same_val!(
-        kd.sys_open(user, "/tmp/d/f", OpenFlags::create_trunc(Mode(0o644))),
-        kv.dispatch(
-            user,
-            Syscall::Open {
-                path: "/tmp/d/f".into(),
-                flags: OpenFlags::create_trunc(Mode(0o644)),
-            },
-        )
-        .fd()
-    )
-    .unwrap();
-    same!(
-        kd.sys_write(user, fd, b"hello, abi"),
-        kv.dispatch(
-            user,
-            Syscall::Write {
-                fd,
-                data: b"hello, abi".to_vec(),
-            },
-        )
-        .size()
-    );
-    for (offset, whence) in [(0, Whence::Set), (-4, Whence::Cur), (-10, Whence::End)] {
-        same!(
-            kd.sys_lseek(user, fd, offset, whence),
-            kv.dispatch(user, Syscall::Lseek { fd, offset, whence })
-                .size()
-        );
-    }
-    {
-        let mut buf = Vec::new();
-        let dn = kd.sys_read(user, fd, &mut buf, 5);
-        let vr = kv.dispatch(user, Syscall::Read { fd, count: 5 }).data();
-        assert_eq!(dn.map(|_| buf), vr);
-    }
-    same!(
-        kd.sys_stat(user, "/tmp/d/f"),
-        kv.dispatch(
-            user,
-            Syscall::Stat {
-                path: "/tmp/d/f".into(),
-            },
-        )
-        .stat()
-    );
-    same!(
-        kd.sys_symlink(user, "/tmp/d/f", "/tmp/d/l"),
-        kv.dispatch(
-            user,
-            Syscall::Symlink {
-                target: "/tmp/d/f".into(),
-                linkpath: "/tmp/d/l".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_lstat(user, "/tmp/d/l"),
-        kv.dispatch(
-            user,
-            Syscall::Lstat {
-                path: "/tmp/d/l".into(),
-            },
-        )
-        .stat()
-    );
-    same!(
-        kd.sys_chmod(user, "/tmp/d/f", Mode(0o600)),
-        kv.dispatch(
-            user,
-            Syscall::Chmod {
-                path: "/tmp/d/f".into(),
-                mode: Mode(0o600),
-            },
-        )
-        .unit()
-    );
-    // chown: denied for the user, permitted for root — both paths.
-    same!(
-        kd.sys_chown(user, "/tmp/d/f", Some(Uid::ROOT), None),
-        kv.dispatch(
-            user,
-            Syscall::Chown {
-                path: "/tmp/d/f".into(),
-                uid: Some(Uid::ROOT),
-                gid: None,
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_chown(root, "/tmp/d/f", None, Some(Gid(1000))),
-        kv.dispatch(
-            root,
-            Syscall::Chown {
-                path: "/tmp/d/f".into(),
-                uid: None,
-                gid: Some(Gid(1000)),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_readdir(user, "/tmp/d"),
-        kv.dispatch(
-            user,
-            Syscall::Readdir {
-                path: "/tmp/d".into(),
-            },
-        )
-        .names()
-    );
-    same!(
-        kd.sys_rename(user, "/tmp/d/f", "/tmp/d/g"),
-        kv.dispatch(
-            user,
-            Syscall::Rename {
-                from: "/tmp/d/f".into(),
-                to: "/tmp/d/g".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_chdir(user, "/tmp/d"),
-        kv.dispatch(
-            user,
-            Syscall::Chdir {
-                path: "/tmp/d".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_close(user, fd),
-        kv.dispatch(user, Syscall::Close { fd }).unit()
-    );
-    same!(
-        kd.sys_unlink(user, "/tmp/d/g"),
-        kv.dispatch(
-            user,
-            Syscall::Unlink {
-                path: "/tmp/d/g".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_unlink(user, "/tmp/d/l"),
-        kv.dispatch(
-            user,
-            Syscall::Unlink {
-                path: "/tmp/d/l".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_chdir(user, "/"),
-        kv.dispatch(user, Syscall::Chdir { path: "/".into() })
-            .unit()
-    );
-    same!(
-        kd.sys_rmdir(user, "/tmp/d"),
-        kv.dispatch(
-            user,
-            Syscall::Rmdir {
-                path: "/tmp/d".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_pipe(user),
-        kv.dispatch(user, Syscall::Pipe).fd_pair()
-    );
+    assert_eq!(r.chown("/tmp/d/f", None, Some(Gid(1000))), Ok(()));
+    assert_eq!(u.readdir("/tmp/d").unwrap().len(), 2);
+    assert_eq!(u.rename("/tmp/d/f", "/tmp/d/g"), Ok(()));
+    assert_eq!(u.chdir("/tmp/d"), Ok(()));
+    assert_eq!(u.close(fd), Ok(()));
+    assert_eq!(u.unlink("/tmp/d/g"), Ok(()));
+    assert_eq!(u.unlink("/tmp/d/l"), Ok(()));
+    assert_eq!(u.chdir("/"), Ok(()));
+    assert_eq!(u.rmdir("/tmp/d"), Ok(()));
+    assert!(u.pipe().is_ok());
 
     // ----- id -----
-    same!(
-        kd.sys_setuid(user, Uid::ROOT),
-        kv.dispatch(user, Syscall::Setuid { uid: Uid::ROOT }).unit()
-    );
-    same!(
-        kd.sys_seteuid(user, Uid(1000)),
-        kv.dispatch(user, Syscall::Seteuid { uid: Uid(1000) })
-            .unit()
-    );
-    same!(
-        kd.sys_setgid(user, Gid(1000)),
-        kv.dispatch(user, Syscall::Setgid { gid: Gid(1000) }).unit()
-    );
-    same!(
-        kd.sys_setgroups(root, &[Gid(0), Gid(24)]),
-        kv.dispatch(
-            root,
-            Syscall::Setgroups {
-                groups: vec![Gid(0), Gid(24)],
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_getuid(user),
-        kv.dispatch(user, Syscall::Getuid).uid()
-    );
-    same!(
-        kd.sys_geteuid(user),
-        kv.dispatch(user, Syscall::Geteuid).uid()
-    );
-    same!(
-        kd.sys_getgid(user),
-        kv.dispatch(user, Syscall::Getgid).gid()
-    );
+    assert_eq!(u.setuid(Uid::ROOT), Err(Errno::EPERM));
+    assert_eq!(u.seteuid(Uid(1000)), Ok(()));
+    assert_eq!(u.setgid(Gid(1000)), Ok(()));
+    assert_eq!(r.setgroups(&[Gid(0), Gid(24)]), Ok(()));
+    assert_eq!(u.getgid(), Ok(Gid(1000)));
+    // Distinct real, effective and group ids tell the getters apart.
+    assert_eq!(r.seteuid(Uid(1000)), Ok(()));
+    assert_eq!(r.setgid(Gid(24)), Ok(()));
+    assert_eq!(r.getuid(), Ok(Uid::ROOT));
+    assert_eq!(r.geteuid(), Ok(Uid(1000)));
+    assert_eq!(r.getgid(), Ok(Gid(24)));
+    assert_eq!(r.seteuid(Uid::ROOT), Ok(()));
+    assert_eq!(r.geteuid(), Ok(Uid::ROOT));
 
-    // ----- ioctl -----
-    same!(
-        kd.sys_ioctl(user, 99, IoctlCmd::Eject),
-        kv.dispatch(
-            user,
-            Syscall::Ioctl {
-                fd: 99,
-                cmd: IoctlCmd::Eject,
-            },
-        )
-        .ioctl()
-    );
-
-    // ----- mount -----
-    same!(
-        kd.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro"),
-        kv.dispatch(
-            root,
-            Syscall::Mount {
-                source: "/dev/cdrom".into(),
-                target: "/mnt/cdrom".into(),
-                fstype: "iso9660".into(),
-                options: "ro".into(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_umount(root, "/mnt/cdrom"),
-        kv.dispatch(
-            root,
-            Syscall::Umount {
-                target: "/mnt/cdrom".into(),
-            },
-        )
-        .unit()
-    );
+    // ----- ioctl / mount -----
+    assert_eq!(r.mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro"), Ok(()));
+    assert_eq!(r.umount("/mnt/cdrom"), Ok(()));
+    let cdrom = r.open("/dev/cdrom", OpenFlags::read_only()).unwrap();
+    assert_eq!(r.ioctl(cdrom, IoctlCmd::Eject), Ok(IoctlOut::None));
 
     // ----- net -----
-    let sock = same_val!(
-        kd.sys_socket(user, Domain::Inet, SockType::Dgram, 17),
-        kv.dispatch(
-            user,
-            Syscall::Socket {
-                domain: Domain::Inet,
-                stype: SockType::Dgram,
-                protocol: 17,
-            },
-        )
-        .fd()
-    )
-    .unwrap();
-    same!(
-        kd.sys_bind(user, sock, Ipv4::ANY, 5353),
-        kv.dispatch(
-            user,
-            Syscall::Bind {
-                fd: sock,
-                addr: Ipv4::ANY,
-                port: 5353,
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_listen(user, sock),
-        kv.dispatch(user, Syscall::Listen { fd: sock }).unit()
-    );
-    same!(
-        kd.sys_accept(user, sock),
-        kv.dispatch(user, Syscall::Accept { fd: sock }).fd()
-    );
-    same!(
-        kd.sys_connect(user, sock, Ipv4::LOOPBACK, 9),
-        kv.dispatch(
-            user,
-            Syscall::Connect {
-                fd: sock,
-                addr: Ipv4::LOOPBACK,
-                port: 9,
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_send(user, sock, b"ping"),
-        kv.dispatch(
-            user,
-            Syscall::Send {
-                fd: sock,
-                data: b"ping".to_vec(),
-            },
-        )
-        .size()
-    );
-    same!(
-        kd.sys_sendto(user, sock, Ipv4::LOOPBACK, 9, b"dgram"),
-        kv.dispatch(
-            user,
-            Syscall::Sendto {
-                fd: sock,
-                addr: Ipv4::LOOPBACK,
-                port: 9,
-                data: b"dgram".to_vec(),
-            },
-        )
-        .size()
-    );
-    same!(
-        kd.sys_recv(user, sock, 64),
-        kv.dispatch(user, Syscall::Recv { fd: sock, max: 64 })
-            .data()
-    );
-    same!(
-        kd.sys_recv_packet(user, sock),
-        kv.dispatch(user, Syscall::RecvPacket { fd: sock }).packet()
-    );
-    let probe = Packet::echo_request(Ipv4::LOOPBACK, Ipv4::LOOPBACK, 1, 1, Uid(1000));
-    same!(
-        kd.sys_send_packet(user, sock, probe.clone()),
-        kv.dispatch(
-            user,
-            Syscall::SendPacket {
-                fd: sock,
-                pkt: probe.clone(),
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_socketpair(user),
-        kv.dispatch(user, Syscall::Socketpair).fd_pair()
-    );
-    same!(
-        kd.sys_netfilter(root, NetfilterOp::Flush),
-        kv.dispatch(
-            root,
-            Syscall::Netfilter {
-                op: NetfilterOp::Flush,
-            },
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_netfilter_list(user),
-        kv.dispatch(user, Syscall::NetfilterList).rules()
-    );
-    same!(
-        kd.sys_ioctl_route(
-            root,
-            RouteOp::Del {
-                dest: Ipv4::ANY,
-                prefix: 0,
-            },
-        ),
-        kv.dispatch(
-            root,
-            Syscall::IoctlRoute {
-                op: RouteOp::Del {
-                    dest: Ipv4::ANY,
-                    prefix: 0,
-                },
-            },
-        )
-        .unit()
-    );
+    let srv = u.socket(Domain::Inet, SockType::Stream, 0).unwrap();
+    assert_eq!(u.bind(srv, Ipv4::ANY, 9000), Ok(()));
+    assert_eq!(u.listen(srv), Ok(()));
+    let cli = u.socket(Domain::Inet, SockType::Stream, 0).unwrap();
+    assert_eq!(u.connect(cli, Ipv4::LOOPBACK, 9000), Ok(()));
+    let conn = u.accept(srv).unwrap();
+    assert_eq!(u.send(cli, b"ping"), Ok(4));
+    assert_eq!(u.recv(conn, 64).unwrap(), b"ping");
+    let udp = u.socket(Domain::Inet, SockType::Dgram, 17).unwrap();
+    assert_eq!(u.bind(udp, Ipv4::ANY, 5353), Ok(()));
+    assert_eq!(u.sendto(udp, Ipv4::LOOPBACK, 5353, b"dgram"), Ok(5));
+    assert_eq!(u.recv_packet(udp).unwrap().payload, b"dgram");
+    let raw = r.socket(Domain::Inet, SockType::Raw, 1).unwrap();
+    let probe = Packet::echo_request(Ipv4::LOOPBACK, Ipv4::LOOPBACK, 1, 1, Uid::ROOT);
+    assert_eq!(r.send_packet(raw, probe), Ok(()));
+    assert!(u.socketpair().is_ok());
+    assert_eq!(r.netfilter(NetfilterOp::Flush), Ok(()));
+    assert_eq!(u.netfilter_list(), Ok(Vec::new()));
+    let route = Route {
+        dest: Ipv4::new(10, 9, 0, 0),
+        prefix: 16,
+        gateway: None,
+        dev: "lo".into(),
+        created_by: Uid::ROOT,
+    };
+    assert_eq!(r.ioctl_route(RouteOp::Add(route)), Ok(()));
+    let del = RouteOp::Del {
+        dest: Ipv4::new(10, 9, 0, 0),
+        prefix: 16,
+    };
+    assert_eq!(r.ioctl_route(del), Ok(()));
 
     // ----- process -----
-    let child = same_val!(kd.sys_fork(user), kv.dispatch(user, Syscall::Fork).pid()).unwrap();
-    same!(
-        kd.sys_execve(child, "/bin/true"),
-        kv.dispatch(
-            child,
-            Syscall::Execve {
-                path: "/bin/true".into(),
-            },
-        )
-        .path()
-    );
-    same!(
-        kd.sys_unshare(child, NsKind::Mount),
-        kv.dispatch(
-            child,
-            Syscall::Unshare {
-                kind: NsKind::Mount
-            }
-        )
-        .unit()
-    );
-    same!(
-        kd.sys_exit(child, 7),
-        kv.dispatch(child, Syscall::Exit { status: 7 }).unit()
-    );
-    same!(
-        kd.sys_wait(user, child),
-        kv.dispatch(user, Syscall::Wait { child }).status()
-    );
+    let child = r.fork().unwrap();
+    let mut c = k.process(child);
+    assert_eq!(c.execve("/bin/true").as_deref(), Ok("/bin/true"));
+    assert_eq!(c.unshare(NsKind::Mount), Ok(()));
+    assert_eq!(c.exit(7), Ok(()));
+    assert_eq!(r.wait(child), Ok(7));
 
-    // The two kernels must have produced identical audit streams.
-    let direct: Vec<String> = kd.audit.events().iter().map(|e| e.render()).collect();
-    let via: Vec<String> = kv.audit.events().iter().map(|e| e.render()).collect();
+    let seen = seen.lock().unwrap();
+    let missing: Vec<_> = (0..Syscall::NAMES.len())
+        .filter(|i| !seen.calls.contains(i))
+        .map(|i| Syscall::NAMES[i])
+        .collect();
+    assert!(missing.is_empty(), "variants not driven: {:?}", missing);
     assert_eq!(
-        direct, via,
-        "audit streams diverge between direct and dispatched runs"
+        seen.failures,
+        [("chown", Errno::EPERM), ("setuid", Errno::EPERM)],
+        "only the two expected denials may fail"
     );
-    assert_eq!(kd.audit.next_seq(), kv.audit.next_seq());
+    k.audit.events().iter().map(|e| e.render()).collect()
+}
+
+/// The sweep covers every variant; its audit stream carries the
+/// user's refused setuid and is a pure function of the call sequence.
+#[test]
+fn every_variant_returns_its_declared_shape() {
+    let audit = sweep();
+    let denials: Vec<_> = audit
+        .iter()
+        .filter(|l| l.contains("decision=deny"))
+        .collect();
+    assert_eq!(denials.len(), 1, "audit stream: {:#?}", audit);
+    assert!(
+        denials[0].contains("syscall=setuid hook=task_setuid")
+            && denials[0].contains("errno=EPERM"),
+        "{}",
+        denials[0]
+    );
+    assert_eq!(audit, sweep(), "audit stream differs between runs");
 }
 
 /// Same seed + same call sequence → byte-identical injection pattern;

@@ -41,7 +41,9 @@ fn rename_bumps_generation_and_redirects() {
     assert_eq!(k.read_to_string(root, "/data/a.txt").unwrap(), "alpha");
     let g0 = k.vfs.namespace_generation();
     // Atomic replace: b.txt takes over the name a.txt.
-    k.sys_rename(root, "/data/b.txt", "/data/a.txt").unwrap();
+    k.process(root)
+        .rename("/data/b.txt", "/data/a.txt")
+        .unwrap();
     assert!(k.vfs.namespace_generation() > g0, "rename must bump gen");
     // A stale hit would return "alpha".
     assert_eq!(k.read_to_string(root, "/data/a.txt").unwrap(), "beta");
@@ -52,7 +54,7 @@ fn unlink_bumps_generation_and_uncaches() {
     let (k, root) = boot();
     k.read_to_string(root, "/data/a.txt").unwrap();
     let g0 = k.vfs.namespace_generation();
-    k.sys_unlink(root, "/data/a.txt").unwrap();
+    k.process(root).unlink("/data/a.txt").unwrap();
     assert!(k.vfs.namespace_generation() > g0, "unlink must bump gen");
     // A stale hit would resolve the dead inode instead of failing.
     assert_eq!(
@@ -80,7 +82,8 @@ fn mount_and_umount_bump_generation() {
         "under"
     );
     let g0 = k.vfs.namespace_generation();
-    k.sys_mount(root, "/dev/sdb1", "/mnt/usb", "vfat", "rw")
+    k.process(root)
+        .mount("/dev/sdb1", "/mnt/usb", "vfat", "rw")
         .unwrap();
     assert!(k.vfs.namespace_generation() > g0, "mount must bump gen");
     // A stale hit would still see the covered file.
@@ -89,7 +92,7 @@ fn mount_and_umount_bump_generation() {
         Errno::ENOENT
     );
     let g1 = k.vfs.namespace_generation();
-    k.sys_umount(root, "/mnt/usb").unwrap();
+    k.process(root).umount("/mnt/usb").unwrap();
     assert!(k.vfs.namespace_generation() > g1, "umount must bump gen");
     assert_eq!(
         k.read_to_string(root, "/mnt/usb/under.txt").unwrap(),
@@ -102,7 +105,7 @@ fn chmod_bumps_generation() {
     let (k, root) = boot();
     k.read_to_string(root, "/data/a.txt").unwrap();
     let g0 = k.vfs.namespace_generation();
-    k.sys_chmod(root, "/data/a.txt", Mode(0o600)).unwrap();
+    k.process(root).chmod("/data/a.txt", Mode(0o600)).unwrap();
     assert!(k.vfs.namespace_generation() > g0, "chmod must bump gen");
 }
 
@@ -110,7 +113,7 @@ fn chmod_bumps_generation() {
 fn invalidation_counter_advances_on_flush() {
     let (k, root) = boot();
     k.read_to_string(root, "/data/a.txt").unwrap();
-    k.sys_unlink(root, "/data/b.txt").unwrap();
+    k.process(root).unlink("/data/b.txt").unwrap();
     let before = k.vfs.dcache_stats().invalidations;
     // The flush is lazy: the next lookup after the mutation performs it.
     let _ = k.read_to_string(root, "/data/a.txt");

@@ -51,6 +51,7 @@ fn arm(
 #[test]
 fn proc_nodes_drive_the_full_lifecycle_as_root() {
     let (k, root, user) = boot();
+    let mut r = k.process(root);
     assert!(k
         .read_to_string(root, "/proc/seccomp/status")
         .unwrap()
@@ -61,11 +62,11 @@ fn proc_nodes_drive_the_full_lifecycle_as_root() {
     let text = "# test profiles\n\
                 profile /bin/sh default=deny(EPERM) allow=stat,getuid\n\
                 profile /sbin/strict default=kill allow=exit\n";
-    let fd = k
-        .sys_open(root, "/proc/seccomp/profiles", OpenFlags::write_only())
+    let fd = r
+        .open("/proc/seccomp/profiles", OpenFlags::write_only())
         .unwrap();
-    k.sys_write(root, fd, text.as_bytes()).unwrap();
-    k.sys_close(root, fd).unwrap();
+    r.write(fd, text.as_bytes()).unwrap();
+    r.close(fd).unwrap();
     assert_eq!(k.seccomp.profile_count(), 2);
     let rendered = k.read_to_string(root, "/proc/seccomp/profiles").unwrap();
     assert_eq!(
@@ -75,11 +76,11 @@ fn proc_nodes_drive_the_full_lifecycle_as_root() {
     assert!(rendered.contains("default=kill"));
 
     // Mode switch through the status node, then one enforced denial.
-    let fd = k
-        .sys_open(root, "/proc/seccomp/status", OpenFlags::write_only())
+    let fd = r
+        .open("/proc/seccomp/status", OpenFlags::write_only())
         .unwrap();
-    k.sys_write(root, fd, b"enforce").unwrap();
-    k.sys_close(root, fd).unwrap();
+    r.write(fd, b"enforce").unwrap();
+    r.close(fd).unwrap();
     assert_eq!(k.seccomp.mode(), SeccompMode::Enforce);
     k.register_interceptor(Box::new(SeccompInterceptor::new(k.seccomp.clone())));
     assert_eq!(k.dispatch(user, Syscall::Pipe).fd_pair(), Err(Errno::EPERM));
@@ -89,27 +90,27 @@ fn proc_nodes_drive_the_full_lifecycle_as_root() {
     assert!(status.contains("mode: enforce") && status.contains("profiles: 2"));
 
     // `clear` empties the log; garbage writes are EINVAL.
-    let fd = k
-        .sys_open(root, "/proc/seccomp/violations", OpenFlags::write_only())
+    let fd = r
+        .open("/proc/seccomp/violations", OpenFlags::write_only())
         .unwrap();
-    k.sys_write(root, fd, b"clear").unwrap();
-    assert_eq!(k.sys_write(root, fd, b"bogus"), Err(Errno::EINVAL));
-    k.sys_close(root, fd).unwrap();
+    r.write(fd, b"clear").unwrap();
+    assert_eq!(r.write(fd, b"bogus"), Err(Errno::EINVAL));
+    r.close(fd).unwrap();
     assert_eq!(k.seccomp.total_violations(), 0);
-    let fd = k
-        .sys_open(root, "/proc/seccomp/status", OpenFlags::write_only())
+    let fd = r
+        .open("/proc/seccomp/status", OpenFlags::write_only())
         .unwrap();
-    assert_eq!(k.sys_write(root, fd, b"sideways"), Err(Errno::EINVAL));
-    k.sys_close(root, fd).unwrap();
+    assert_eq!(r.write(fd, b"sideways"), Err(Errno::EINVAL));
+    r.close(fd).unwrap();
     // Bad profile text rejects the whole write and keeps the old table.
-    let fd = k
-        .sys_open(root, "/proc/seccomp/profiles", OpenFlags::write_only())
+    let fd = r
+        .open("/proc/seccomp/profiles", OpenFlags::write_only())
         .unwrap();
     assert_eq!(
-        k.sys_write(root, fd, b"profile /bin/x allow=frobnicate"),
+        r.write(fd, b"profile /bin/x allow=frobnicate"),
         Err(Errno::EINVAL)
     );
-    k.sys_close(root, fd).unwrap();
+    r.close(fd).unwrap();
     assert_eq!(k.seccomp.profile_count(), 2);
 }
 
@@ -124,12 +125,16 @@ fn proc_nodes_refuse_unprivileged_opens() {
         "/proc/seccomp/violations",
     ] {
         assert_eq!(
-            k.sys_open(user, node, OpenFlags::read_only()).unwrap_err(),
+            k.process(user)
+                .open(node, OpenFlags::read_only())
+                .unwrap_err(),
             Errno::EACCES,
             "{node} readable by non-root"
         );
         assert_eq!(
-            k.sys_open(user, node, OpenFlags::write_only()).unwrap_err(),
+            k.process(user)
+                .open(node, OpenFlags::write_only())
+                .unwrap_err(),
             Errno::EACCES,
             "{node} writable by non-root"
         );
@@ -142,21 +147,22 @@ fn proc_nodes_refuse_unprivileged_opens() {
 #[test]
 fn leaked_fd_after_cred_drop_gets_audited_eperm() {
     let (k, root, _user) = boot();
-    let child = k.sys_fork(root).unwrap();
-    let fd = k
-        .sys_open(child, "/proc/seccomp/status", OpenFlags::write_only())
+    let child = k.process(root).fork().unwrap();
+    let mut c = k.process(child);
+    let fd = c
+        .open("/proc/seccomp/status", OpenFlags::write_only())
         .unwrap();
-    k.sys_setuid(child, Uid(1000)).unwrap();
-    assert_eq!(k.sys_write(child, fd, b"off"), Err(Errno::EPERM));
+    c.setuid(Uid(1000)).unwrap();
+    assert_eq!(c.write(fd, b"off"), Err(Errno::EPERM));
     let last = k.audit.last().expect("refused write files an event");
     assert!(
         last.contains("seccomp: non-root write"),
         "missing audit attribution: {}",
         last.render()
     );
-    k.sys_close(child, fd).unwrap();
-    k.sys_exit(child, 0).unwrap();
-    k.sys_wait(root, child).unwrap();
+    c.close(fd).unwrap();
+    c.exit(0).unwrap();
+    k.process(root).wait(child).unwrap();
 }
 
 // ---------------------------------------------------------------------

@@ -64,33 +64,30 @@ proptest! {
                     } else {
                         OpenFlags::read_only()
                     };
-                    let _ = k.sys_open(user, &format!("/tmp/f{}", n), flags);
+                    let _ = k.process(user).open(&format!("/tmp/f{}", n), flags);
                 }
-                Op::Close(fd) => { let _ = k.sys_close(user, fd); }
-                Op::Read(fd) => {
-                    let mut buf = Vec::new();
-                    let _ = k.sys_read(user, fd, &mut buf, 16);
-                }
-                Op::Write(fd) => { let _ = k.sys_write(user, fd, b"xyz"); }
-                Op::Lseek(fd, o) => { let _ = k.sys_lseek(user, fd, o as i64, Whence::Set); }
-                Op::Unlink(n) => { let _ = k.sys_unlink(user, &format!("/tmp/f{}", n)); }
-                Op::Mkdir(n) => { let _ = k.sys_mkdir(user, &format!("/tmp/d{}", n), Mode(0o755)); }
+                Op::Close(fd) => { let _ = k.process(user).close(fd); }
+                Op::Read(fd) => { let _ = k.process(user).read(fd, 16); }
+                Op::Write(fd) => { let _ = k.process(user).write(fd, b"xyz"); }
+                Op::Lseek(fd, o) => { let _ = k.process(user).lseek(fd, o as i64, Whence::Set); }
+                Op::Unlink(n) => { let _ = k.process(user).unlink(&format!("/tmp/f{}", n)); }
+                Op::Mkdir(n) => { let _ = k.process(user).mkdir(&format!("/tmp/d{}", n), Mode(0o755)); }
                 Op::Fork => {
                     if forks.len() < 4 {
-                        if let Ok(c) = k.sys_fork(user) { forks.push(c); }
+                        if let Ok(c) = k.process(user).fork() { forks.push(c); }
                     }
                 }
-                Op::Pipe => { let _ = k.sys_pipe(user); }
+                Op::Pipe => { let _ = k.process(user).pipe(); }
             }
         }
         for c in forks {
-            k.sys_exit(c, 0).unwrap();
-            k.sys_wait(user, c).unwrap();
+            k.process(c).exit(0).unwrap();
+            k.process(user).wait(c).unwrap();
         }
         // Post-conditions.
-        k.write_file(root, "/tmp/rootfile", b"secret", Mode(0o600)).unwrap();
-        prop_assert!(k.read_file(user, "/tmp/rootfile").is_err());
-        prop_assert!(k.read_file(root, "/tmp/rootfile").is_ok());
+        k.process(root).write_file("/tmp/rootfile", b"secret", Mode(0o600)).unwrap();
+        prop_assert!(k.process(user).read_file("/tmp/rootfile").is_err());
+        prop_assert!(k.process(root).read_file("/tmp/rootfile").is_ok());
     }
 
     /// DAC truth table: the owner/group/other bits decide exactly.
@@ -100,10 +97,10 @@ proptest! {
         let owner = if as_owner { Uid(1000) } else { Uid::ROOT };
         k.vfs.install_file("/tmp/probe", b"x", Mode(bits), owner, Gid(4242)).unwrap();
         let _ = root;
-        let can_read = k.read_file(user, "/tmp/probe").is_ok();
+        let can_read = k.process(user).read_file("/tmp/probe").is_ok();
         let relevant = if as_owner { (bits >> 6) & 4 } else { bits & 4 };
         prop_assert_eq!(can_read, relevant != 0);
-        let can_write = k.append_file(user, "/tmp/probe", b"y").is_ok();
+        let can_write = k.process(user).append_file("/tmp/probe", b"y").is_ok();
         let relevant = if as_owner { (bits >> 6) & 2 } else { bits & 2 };
         prop_assert_eq!(can_write, relevant != 0);
     }
@@ -112,9 +109,9 @@ proptest! {
     #[test]
     fn chmod_roundtrip(bits in 0u32..0o7777) {
         let (k, _root, user) = boot();
-        k.write_file(user, "/tmp/own", b"", Mode(0o600)).unwrap();
-        k.sys_chmod(user, "/tmp/own", Mode(bits)).unwrap();
-        prop_assert_eq!(k.sys_stat(user, "/tmp/own").unwrap().mode, Mode(bits));
+        k.process(user).write_file("/tmp/own", b"", Mode(0o600)).unwrap();
+        k.process(user).chmod("/tmp/own", Mode(bits)).unwrap();
+        prop_assert_eq!(k.process(user).stat("/tmp/own").unwrap().mode, Mode(bits));
     }
 
     /// fork/exit/wait always balances the task table.
@@ -122,11 +119,11 @@ proptest! {
     fn task_table_balances(n in 0usize..10) {
         let (k, _root, user) = boot();
         let before = k.task_count();
-        let kids: Vec<Pid> = (0..n).filter_map(|_| k.sys_fork(user).ok()).collect();
+        let kids: Vec<Pid> = (0..n).filter_map(|_| k.process(user).fork().ok()).collect();
         prop_assert_eq!(k.task_count(), before + kids.len());
         for c in kids {
-            k.sys_exit(c, 0).unwrap();
-            prop_assert_eq!(k.sys_wait(user, c).unwrap(), 0);
+            k.process(c).exit(0).unwrap();
+            prop_assert_eq!(k.process(user).wait(c).unwrap(), 0);
         }
         prop_assert_eq!(k.task_count(), before);
     }
@@ -138,8 +135,8 @@ proptest! {
         let (k, _root, user) = boot();
         let mut seen = std::collections::BTreeSet::new();
         for _ in 0..n {
-            let fd = k.sys_socket(user, Domain::Inet, SockType::Dgram, 0).unwrap();
-            k.sys_bind(user, fd, Ipv4::ANY, 0).unwrap();
+            let fd = k.process(user).socket(Domain::Inet, SockType::Dgram, 0).unwrap();
+            k.process(user).bind(fd, Ipv4::ANY, 0).unwrap();
             // Find the bound port through the task's socket.
             let sid = match k.task(user).unwrap().fd(fd).unwrap().object {
                 sim_kernel::task::FdObject::Socket(s) => s,
@@ -150,94 +147,6 @@ proptest! {
             prop_assert!(seen.insert(port), "duplicate ephemeral port");
         }
     }
-    /// Dispatching a random operation sequence through the typed ABI is
-    /// observably identical to calling the `sys_*` entry points directly:
-    /// same per-call results, same final audit stream.
-    #[test]
-    fn dispatch_equivalent_to_direct_on_random_sequences(
-        ops in prop::collection::vec(op_strategy(), 0..40),
-    ) {
-        use sim_kernel::syscall::Syscall;
-        let (kd, _rootd, user) = boot();
-        let (kv, _rootv, userv) = boot();
-        prop_assert_eq!(user, userv);
-        for op in ops {
-            let (d, v) = match op {
-                Op::Open(n, w) => {
-                    let flags = if w {
-                        OpenFlags::create_trunc(Mode(0o600))
-                    } else {
-                        OpenFlags::read_only()
-                    };
-                    let path = format!("/tmp/f{}", n);
-                    (
-                        format!("{:?}", kd.sys_open(user, &path, flags)),
-                        format!("{:?}", kv.dispatch(user, Syscall::Open { path, flags }).fd()),
-                    )
-                }
-                Op::Close(fd) => (
-                    format!("{:?}", kd.sys_close(user, fd)),
-                    format!("{:?}", kv.dispatch(user, Syscall::Close { fd }).unit()),
-                ),
-                Op::Read(fd) => {
-                    let mut buf = Vec::new();
-                    let dn = kd.sys_read(user, fd, &mut buf, 16);
-                    (
-                        format!("{:?}", dn.map(|_| buf)),
-                        format!("{:?}", kv.dispatch(user, Syscall::Read { fd, count: 16 }).data()),
-                    )
-                }
-                Op::Write(fd) => (
-                    format!("{:?}", kd.sys_write(user, fd, b"xyz")),
-                    format!(
-                        "{:?}",
-                        kv.dispatch(user, Syscall::Write { fd, data: b"xyz".to_vec() }).size()
-                    ),
-                ),
-                Op::Lseek(fd, o) => (
-                    format!("{:?}", kd.sys_lseek(user, fd, o as i64, Whence::Set)),
-                    format!(
-                        "{:?}",
-                        kv.dispatch(
-                            user,
-                            Syscall::Lseek { fd, offset: o as i64, whence: Whence::Set },
-                        )
-                        .size()
-                    ),
-                ),
-                Op::Unlink(n) => {
-                    let path = format!("/tmp/f{}", n);
-                    (
-                        format!("{:?}", kd.sys_unlink(user, &path)),
-                        format!("{:?}", kv.dispatch(user, Syscall::Unlink { path }).unit()),
-                    )
-                }
-                Op::Mkdir(n) => {
-                    let path = format!("/tmp/d{}", n);
-                    (
-                        format!("{:?}", kd.sys_mkdir(user, &path, Mode(0o755))),
-                        format!(
-                            "{:?}",
-                            kv.dispatch(user, Syscall::Mkdir { path, mode: Mode(0o755) }).unit()
-                        ),
-                    )
-                }
-                Op::Fork => (
-                    format!("{:?}", kd.sys_fork(user)),
-                    format!("{:?}", kv.dispatch(user, Syscall::Fork).pid()),
-                ),
-                Op::Pipe => (
-                    format!("{:?}", kd.sys_pipe(user)),
-                    format!("{:?}", kv.dispatch(user, Syscall::Pipe).fd_pair()),
-                ),
-            };
-            prop_assert_eq!(d, v);
-        }
-        let direct: Vec<String> = kd.audit.events().iter().map(|e| e.render()).collect();
-        let via: Vec<String> = kv.audit.events().iter().map(|e| e.render()).collect();
-        prop_assert_eq!(direct, via);
-    }
-
     /// Any random operation sequence under an aggressive errno storm is
     /// total (no panics) and leaves DAC intact: injected faults may fail
     /// calls, but never grant anything.
@@ -290,9 +199,9 @@ proptest! {
         }
         // DAC survives the storm: root's private file stays private.
         k.clear_interceptors();
-        k.write_file(root, "/tmp/rootfile", b"secret", Mode(0o600)).unwrap();
-        prop_assert!(k.read_file(user, "/tmp/rootfile").is_err());
-        prop_assert!(k.read_file(root, "/tmp/rootfile").is_ok());
+        k.process(root).write_file("/tmp/rootfile", b"secret", Mode(0o600)).unwrap();
+        prop_assert!(k.process(user).read_file("/tmp/rootfile").is_err());
+        prop_assert!(k.process(root).read_file("/tmp/rootfile").is_ok());
     }
 }
 
@@ -303,48 +212,51 @@ proptest! {
 #[test]
 fn open_unlinked_file_survives_until_close() {
     let (k, _root, user) = boot();
-    k.write_file(user, "/tmp/ghost", b"still here", Mode(0o600))
+    k.process(user)
+        .write_file("/tmp/ghost", b"still here", Mode(0o600))
         .unwrap();
     let fd = k
-        .sys_open(user, "/tmp/ghost", OpenFlags::read_only())
+        .process(user)
+        .open("/tmp/ghost", OpenFlags::read_only())
         .unwrap();
-    k.sys_unlink(user, "/tmp/ghost").unwrap();
+    k.process(user).unlink("/tmp/ghost").unwrap();
     // The name is gone...
-    assert!(k.sys_stat(user, "/tmp/ghost").is_err());
+    assert!(k.process(user).stat("/tmp/ghost").is_err());
     // ...but the open description still reads the data.
-    let mut buf = Vec::new();
-    k.sys_read(user, fd, &mut buf, 64).unwrap();
-    assert_eq!(buf, b"still here");
-    k.sys_close(user, fd).unwrap();
+    assert_eq!(k.process(user).read(fd, 64).unwrap(), b"still here");
+    k.process(user).close(fd).unwrap();
 }
 
 #[test]
 fn reclaimed_slot_reuse_does_not_leak_content() {
     let (k, _root, user) = boot();
-    k.write_file(user, "/tmp/secret", b"TOPSECRET", Mode(0o600))
+    k.process(user)
+        .write_file("/tmp/secret", b"TOPSECRET", Mode(0o600))
         .unwrap();
-    k.sys_unlink(user, "/tmp/secret").unwrap();
+    k.process(user).unlink("/tmp/secret").unwrap();
     // The next allocation may reuse the slot; a fresh empty file must not
     // expose the old bytes.
-    k.write_file(user, "/tmp/fresh", b"", Mode(0o644)).unwrap();
-    assert_eq!(k.read_file(user, "/tmp/fresh").unwrap(), b"");
+    k.process(user)
+        .write_file("/tmp/fresh", b"", Mode(0o644))
+        .unwrap();
+    assert_eq!(k.process(user).read_file("/tmp/fresh").unwrap(), b"");
 }
 
 #[test]
 fn fork_shares_open_description_refcount() {
     let (k, _root, user) = boot();
-    k.write_file(user, "/tmp/shared", b"x", Mode(0o600))
+    k.process(user)
+        .write_file("/tmp/shared", b"x", Mode(0o600))
         .unwrap();
     let fd = k
-        .sys_open(user, "/tmp/shared", OpenFlags::read_only())
+        .process(user)
+        .open("/tmp/shared", OpenFlags::read_only())
         .unwrap();
-    let child = k.sys_fork(user).unwrap();
-    k.sys_unlink(user, "/tmp/shared").unwrap();
+    let child = k.process(user).fork().unwrap();
+    k.process(user).unlink("/tmp/shared").unwrap();
     // Parent closes; the child's duplicate keeps the inode alive.
-    k.sys_close(user, fd).unwrap();
-    let mut buf = Vec::new();
-    k.sys_read(child, fd, &mut buf, 4).unwrap();
-    assert_eq!(buf, b"x");
-    k.sys_exit(child, 0).unwrap();
-    k.sys_wait(user, child).unwrap();
+    k.process(user).close(fd).unwrap();
+    assert_eq!(k.process(child).read(fd, 4).unwrap(), b"x");
+    k.process(child).exit(0).unwrap();
+    k.process(user).wait(child).unwrap();
 }

@@ -212,7 +212,8 @@ fn deliver(sys: &mut System, server: Pid, text: &str) -> KResult<String> {
             );
             let _ = sys
                 .kernel
-                .append_file(server, "/var/log/exim4/mainlog", warn.as_bytes());
+                .process(server)
+                .append_file("/var/log/exim4/mainlog", warn.as_bytes());
             format!("/var/mail/{}", rcpt)
         }
         Err(_) => format!("/var/mail/{}", rcpt),

@@ -119,7 +119,8 @@ pub fn pppd_main(p: &mut Proc<'_>) -> i32 {
 pub fn pppd_down(p: &mut Proc<'_>, dest: Ipv4, prefix: u8) -> Result<(), Errno> {
     p.sys
         .kernel
-        .sys_ioctl_route(p.pid, RouteOp::Del { dest, prefix })
+        .process(p.pid)
+        .ioctl_route(RouteOp::Del { dest, prefix })
 }
 
 /// The uid pppd runs under after dropping privilege in legacy mode — kept

@@ -180,16 +180,16 @@ pub fn boot(mode: SystemMode) -> System {
         // Policies with no legacy file equivalent are configured directly
         // by the administrator through /proc (Figure 1's left input).
         sys.kernel
+            .process(init)
             .write_file(
-                init,
                 "/proc/protego/keyfiles",
                 b"/etc/ssh/ssh_host_key /usr/lib/ssh-keysign\n",
                 Mode(0o600),
             )
             .expect("keyfiles policy");
         sys.kernel
+            .process(init)
             .write_file(
-                init,
                 "/proc/protego/creddb",
                 b"shadow-prefix /etc/shadows/\n",
                 Mode(0o600),
@@ -552,10 +552,10 @@ mod tests {
     fn legacy_image_has_setuid_bits() {
         let mut sys = boot(SystemMode::Legacy);
         let init = sys.init_pid();
-        let st = sys.kernel.sys_stat(init, "/bin/mount").unwrap();
+        let st = sys.kernel.process(init).stat("/bin/mount").unwrap();
         assert!(st.mode.is_setuid());
         assert_eq!(st.uid, Uid::ROOT);
-        let st = sys.kernel.sys_stat(init, "/usr/bin/sudo").unwrap();
+        let st = sys.kernel.process(init).stat("/usr/bin/sudo").unwrap();
         assert!(st.mode.is_setuid());
     }
 
@@ -564,7 +564,7 @@ mod tests {
         let mut sys = boot(SystemMode::Protego);
         let init = sys.init_pid();
         for item in crate::bins::catalog() {
-            let st = sys.kernel.sys_stat(init, item.path).unwrap();
+            let st = sys.kernel.process(init).stat(item.path).unwrap();
             assert!(
                 !st.mode.is_setuid(),
                 "{} still setuid on Protego",
@@ -693,11 +693,11 @@ mod tests {
     fn fragments_exist_only_on_protego() {
         let mut sys = boot(SystemMode::Protego);
         let init = sys.init_pid();
-        let st = sys.kernel.sys_stat(init, "/etc/shadows/alice").unwrap();
+        let st = sys.kernel.process(init).stat("/etc/shadows/alice").unwrap();
         assert_eq!(st.uid, Uid(1000));
         assert_eq!(st.mode, Mode(0o600));
         let mut sys = boot(SystemMode::Legacy);
         let init = sys.init_pid();
-        assert!(sys.kernel.sys_stat(init, "/etc/shadows/alice").is_err());
+        assert!(sys.kernel.process(init).stat("/etc/shadows/alice").is_err());
     }
 }

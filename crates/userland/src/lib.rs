@@ -27,12 +27,11 @@ pub mod coverage;
 pub mod db;
 pub mod image;
 pub mod monitord;
-pub mod process;
 pub mod scenario;
 pub mod suite;
 pub mod system;
 pub mod workload;
 
 pub use image::boot;
-pub use process::Process;
+pub use sim_kernel::syscall::Process;
 pub use system::{AttackEvent, BinEntry, Exploit, Proc, RunResult, System, SystemMode};

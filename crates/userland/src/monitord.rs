@@ -16,13 +16,13 @@
 //! shared files so unmodified applications keep working.
 
 use crate::db::{parse_db, GshadowEntry, PasswdEntry, ShadowEntry};
-use crate::process::Process;
 use protego_core::fstab::{fstab_to_policy, parse_fstab};
 use protego_core::policy::{self, GroupRule, SudoRule};
 use protego_core::sudoers::{parse_sudoers, MapResolver};
 use sim_kernel::error::KResult;
 use sim_kernel::kernel::Kernel;
 use sim_kernel::sync::lock;
+use sim_kernel::syscall::Process;
 use sim_kernel::task::Pid;
 use sim_kernel::trace::{AuditEvent, AuditSink};
 use sim_kernel::vfs::Mode;
@@ -112,7 +112,7 @@ impl MonitorDaemon {
     /// The daemon's typed syscall context — all of its file IO goes
     /// through dispatch, like any other userland component.
     fn os<'k>(&self, k: &'k Kernel) -> Process<'k> {
-        Process::new(k, self.pid)
+        k.process(self.pid)
     }
 
     fn version(&self, k: &Kernel, path: &str) -> Option<u64> {
@@ -472,12 +472,12 @@ mod tests {
         d.sync_all(&k).unwrap();
         assert!(!d.poll(&k).unwrap());
         // Admin adds a new user-mountable entry.
-        k.append_file(
-            root,
-            "/etc/fstab",
-            b"/dev/cdrom /mnt/backup iso9660 ro,users,noauto 0 0\n",
-        )
-        .unwrap();
+        k.process(root)
+            .append_file(
+                "/etc/fstab",
+                b"/dev/cdrom /mnt/backup iso9660 ro,users,noauto 0 0\n",
+            )
+            .unwrap();
         assert!(d.poll(&k).unwrap());
         let mounts = k.read_to_string(root, "/proc/protego/mounts").unwrap();
         assert!(mounts.contains("/mnt/backup"));
@@ -488,13 +488,13 @@ mod tests {
         let (k, root) = boot();
         let mut d = MonitorDaemon::new(root);
         d.sync_all(&k).unwrap();
-        k.write_file(
-            root,
-            "/etc/sudoers.d/printing",
-            b"alice ALL=(root) NOPASSWD: /usr/bin/lpr\n",
-            Mode(0o440),
-        )
-        .unwrap();
+        k.process(root)
+            .write_file(
+                "/etc/sudoers.d/printing",
+                b"alice ALL=(root) NOPASSWD: /usr/bin/lpr\n",
+                Mode(0o440),
+            )
+            .unwrap();
         assert!(d.poll(&k).unwrap());
         let sudo = k.read_to_string(root, "/proc/protego/sudoers").unwrap();
         assert!(sudo.contains("cmd=/usr/bin/lpr auth=none"));
@@ -503,7 +503,8 @@ mod tests {
     #[test]
     fn bad_sudoers_line_logged_not_fatal() {
         let (k, root) = boot();
-        k.append_file(root, "/etc/sudoers", b"mallory ALL=(ALL) ALL\n")
+        k.process(root)
+            .append_file("/etc/sudoers", b"mallory ALL=(ALL) ALL\n")
             .unwrap();
         let mut d = MonitorDaemon::new(root);
         d.sync_all(&k).unwrap();
@@ -547,13 +548,13 @@ mod tests {
         assert!(legacy.contains("alice:"));
         // Password change in the fragment propagates on poll.
         let newfrag = crate::db::ShadowEntry::with_password("alice", "changed");
-        k.write_file(
-            root,
-            "/etc/shadows/alice",
-            format!("{}\n", newfrag.render()).as_bytes(),
-            Mode(0o600),
-        )
-        .unwrap();
+        k.process(root)
+            .write_file(
+                "/etc/shadows/alice",
+                format!("{}\n", newfrag.render()).as_bytes(),
+                Mode(0o600),
+            )
+            .unwrap();
         assert!(d.poll(&k).unwrap());
         let legacy = k.read_to_string(root, "/etc/shadow").unwrap();
         assert!(legacy.contains(&newfrag.hash));
@@ -574,7 +575,8 @@ mod tests {
         );
         k.vfs.mkdir_p("/mnt/nope").unwrap();
         assert!(k
-            .sys_mount(user, "/dev/sdb1", "/mnt/nope", "vfat", "rw")
+            .process(user)
+            .mount("/dev/sdb1", "/mnt/nope", "vfat", "rw")
             .is_err());
         assert!(d.audit_events_seen() >= 1);
         assert_eq!(d.audit_denials_seen(), 1);

@@ -11,11 +11,11 @@
 //! memory-corruption exploit achieves.
 
 use crate::coverage::Coverage;
-use crate::process::Process;
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::error::{Errno, KResult};
 use sim_kernel::kernel::{Kernel, SharedKernel};
 use sim_kernel::syscall::OpenFlags;
+use sim_kernel::syscall::Process;
 use sim_kernel::task::Pid;
 use sim_kernel::vfs::Mode;
 
@@ -206,7 +206,7 @@ impl System {
     /// A [`Process`] syscall context bound to `pid` — the typed-dispatch
     /// route into the kernel.
     pub fn process(&mut self, pid: Pid) -> Process<'_> {
-        Process::new(&self.kernel, pid)
+        self.kernel.process(pid)
     }
 
     /// The init (pid 1, root) task, creating it on first use.

@@ -337,7 +337,9 @@ pub fn drain_backlog(sys: &mut System, srv: Service) -> usize {
 /// Escalation artifacts only an exploit (or corrupted kernel) produces;
 /// the macro workloads must never create any. Returns human-readable
 /// descriptions of everything found, empty when clean — the fleet soak
-/// asserts emptiness per worker.
+/// asserts emptiness per worker. Looks through the kernel's inspection
+/// read and the VFS, never through `dispatch`, so an armed interceptor
+/// (fault plan, enforcing seccomp profile) cannot hide an artifact.
 pub fn privileged_artifacts(sys: &mut System) -> Vec<String> {
     let root = sys.init_pid();
     let mut found = Vec::new();
@@ -349,12 +351,13 @@ pub fn privileged_artifacts(sys: &mut System) -> Vec<String> {
         }
         Err(e) => found.push(format!("/etc/shadow unreadable by root: {}", e)),
     }
-    if let Ok(st) = sys.kernel.sys_stat(root, "/tmp/rootshell") {
-        if st.mode.0 & 0o4000 != 0 {
+    let vfs = &sys.kernel.vfs;
+    if let Ok(r) = vfs.resolve(vfs.root(), "/tmp/rootshell") {
+        if vfs.inode(r.ino).mode.is_setuid() {
             found.push("setuid-root /tmp/rootshell planted".to_string());
         }
     }
-    if sys.kernel.sys_stat(root, "/lib/modules/evil.ko").is_ok() {
+    if vfs.resolve(vfs.root(), "/lib/modules/evil.ko").is_ok() {
         found.push("rootkit module /lib/modules/evil.ko appeared".to_string());
     }
     found
@@ -474,7 +477,7 @@ mod tests {
                 );
             }
             // The staging file never survives a completed delivery.
-            assert!(sys.kernel.sys_stat(init, "/var/mail/.bob.tmp").is_err());
+            assert!(sys.kernel.process(init).stat("/var/mail/.bob.tmp").is_err());
             assert!(privileged_artifacts(&mut sys).is_empty());
         }
     }

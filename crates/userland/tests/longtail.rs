@@ -73,7 +73,8 @@ fn lppasswd_uses_fragments_on_protego() {
                 let bob = sys.login("bob", "bobpw").unwrap();
                 assert!(sys
                     .kernel
-                    .append_file(bob, "/etc/cups/passwds/alice", b"evil")
+                    .process(bob)
+                    .append_file("/etc/cups/passwds/alice", b"evil")
                     .is_err());
             }
         }

@@ -21,16 +21,19 @@ fn malformed_smtp_gets_451_not_a_crash() {
     let bob = sys.login("bob", "bobpw").unwrap();
     let cli = sys
         .kernel
-        .sys_socket(bob, Domain::Inet, SockType::Stream, 0)
+        .process(bob)
+        .socket(Domain::Inet, SockType::Stream, 0)
         .unwrap();
     sys.kernel
-        .sys_connect(bob, cli, Ipv4::LOOPBACK, 25)
+        .process(bob)
+        .connect(cli, Ipv4::LOOPBACK, 25)
         .unwrap();
     sys.kernel
-        .sys_send(bob, cli, b"EHLO no recipient line at all")
+        .process(bob)
+        .send(cli, b"EHLO no recipient line at all")
         .unwrap();
     mail::exim_serve_one(&mut sys, mta, fd).unwrap();
-    let reply = sys.kernel.sys_recv(bob, cli, 128).unwrap();
+    let reply = sys.kernel.process(bob).recv(cli, 128).unwrap();
     assert!(String::from_utf8_lossy(&reply).starts_with("451"));
 }
 
@@ -79,7 +82,7 @@ fn mail_lands_in_group_writable_spool_only() {
     let bob = sys.login("bob", "bobpw").unwrap();
     mail::smtp_send(&mut sys, bob, mta, fd, "bob", "note to self").unwrap();
     let init = sys.init_pid();
-    let st = sys.kernel.sys_stat(init, "/var/mail/bob").unwrap();
+    let st = sys.kernel.process(init).stat("/var/mail/bob").unwrap();
     // The spool file stays owned by the recipient, group mail.
     assert_eq!(st.uid, Uid(1001));
     assert_eq!(st.gid, Gid(8));

@@ -51,9 +51,13 @@ fn main() {
         let bob = sys.login("bob", "bobpw").unwrap();
         let victim = sys
             .kernel
-            .sys_socket(bob, Domain::Inet, SockType::Stream, 0)
+            .process(bob)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
-        sys.kernel.sys_bind(bob, victim, Ipv4::ANY, 6000).unwrap();
+        sys.kernel
+            .process(bob)
+            .bind(victim, Ipv4::ANY, 6000)
+            .unwrap();
         // The strongest raw-capable principal on each system.
         let spoofer = if name.trim() == "linux" {
             sys.login("root", "rootpw").unwrap()
@@ -62,7 +66,8 @@ fn main() {
         };
         let result = sys
             .kernel
-            .sys_socket(spoofer, Domain::Inet, SockType::Raw, 6)
+            .process(spoofer)
+            .socket(Domain::Inet, SockType::Raw, 6)
             .and_then(|fd| {
                 let uid = sys.kernel.task(spoofer).unwrap().cred.euid;
                 let pkt = Packet {
@@ -78,7 +83,7 @@ fn main() {
                     from_raw_socket: true,
                     sender_uid: uid,
                 };
-                sys.kernel.sys_send_packet(spoofer, fd, pkt)
+                sys.kernel.process(spoofer).send_packet(fd, pkt)
             });
         println!(
             "{}: spoof from the most-privileged raw sender -> {}",

@@ -15,7 +15,7 @@ fn main() {
     println!("--- Linux (AppArmor baseline) ---");
     let mut linux = boot(SystemMode::Legacy);
     let init = linux.init_pid();
-    let st = linux.kernel.sys_stat(init, "/bin/mount").unwrap();
+    let st = linux.kernel.process(init).stat("/bin/mount").unwrap();
     println!(
         "/bin/mount is {} owned by uid {} => the binary IS the policy engine",
         st.mode.render(),
@@ -49,7 +49,7 @@ fn main() {
     println!("--- Protego ---");
     let mut protego = boot(SystemMode::Protego);
     let init = protego.init_pid();
-    let st = protego.kernel.sys_stat(init, "/bin/mount").unwrap();
+    let st = protego.kernel.process(init).stat("/bin/mount").unwrap();
     println!(
         "/bin/mount is {} => no privilege anywhere in userspace",
         st.mode.render()
@@ -103,8 +103,8 @@ fn main() {
     let root = protego.login("root", "rootpw").unwrap();
     protego
         .kernel
+        .process(root)
         .append_file(
-            root,
             "/etc/fstab",
             b"/dev/cdrom /mnt/backup iso9660 ro,users,noauto 0 0\n",
         )

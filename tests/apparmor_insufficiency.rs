@@ -60,7 +60,8 @@ fn confinement_blocks_file_reads_but_not_tree_attacks() {
 
     // ...but the profile must grant CAP_SYS_ADMIN for mount to function,
     // so the compromised binary grafts attacker media over /etc anyway.
-    k.sys_mount(evil, "/dev/sdb1", "/etc", "vfat", "rw")
+    k.process(evil)
+        .mount("/dev/sdb1", "/etc", "vfat", "rw")
         .unwrap();
 
     // /etc/passwd now resolves into the attacker-controlled tree: the
@@ -78,10 +79,12 @@ fn apparmor_cannot_express_the_object_policy() {
     let mut k = kernel_with_confined_mount();
     let evil = exploited_mount(&mut k);
     // Both the sanctioned and the hostile mount succeed identically.
-    k.sys_mount(evil, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+    k.process(evil)
+        .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
         .unwrap();
     k.vfs.mkdir_p("/lib").unwrap();
-    k.sys_mount(evil, "/dev/sdb1", "/lib", "vfat", "rw")
+    k.process(evil)
+        .mount("/dev/sdb1", "/lib", "vfat", "rw")
         .unwrap();
 }
 
@@ -93,11 +96,11 @@ fn profile_capability_mask_does_confine_other_caps() {
     let mut k = kernel_with_confined_mount();
     let evil = exploited_mount(&mut k);
     assert!(
-        k.sys_setuid(evil, Uid(0)).is_err() || {
+        k.process(evil).setuid(Uid(0)).is_err() || {
             // setuid requires CAP_SETUID, which the mount profile omits —
             // stock path must have been denied; re-check it did not change.
             k.task(evil).unwrap().cred.ruid == Uid(1000)
         }
     );
-    assert!(k.sys_setgroups(evil, &[Gid(0)]).is_err());
+    assert!(k.process(evil).setgroups(&[Gid(0)]).is_err());
 }

@@ -18,16 +18,18 @@ fn per_hook_counters_track_mount_setuid_and_bind() {
     let before = k.metrics.snapshot();
 
     // 1. Whitelisted user mount — the module grants it.
-    k.sys_mount(user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+    k.process(user)
+        .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
         .unwrap();
     // 2. Pinning uid 0 — no sudoers rule, stock policy refuses.
-    assert_eq!(k.sys_setuid(user, Uid::ROOT).unwrap_err(), Errno::EPERM);
+    assert_eq!(k.process(user).setuid(Uid::ROOT).unwrap_err(), Errno::EPERM);
     // 3. Port 80 is allocated to (httpd, uid 33); nobody else gets it.
     let fd = k
-        .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+        .process(user)
+        .socket(Domain::Inet, SockType::Stream, 0)
         .unwrap();
     assert_eq!(
-        k.sys_bind(user, fd, Ipv4::ANY, 80).unwrap_err(),
+        k.process(user).bind(fd, Ipv4::ANY, 80).unwrap_err(),
         Errno::EACCES
     );
 
@@ -72,7 +74,7 @@ fn proc_audit_and_metrics_read_paths() {
         .kernel
         .spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/home/alice/tool");
     // Generate one denial so both views have content.
-    let _ = sys.kernel.sys_setuid(user, Uid::ROOT);
+    let _ = sys.kernel.process(user).setuid(Uid::ROOT);
 
     let audit = sys
         .kernel
@@ -103,10 +105,11 @@ fn proc_audit_and_metrics_read_paths() {
     // Both nodes are read-only even for root.
     let fd = sys
         .kernel
-        .sys_open(init, "/proc/protego/audit", OpenFlags::write_only())
+        .process(init)
+        .open("/proc/protego/audit", OpenFlags::write_only())
         .unwrap();
     assert_eq!(
-        sys.kernel.sys_write(init, fd, b"x").unwrap_err(),
+        sys.kernel.process(init).write(fd, b"x").unwrap_err(),
         Errno::EACCES
     );
 }
@@ -120,7 +123,7 @@ fn denials_are_recorded_even_with_trace_off() {
         .spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/home/alice/tool");
     let seq0 = sys.kernel.audit.next_seq();
     assert_eq!(
-        sys.kernel.sys_setuid(user, Uid::ROOT).unwrap_err(),
+        sys.kernel.process(user).setuid(Uid::ROOT).unwrap_err(),
         Errno::EPERM
     );
     let denials: Vec<_> = sys
@@ -138,11 +141,12 @@ fn denials_are_recorded_even_with_trace_off() {
     // Informational events stay gated until tracing is enabled.
     let seq1 = sys.kernel.audit.next_seq();
     sys.kernel
-        .sys_mount(user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+        .process(user)
+        .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
         .unwrap();
     assert_eq!(sys.kernel.audit.since(seq1).len(), 0);
     sys.kernel.set_trace(true);
-    sys.kernel.sys_umount(user, "/mnt/cdrom").unwrap();
+    sys.kernel.process(user).umount("/mnt/cdrom").unwrap();
     assert!(!sys.kernel.audit.since(seq1).is_empty());
 }
 
@@ -154,7 +158,7 @@ fn ring_overflow_is_counted_and_visible_in_proc() {
         .kernel
         .spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/home/alice/tool");
     for _ in 0..10 {
-        let _ = sys.kernel.sys_setuid(user, Uid::ROOT);
+        let _ = sys.kernel.process(user).setuid(Uid::ROOT);
     }
     assert_eq!(sys.kernel.audit.len(), 4);
     let dropped = sys.kernel.audit.dropped();

@@ -9,7 +9,7 @@ fn trust_sets_differ_as_figure1_shows() {
     // Legacy: the policy engine is a setuid binary...
     let mut legacy = boot(SystemMode::Legacy);
     let init = legacy.init_pid();
-    let st = legacy.kernel.sys_stat(init, "/bin/mount").unwrap();
+    let st = legacy.kernel.process(init).stat("/bin/mount").unwrap();
     assert!(st.mode.is_setuid());
     assert!(st.uid.is_root());
     // ...and the kernel's own policy is just "root may".
@@ -19,14 +19,15 @@ fn trust_sets_differ_as_figure1_shows() {
     );
     assert!(legacy
         .kernel
-        .sys_mount(user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+        .process(user)
+        .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
         .is_err());
 
     // Protego: no setuid bit; the kernel holds the fstab-derived policy
     // and any binary whatsoever may issue the call.
     let mut protego = boot(SystemMode::Protego);
     let init = protego.init_pid();
-    let st = protego.kernel.sys_stat(init, "/bin/mount").unwrap();
+    let st = protego.kernel.process(init).stat("/bin/mount").unwrap();
     assert!(!st.mode.is_setuid());
     let policy = protego
         .kernel
@@ -38,7 +39,8 @@ fn trust_sets_differ_as_figure1_shows() {
         .spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/home/x/my-tool");
     protego
         .kernel
-        .sys_mount(user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+        .process(user)
+        .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
         .unwrap();
     // Forced hardening on the user mount.
     let m = protego.kernel.vfs.find_mount("/mnt/cdrom").unwrap();
@@ -51,7 +53,8 @@ fn hostile_mount_payload(p: &mut Proc<'_>) {
     let ok = p
         .sys
         .kernel
-        .sys_mount(p.pid, "/dev/sdb1", "/etc", "vfat", "rw")
+        .process(p.pid)
+        .mount("/dev/sdb1", "/etc", "vfat", "rw")
         .is_ok();
     p.record_attack("mount-over-etc", ok);
 }

@@ -12,7 +12,8 @@ fn sandbox_needs_setuid_only_on_the_old_kernel() {
     let init = legacy.init_pid();
     let st = legacy
         .kernel
-        .sys_stat(init, "/usr/lib/chromium-sandbox")
+        .process(init)
+        .stat("/usr/lib/chromium-sandbox")
         .unwrap();
     assert!(st.mode.is_setuid());
     let alice = legacy.login("alice", "alicepw").unwrap();
@@ -26,8 +27,8 @@ fn sandbox_needs_setuid_only_on_the_old_kernel() {
     let root = legacy.login("root", "rootpw").unwrap();
     legacy
         .kernel
-        .sys_chmod(
-            root,
+        .process(root)
+        .chmod(
             "/usr/lib/chromium-sandbox",
             protego::kernel::vfs::Mode(0o755),
         )
@@ -43,7 +44,8 @@ fn sandbox_needs_setuid_only_on_the_old_kernel() {
     let init = protego.init_pid();
     let st = protego
         .kernel
-        .sys_stat(init, "/usr/lib/chromium-sandbox")
+        .process(init)
+        .stat("/usr/lib/chromium-sandbox")
         .unwrap();
     assert!(!st.mode.is_setuid());
     let alice = protego.login("alice", "alicepw").unwrap();
@@ -58,9 +60,9 @@ fn inner_namespaces_gate_on_the_user_namespace() {
     let mut sys = boot(SystemMode::Protego);
     let alice = sys.login("alice", "alicepw").unwrap();
     // Without a user namespace, mount/net namespaces stay privileged.
-    assert!(sys.kernel.sys_unshare(alice, NsKind::Net).is_err());
-    sys.kernel.sys_unshare(alice, NsKind::User).unwrap();
-    sys.kernel.sys_unshare(alice, NsKind::Net).unwrap();
+    assert!(sys.kernel.process(alice).unshare(NsKind::Net).is_err());
+    sys.kernel.process(alice).unshare(NsKind::User).unwrap();
+    sys.kernel.process(alice).unshare(NsKind::Net).unwrap();
     assert!(sys.kernel.task(alice).unwrap().in_namespace(NsKind::Net));
 }
 
@@ -71,14 +73,16 @@ fn namespaces_do_not_replace_protego_for_shared_resources() {
     // refused the same as outside.
     let mut sys = boot(SystemMode::Protego);
     let alice = sys.login("alice", "alicepw").unwrap();
-    sys.kernel.sys_unshare(alice, NsKind::User).unwrap();
-    sys.kernel.sys_unshare(alice, NsKind::Mount).unwrap();
+    sys.kernel.process(alice).unshare(NsKind::User).unwrap();
+    sys.kernel.process(alice).unshare(NsKind::Mount).unwrap();
     assert!(sys
         .kernel
-        .sys_mount(alice, "/dev/sdb1", "/etc", "vfat", "rw")
+        .process(alice)
+        .mount("/dev/sdb1", "/etc", "vfat", "rw")
         .is_err());
     // While the Protego whitelist still admits what policy allows.
     sys.kernel
-        .sys_mount(alice, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+        .process(alice)
+        .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
         .unwrap();
 }

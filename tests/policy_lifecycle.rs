@@ -19,8 +19,8 @@ fn sudoers_d_rule_revokes_on_file_removal() {
 
     // The admin drops in a sudoers.d file; the daemon syncs.
     sys.kernel
+        .process(root)
         .write_file(
-            root,
             "/etc/sudoers.d/alice",
             b"alice ALL=(ALL) NOPASSWD: ALL\n",
             Mode(0o440),
@@ -32,7 +32,10 @@ fn sudoers_d_rule_revokes_on_file_removal() {
     assert!(r.stdout.contains("euid=0"));
 
     // The admin removes the file: the grant disappears on the next poll.
-    sys.kernel.sys_unlink(root, "/etc/sudoers.d/alice").unwrap();
+    sys.kernel
+        .process(root)
+        .unlink("/etc/sudoers.d/alice")
+        .unwrap();
     assert!(sys.sync_policies().unwrap());
     sys.kernel.advance_clock(400); // expire any recency
     let r = sys
@@ -59,7 +62,8 @@ fn fstab_entry_revokes_on_removal() {
         .map(|l| format!("{}\n", l))
         .collect();
     sys.kernel
-        .write_file(root, "/etc/fstab", pruned.as_bytes(), Mode(0o644))
+        .process(root)
+        .write_file("/etc/fstab", pruned.as_bytes(), Mode(0o644))
         .unwrap();
     assert!(sys.sync_policies().unwrap());
 
@@ -75,8 +79,8 @@ fn bind_allocation_revokes_and_reassigns() {
 
     // Reassign port 25 from exim to a different instance.
     sys.kernel
+        .process(root)
         .write_file(
-            root,
             "/etc/bind",
             b"25 tcp /usr/sbin/rogue-mta 33\n80 tcp /usr/sbin/httpd 33\n",
             Mode(0o644),
@@ -106,13 +110,15 @@ fn malformed_policy_write_keeps_previous_policy() {
     // A bad direct write to /proc is rejected...
     let fd = sys
         .kernel
-        .sys_open(root, "/proc/protego/mounts", OpenFlags::write_only())
+        .process(root)
+        .open("/proc/protego/mounts", OpenFlags::write_only())
         .unwrap();
     assert!(sys
         .kernel
-        .sys_write(root, fd, b"complete garbage here")
+        .process(root)
+        .write(fd, b"complete garbage here")
         .is_err());
-    sys.kernel.sys_close(root, fd).unwrap();
+    sys.kernel.process(root).close(fd).unwrap();
 
     // ...and the previous whitelist still works.
     let r = sys.run(alice, "/bin/mount", &["/mnt/cdrom"], &[]).unwrap();

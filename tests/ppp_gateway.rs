@@ -28,23 +28,23 @@ fn unprivileged_pppd_makes_a_network_reachable() {
     );
     // Remove the default route so reachability hinges on pppd's route.
     sys.kernel
-        .sys_ioctl_route(
-            root,
-            protego::kernel::syscall::RouteOp::Del {
-                dest: Ipv4::ANY,
-                prefix: 0,
-            },
-        )
+        .process(root)
+        .ioctl_route(protego::kernel::syscall::RouteOp::Del {
+            dest: Ipv4::ANY,
+            prefix: 0,
+        })
         .unwrap();
 
     // Before the link: unreachable.
     let cli = sys
         .kernel
-        .sys_socket(alice, Domain::Inet, SockType::Stream, 0)
+        .process(alice)
+        .socket(Domain::Inet, SockType::Stream, 0)
         .unwrap();
     assert!(sys
         .kernel
-        .sys_connect(alice, cli, Ipv4::new(192, 168, 99, 5), 80)
+        .process(alice)
+        .connect(cli, Ipv4::new(192, 168, 99, 5), 80)
         .is_err());
 
     // alice (in the dialout group, no privilege) brings the link up.
@@ -57,32 +57,30 @@ fn unprivileged_pppd_makes_a_network_reachable() {
     // The website is now reachable — through a route alice created.
     let cli = sys
         .kernel
-        .sys_socket(alice, Domain::Inet, SockType::Stream, 0)
+        .process(alice)
+        .socket(Domain::Inet, SockType::Stream, 0)
         .unwrap();
     sys.kernel
-        .sys_connect(alice, cli, Ipv4::new(192, 168, 99, 5), 80)
+        .process(alice)
+        .connect(cli, Ipv4::new(192, 168, 99, 5), 80)
         .unwrap();
 
     // Only the route's creator (or root) may tear it down.
     let bob = sys.login("bob", "bobpw").unwrap();
     assert!(sys
         .kernel
-        .sys_ioctl_route(
-            bob,
-            protego::kernel::syscall::RouteOp::Del {
-                dest: Ipv4::new(192, 168, 99, 0),
-                prefix: 24,
-            },
-        )
+        .process(bob)
+        .ioctl_route(protego::kernel::syscall::RouteOp::Del {
+            dest: Ipv4::new(192, 168, 99, 0),
+            prefix: 24,
+        })
         .is_err());
     sys.kernel
-        .sys_ioctl_route(
-            alice,
-            protego::kernel::syscall::RouteOp::Del {
-                dest: Ipv4::new(192, 168, 99, 0),
-                prefix: 24,
-            },
-        )
+        .process(alice)
+        .ioctl_route(protego::kernel::syscall::RouteOp::Del {
+            dest: Ipv4::new(192, 168, 99, 0),
+            prefix: 24,
+        })
         .unwrap();
 }
 
@@ -109,15 +107,18 @@ fn hardware_reset_stays_privileged() {
     let alice = sys.login("alice", "alicepw").unwrap();
     let fd = sys
         .kernel
-        .sys_open(alice, "/dev/ttyS0", OpenFlags::read_write())
+        .process(alice)
+        .open("/dev/ttyS0", OpenFlags::read_write())
         .unwrap();
     // Safe option: granted by policy.
     sys.kernel
-        .sys_ioctl(alice, fd, IoctlCmd::Modem(ModemOpt::Baud(57600)))
+        .process(alice)
+        .ioctl(fd, IoctlCmd::Modem(ModemOpt::Baud(57600)))
         .unwrap();
     // Unsafe option: still root-only.
     assert!(sys
         .kernel
-        .sys_ioctl(alice, fd, IoctlCmd::Modem(ModemOpt::HardwareReset))
+        .process(alice)
+        .ioctl(fd, IoctlCmd::Modem(ModemOpt::HardwareReset))
         .is_err());
 }

@@ -14,9 +14,9 @@ fn no_setuid_root_files_anywhere_after_full_suite() {
     let init = sys.init_pid();
     // Walk the common bin/tmp directories: nothing setuid-root may exist.
     for dir in ["/bin", "/sbin", "/usr/bin", "/usr/sbin", "/usr/lib", "/tmp"] {
-        for name in sys.kernel.sys_readdir(init, dir).unwrap_or_default() {
+        for name in sys.kernel.process(init).readdir(dir).unwrap_or_default() {
             let path = format!("{}/{}", dir, name);
-            if let Ok(st) = sys.kernel.sys_stat(init, &path) {
+            if let Ok(st) = sys.kernel.process(init).stat(&path) {
                 assert!(
                     !(st.mode.is_setuid() && st.uid.is_root()),
                     "{} is setuid root on Protego",
@@ -65,7 +65,7 @@ fn direct_lateral_setuid_without_rule_fails() {
     let alice = sys.login("alice", "alicepw").unwrap();
     // alice -> carol: no sudoers rule, su rule demands carol's password,
     // which alice does not type.
-    assert!(sys.kernel.sys_setuid(alice, Uid(1002)).is_err());
+    assert!(sys.kernel.process(alice).setuid(Uid(1002)).is_err());
     assert_eq!(sys.kernel.task(alice).unwrap().cred.euid, Uid(1000));
 }
 
@@ -75,13 +75,13 @@ fn pending_transition_cannot_be_inherited_by_children() {
     let bob = sys.login("bob", "bobpw").unwrap();
     sys.kernel.task_mut(bob).unwrap().type_input("bobpw");
     // bob's lpr rule records a pending transition...
-    sys.kernel.sys_setuid(bob, Uid(1000)).unwrap();
+    sys.kernel.process(bob).setuid(Uid(1000)).unwrap();
     assert!(sys.kernel.task(bob).unwrap().pending_setuid.is_some());
     // ...which a forked child must NOT carry.
-    let child = sys.kernel.sys_fork(bob).unwrap();
+    let child = sys.kernel.process(bob).fork().unwrap();
     assert!(sys.kernel.task(child).unwrap().pending_setuid.is_none());
     // The child execs the permitted binary: no transition happens.
-    sys.kernel.sys_execve(child, "/usr/bin/lpr").unwrap();
+    sys.kernel.process(child).execve("/usr/bin/lpr").unwrap();
     assert_eq!(sys.kernel.task(child).unwrap().cred.euid, Uid(1001));
 }
 
@@ -92,15 +92,15 @@ fn shadow_fragment_handles_are_cloexec() {
     sys.kernel.task_mut(alice).unwrap().type_input("alicepw");
     let fd = sys
         .kernel
-        .sys_open(
-            alice,
+        .process(alice)
+        .open(
             "/etc/shadows/alice",
             protego::kernel::syscall::OpenFlags::read_only(),
         )
         .unwrap();
     assert!(sys.kernel.task(alice).unwrap().fd(fd).unwrap().cloexec);
     // After exec, the handle is gone (§4.4's inheritance restriction).
-    sys.kernel.sys_execve(alice, "/bin/sh").unwrap();
+    sys.kernel.process(alice).execve("/bin/sh").unwrap();
     assert!(sys.kernel.task(alice).unwrap().fd(fd).is_err());
 }
 

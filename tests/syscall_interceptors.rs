@@ -6,30 +6,19 @@
 use protego::kernel::syscall::FaultConfig;
 use protego::kernel::trace::{Trace, TraceReplayer};
 use protego::userland::suite::run_functional_suite;
+use protego::userland::workload::privileged_artifacts;
 use protego::userland::{boot, System, SystemMode};
 
 /// Escalation artifacts that only an exploit payload (or a corrupted
 /// kernel) would produce — the functional battery never creates these.
+/// The oracle reads around the interceptor chain, so the still-armed
+/// storm cannot hide an artifact or invent one.
 fn assert_no_privileged_effects(sys: &mut System) {
-    let root = sys.init_pid();
-    let shadow = sys
-        .kernel
-        .read_to_string(root, "/etc/shadow")
-        .expect("shadow must survive the storm");
+    let found = privileged_artifacts(sys);
     assert!(
-        !shadow.contains("haxor"),
-        "rogue account appeared in /etc/shadow under fault injection"
-    );
-    if let Ok(st) = sys.kernel.sys_stat(root, "/tmp/rootshell") {
-        assert_eq!(
-            st.mode.0 & 0o4000,
-            0,
-            "setuid-root shell planted under fault injection"
-        );
-    }
-    assert!(
-        sys.kernel.sys_stat(root, "/lib/modules/evil.ko").is_err(),
-        "rootkit module appeared under fault injection"
+        found.is_empty(),
+        "privileged artifacts under fault injection: {:?}",
+        found
     );
 }
 
