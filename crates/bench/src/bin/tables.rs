@@ -3,7 +3,7 @@
 //! ```text
 //! tables [table1|table2|table3|table4|table5|table6|table7|table8|ablations|all] [--quick]
 //! tables bench-json [--quick] [--out PATH]   # write BENCH_table5.json
-//! tables bench-macro [--smoke] [--shared] [--out PATH]  # fleet macro benchmark -> BENCH_macro.json (--shared adds one-kernel contention curves, schema v2)
+//! tables bench-macro [--smoke] [--out PATH]  # one-kernel fleet macro benchmark -> BENCH_macro.json
 //! tables profile [--smoke] [--out PATH]      # overhead attribution -> BENCH_profile.json
 //! tables bench-verify PATH                   # validate a results file (schema-dispatched)
 //! tables replay-smoke                        # record + replay determinism check
@@ -341,7 +341,6 @@ fn run_bench_json(quick: bool, args: &[String]) {
 
 fn run_bench_macro(args: &[String]) {
     let smoke = args.iter().any(|a| a == "--smoke");
-    let shared = args.iter().any(|a| a == "--shared");
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -351,20 +350,11 @@ fn run_bench_macro(args: &[String]) {
     let options = macro_fleet::MacroOptions {
         smoke,
         seed: 0xC0FFEE,
-        shared,
     };
     eprintln!(
-        "running fleet macro benchmark ({} mode, fleets of {:?} workers{})...",
+        "running fleet macro benchmark ({} mode, fleets of {:?} workers on one kernel)...",
         if smoke { "smoke" } else { "full" },
-        options.worker_counts(),
-        if shared {
-            format!(
-                ", shared-kernel fleets of {:?} workers",
-                options.shared_worker_counts()
-            )
-        } else {
-            String::new()
-        }
+        options.shared_worker_counts()
     );
     let results = macro_fleet::run_macro_matrix(options);
     if let Err(e) = results.check() {
@@ -393,28 +383,10 @@ fn run_bench_macro(args: &[String]) {
         eprintln!("error: cannot write {}: {}", out, e);
         std::process::exit(1);
     }
-    for (wl, points) in &results.curves {
-        for p in points {
-            println!(
-                "  {:<5} x{:<2} legacy {:>12.0} ops/s | protego {:>12.0} ops/s  ({:+.2}%)",
-                wl.name(),
-                p.workers,
-                p.legacy.ops_per_sec,
-                p.protego.ops_per_sec,
-                p.overhead_pct()
-            );
-        }
-        println!(
-            "  {:<5} protego scaling 1 -> {} workers: {:.2}x",
-            wl.name(),
-            points.iter().map(|p| p.workers).max().unwrap_or(1),
-            results.scaling(*wl)
-        );
-    }
     for (wl, points) in &results.shared_curves {
         for p in points {
             println!(
-                "  shared {:<5} x{:<3} legacy {:>12.0} ops/s | protego {:>12.0} ops/s  ({:+.2}%, median of {})",
+                "  {:<5} x{:<3} legacy {:>12.0} ops/s | protego {:>12.0} ops/s  ({:+.2}%, median of {})",
                 wl.name(),
                 p.workers,
                 p.legacy.ops_per_sec,
@@ -424,14 +396,15 @@ fn run_bench_macro(args: &[String]) {
             );
         }
         println!(
-            "  shared {:<5} protego scaling 1 -> 8 workers on one kernel: {:.2}x",
+            "  {:<5} protego scaling 1 -> 8 workers on one kernel: {:.2}x",
             wl.name(),
             results.shared_scaling_1_to_8(*wl)
         );
     }
     println!(
-        "  soak: {} workers, 1% storm, {} ops, {} injected faults, {} failed ops, {} panics, {} artifacts",
+        "  soak: {} workers, 1-in-{} storm, {} ops, {} injected faults, {} failed ops, {} panics, {} artifacts",
         results.soak.workers,
+        options.soak_fault().rate,
         results.soak.ops,
         results.soak.injected,
         results.soak.failures,
@@ -594,7 +567,7 @@ fn run_bench_verify(args: &[String]) {
                 .map(String::from)
         })
         .unwrap_or_default();
-    let checked = if schema == json::MACRO_SCHEMA || schema == json::MACRO_SCHEMA_V2 {
+    let checked = if schema.starts_with("bench_macro/") {
         json::validate_macro(&text)
     } else if schema == json::PROFILE_SCHEMA {
         json::validate_profile(&text)

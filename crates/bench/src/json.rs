@@ -316,20 +316,17 @@ impl Parser<'_> {
     }
 }
 
-/// The schema tag of legacy best-of-two Table 5 results files.
-pub const TABLE5_SCHEMA: &str = "bench_table5/v1";
-
-/// The schema tag of Table 5 documents whose micro rows were measured
-/// with the paired interleaved median-of-K protocol: the document carries
+/// The schema tag of Table 5 documents: micro rows measured with the
+/// paired interleaved median-of-K protocol, so the document carries
 /// `runs_per_mode` and every micro row carries its per-run samples.
-pub const TABLE5_SCHEMA_V2: &str = "bench_table5/v2";
+pub const TABLE5_SCHEMA: &str = "bench_table5/v2";
 
 /// The per-row overhead budget enforced on every micro row of a full
-/// (non-quick) `bench_table5/v2` document, in percent.
+/// (non-quick) Table 5 document, in percent.
 pub const MICRO_BUDGET_PCT: f64 = 10.0;
 
 /// The overhead budget for the `dispatch_seccomp` section of a full
-/// (non-quick) `bench_table5/v2` document, in percent: an enforcing
+/// (non-quick) Table 5 document, in percent: an enforcing
 /// seccomp profile's flat array lookup must stay within 1% of the bare
 /// dispatch row.
 pub const DISPATCH_SECCOMP_BUDGET_PCT: f64 = 1.0;
@@ -382,32 +379,24 @@ fn cache_hits(doc: &Value, name: &str) -> Result<f64, String> {
 /// required hot-path rows at ≥2x speedup, and nonzero dcache plus
 /// profile-cache hit counters.
 ///
-/// `bench_table5/v2` documents must additionally carry `runs_per_mode`
-/// (>= 3) and per-run sample arrays of exactly that length on every micro
-/// row, with the reported median inside the sample range; full (non-quick)
-/// v2 documents must keep every micro row within [`MICRO_BUDGET_PCT`].
-/// v2 documents must also carry the `dispatch_seccomp` section with the
-/// same per-run evidence, bounded by [`DISPATCH_SECCOMP_BUDGET_PCT`] on
-/// full runs.
+/// The document must also carry `runs_per_mode` (>= 3) and per-run sample
+/// arrays of exactly that length on every micro row, with the reported
+/// median inside the sample range; full (non-quick) documents must keep
+/// every micro row within [`MICRO_BUDGET_PCT`]. The `dispatch_seccomp`
+/// section carries the same per-run evidence, bounded by
+/// [`DISPATCH_SECCOMP_BUDGET_PCT`] on full runs.
 pub fn validate_table5(text: &str) -> Result<(), String> {
     let doc = parse(text).map_err(|e| format!("not valid JSON: {}", e))?;
     let schema = doc
         .get("schema")
         .and_then(Value::as_str)
         .ok_or("missing \"schema\" string")?;
-    if schema != TABLE5_SCHEMA && schema != TABLE5_SCHEMA_V2 {
-        return Err(format!(
-            "schema {:?}, expected {:?} or {:?}",
-            schema, TABLE5_SCHEMA, TABLE5_SCHEMA_V2
-        ));
+    if schema != TABLE5_SCHEMA {
+        return Err(format!("schema {:?}, expected {:?}", schema, TABLE5_SCHEMA));
     }
     require_rows(&doc, "micro")?;
     require_rows(&doc, "macro")?;
-    if schema == TABLE5_SCHEMA_V2 {
-        validate_table5_micro_v2(&doc)?;
-    } else if doc.get("runs_per_mode").is_some() {
-        return Err("v1 document carries \"runs_per_mode\" (should be tagged v2)".into());
-    }
+    validate_table5_micro(&doc)?;
 
     let hotpath = doc
         .get("hotpath")
@@ -443,7 +432,7 @@ pub fn validate_table5(text: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Checks one per-run sample array of a v2 row: exactly `runs` finite
+/// Checks one per-run sample array of a row: exactly `runs` finite
 /// positive samples, with the reported median inside the sample range.
 fn require_run_samples(
     row: &Value,
@@ -452,15 +441,13 @@ fn require_run_samples(
     runs: f64,
     ctx: &str,
 ) -> Result<(), String> {
-    let arr = row.get(field).and_then(Value::as_arr).ok_or_else(|| {
-        format!(
-            "{}: missing {:?} (v2 rows carry per-run samples)",
-            ctx, field
-        )
-    })?;
+    let arr = row
+        .get(field)
+        .and_then(Value::as_arr)
+        .ok_or_else(|| format!("{}: missing {:?} (rows carry per-run samples)", ctx, field))?;
     if arr.len() != runs as usize {
         return Err(format!(
-            "{}: {} has {} samples, document says runs_per_mode={}",
+            "{}: {} has {} samples, expected runs_per_mode={}",
             ctx,
             field,
             arr.len(),
@@ -487,11 +474,11 @@ fn require_run_samples(
     Ok(())
 }
 
-/// Validates the v2-only parts of a Table 5 document: the paired
-/// median-of-K evidence on every micro row and on the `dispatch_seccomp`
-/// section, and (for full runs) the per-row micro overhead budget plus
-/// the seccomp hot-path budget.
-fn validate_table5_micro_v2(doc: &Value) -> Result<(), String> {
+/// Validates the paired median-of-K evidence on every micro row and on
+/// the `dispatch_seccomp` section of a Table 5 document, and (for full
+/// runs) the per-row micro overhead budget plus the seccomp hot-path
+/// budget.
+fn validate_table5_micro(doc: &Value) -> Result<(), String> {
     let runs = require_num(doc, "runs_per_mode", "document")?;
     if runs < 3.0 {
         return Err(format!(
@@ -525,7 +512,7 @@ fn validate_table5_micro_v2(doc: &Value) -> Result<(), String> {
 
     let row = doc
         .get("dispatch_seccomp")
-        .ok_or("v2 document missing \"dispatch_seccomp\" object")?;
+        .ok_or("document missing \"dispatch_seccomp\" object")?;
     let ctx = "dispatch_seccomp";
     require_run_samples(row, "base_runs_ns", "base_ns", runs, ctx)?;
     require_run_samples(row, "seccomp_runs_ns", "seccomp_ns", runs, ctx)?;
@@ -541,12 +528,9 @@ fn validate_table5_micro_v2(doc: &Value) -> Result<(), String> {
     Ok(())
 }
 
-/// The schema tag of per-thread-only `BENCH_macro.json` documents.
-pub const MACRO_SCHEMA: &str = "bench_macro/v1";
-
-/// The schema tag of documents that also carry shared-kernel contention
-/// curves (the `shared` section).
-pub const MACRO_SCHEMA_V2: &str = "bench_macro/v2";
+/// The schema tag of `BENCH_macro.json` documents: shared-kernel
+/// contention curves plus the soak block.
+pub const MACRO_SCHEMA: &str = "bench_macro/v3";
 
 fn require_bool(v: &Value, field: &str, ctx: &str) -> Result<bool, String> {
     match v.get(field) {
@@ -556,37 +540,27 @@ fn require_bool(v: &Value, field: &str, ctx: &str) -> Result<bool, String> {
 }
 
 /// Validates a `BENCH_macro.json` document against the acceptance
-/// criteria: schema tag, both `web` and `mail` workload curves with
-/// finite positive throughput at every fleet size, finite overhead, and
-/// a clean soak (storm fired, zero panicked workers, zero privileged
-/// artifacts). Full (non-smoke) documents must additionally cover fleet
-/// sizes 1/2/4/8 and show ≥3x aggregate Protego scaling from 1 to 8
-/// workers per workload.
+/// criteria: schema tag, contention curves for both `web` and `mail` at
+/// 1/8/32/128 workers on one kernel (1/8 in smoke), and a clean soak
+/// (storm fired at a positive rate, zero panicked workers, zero
+/// privileged artifacts).
 ///
-/// `bench_macro/v2` documents must additionally carry the shared-kernel
-/// `shared` section: contention
-/// curves for both workloads at 1/8/32/128 workers (1/8 in smoke), ≥2.5×
-/// Protego throughput from 1 to 8 workers on one kernel, and ≤8% Protego
-/// overhead at the 8-worker contention point.
+/// Every point must carry `runs_per_mode` per-run rates per mode, finite
+/// and positive, with the reported median rate inside their range, a
+/// finite overhead, and `legacy` / `protego` aggregates with zero failed
+/// ops. Full (non-smoke) documents must additionally show ≥2.5× Protego
+/// throughput from 1 to 8 workers and ≤8% Protego overhead at the
+/// 8-worker point.
 pub fn validate_macro(text: &str) -> Result<(), String> {
     let doc = parse(text).map_err(|e| format!("not valid JSON: {}", e))?;
     let schema = doc
         .get("schema")
         .and_then(Value::as_str)
         .ok_or("missing \"schema\" string")?;
-    if schema != MACRO_SCHEMA && schema != MACRO_SCHEMA_V2 {
-        return Err(format!(
-            "schema {:?}, expected {:?} or {:?}",
-            schema, MACRO_SCHEMA, MACRO_SCHEMA_V2
-        ));
+    if schema != MACRO_SCHEMA {
+        return Err(format!("schema {:?}, expected {:?}", schema, MACRO_SCHEMA));
     }
     let smoke = require_bool(&doc, "smoke", "document")?;
-    if schema == MACRO_SCHEMA_V2 {
-        validate_macro_shared(&doc, smoke)?;
-    } else if doc.get("shared").is_some() {
-        return Err("v1 document carries a \"shared\" section (should be tagged v2)".into());
-    }
-
     let workloads = doc
         .get("workloads")
         .and_then(Value::as_arr)
@@ -600,84 +574,31 @@ pub fn validate_macro(text: &str) -> Result<(), String> {
             .get("points")
             .and_then(Value::as_arr)
             .ok_or_else(|| format!("workload {:?} without a points array", required))?;
-        if points.is_empty() {
-            return Err(format!("workload {:?} has no points", required));
-        }
         let mut sizes = Vec::new();
+        let mut overhead_at_8 = None;
         for p in points {
             let ctx = format!("workload {:?} point", required);
             let workers = require_num(p, "workers", &ctx)?;
             let ctx = format!("workload {:?} x{}", required, workers);
             sizes.push(workers as u64);
-            for field in ["legacy_ops_per_sec", "protego_ops_per_sec"] {
-                if require_num(p, field, &ctx)? <= 0.0 {
-                    return Err(format!("{}: non-positive {}", ctx, field));
-                }
-            }
-            require_num(p, "overhead_pct", &ctx)?;
-        }
-        if !smoke {
-            if sizes != [1, 2, 4, 8] {
-                return Err(format!(
-                    "workload {:?} fleet sizes {:?}, expected [1, 2, 4, 8]",
-                    required, sizes
-                ));
-            }
-            let scaling = require_num(wl, "protego_scaling_1_to_max", &format!("{:?}", required))?;
-            if scaling < 3.0 {
-                return Err(format!(
-                    "workload {:?} scaled only {:.2}x from 1 to 8 workers (need >= 3x)",
-                    required, scaling
-                ));
-            }
-        }
-    }
-
-    let soak = doc.get("soak").ok_or("missing \"soak\" object")?;
-    if !require_bool(soak, "completed", "soak")? {
-        return Err("soak did not complete".into());
-    }
-    if require_num(soak, "injected", "soak")? <= 0.0 {
-        return Err("soak storm never injected a fault".into());
-    }
-    if require_num(soak, "panicked_workers", "soak")? != 0.0 {
-        return Err("soak had panicked workers".into());
-    }
-    if require_num(soak, "privileged_artifacts", "soak")? != 0.0 {
-        return Err("soak left privileged artifacts".into());
-    }
-    Ok(())
-}
-
-/// Validates the `shared` section of a `bench_macro/v2` document: the
-/// shared-kernel contention curves and their gated criteria.
-fn validate_macro_shared(doc: &Value, smoke: bool) -> Result<(), String> {
-    let shared = doc
-        .get("shared")
-        .ok_or("v2 document missing \"shared\" object")?;
-    let workloads = shared
-        .get("workloads")
-        .and_then(Value::as_arr)
-        .ok_or("shared section missing \"workloads\" array")?;
-    for required in ["web", "mail"] {
-        let wl = workloads
-            .iter()
-            .find(|w| w.get("name").and_then(Value::as_str) == Some(required))
-            .ok_or_else(|| format!("shared workloads missing required entry {:?}", required))?;
-        let points = wl
-            .get("points")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("shared workload {:?} without a points array", required))?;
-        let mut sizes = Vec::new();
-        let mut overhead_at_8 = None;
-        for p in points {
-            let ctx = format!("shared workload {:?} point", required);
-            let workers = require_num(p, "workers", &ctx)?;
-            let ctx = format!("shared workload {:?} x{}", required, workers);
-            sizes.push(workers as u64);
-            for field in ["legacy_ops_per_sec", "protego_ops_per_sec"] {
-                if require_num(p, field, &ctx)? <= 0.0 {
-                    return Err(format!("{}: non-positive {}", ctx, field));
+            let runs = require_num(p, "runs_per_mode", &ctx)?;
+            for mode in ["legacy", "protego"] {
+                require_run_samples(
+                    p,
+                    &format!("{}_run_rates", mode),
+                    &format!("{}_ops_per_sec", mode),
+                    runs,
+                    &ctx,
+                )?;
+                let agg = p
+                    .get(mode)
+                    .ok_or_else(|| format!("{}: missing {:?} aggregate", ctx, mode))?;
+                let failures = require_num(agg, "failures", &format!("{} {}", ctx, mode))?;
+                if failures != 0.0 {
+                    return Err(format!(
+                        "{}: {} failed {} ops without fault injection",
+                        ctx, mode, failures
+                    ));
                 }
             }
             let overhead = require_num(p, "overhead_pct", &ctx)?;
@@ -688,19 +609,15 @@ fn validate_macro_shared(doc: &Value, smoke: bool) -> Result<(), String> {
         let expected: &[u64] = if smoke { &[1, 8] } else { &[1, 8, 32, 128] };
         if sizes != expected {
             return Err(format!(
-                "shared workload {:?} worker counts {:?}, expected {:?}",
+                "workload {:?} worker counts {:?}, expected {:?}",
                 required, sizes, expected
             ));
         }
         if !smoke {
-            let scaling = require_num(
-                wl,
-                "protego_scaling_1_to_8",
-                &format!("shared {:?}", required),
-            )?;
+            let scaling = require_num(wl, "protego_scaling_1_to_8", &format!("{:?}", required))?;
             if scaling < 2.5 {
                 return Err(format!(
-                    "shared workload {:?} scaled only {:.2}x from 1 to 8 workers on one kernel (need >= 2.5x)",
+                    "workload {:?} scaled only {:.2}x from 1 to 8 workers on one kernel (need >= 2.5x)",
                     required, scaling
                 ));
             }
@@ -708,18 +625,35 @@ fn validate_macro_shared(doc: &Value, smoke: bool) -> Result<(), String> {
                 Some(o) if o <= 8.0 => {}
                 Some(o) => {
                     return Err(format!(
-                        "shared workload {:?}: protego overhead {:.2}% at 8 workers (budget <= 8%)",
+                        "workload {:?}: protego overhead {:.2}% at 8 workers (budget <= 8%)",
                         required, o
                     ));
                 }
                 None => {
                     return Err(format!(
-                        "shared workload {:?} has no 8-worker contention point",
+                        "workload {:?} has no 8-worker contention point",
                         required
                     ));
                 }
             }
         }
+    }
+
+    let soak = doc.get("soak").ok_or("missing \"soak\" object")?;
+    if !require_bool(soak, "completed", "soak")? {
+        return Err("soak did not complete".into());
+    }
+    if require_num(soak, "fault_rate_pct", "soak")? <= 0.0 {
+        return Err("soak ran without a fault rate".into());
+    }
+    if require_num(soak, "injected", "soak")? <= 0.0 {
+        return Err("soak storm never injected a fault".into());
+    }
+    if require_num(soak, "panicked_workers", "soak")? != 0.0 {
+        return Err("soak had panicked workers".into());
+    }
+    if require_num(soak, "privileged_artifacts", "soak")? != 0.0 {
+        return Err("soak left privileged artifacts".into());
     }
     Ok(())
 }
@@ -940,15 +874,18 @@ mod tests {
 
     fn valid_doc() -> String {
         r#"{
-          "schema": "bench_table5/v1",
-          "quick": true,
-          "micro": [{"name":"read","linux_ns":90.0,"protego_ns":91.0,"overhead_pct":1.1,"paper_overhead_pct":0.0}],
+          "schema": "bench_table5/v2",
+          "quick": false,
+          "runs_per_mode": 3,
+          "micro": [{"name":"read","linux_ns":90.0,"protego_ns":91.0,"linux_runs_ns":[89.0,90.0,92.0],"protego_runs_ns":[90.5,91.0,93.0],"overhead_pct":1.1,"paper_overhead_pct":0.0}],
           "macro": [{"name":"Postal (msg)","linux_ns":900.0,"protego_ns":910.0,"overhead_pct":1.1,"paper_overhead_pct":null}],
           "hotpath": [
             {"name":"glob_match","before_ns":100.0,"after_ns":10.0,"speedup":10.0},
             {"name":"path_resolution","before_ns":100.0,"after_ns":20.0,"speedup":5.0},
             {"name":"file_open","before_ns":100.0,"after_ns":25.0,"speedup":4.0}
           ],
+          "dispatch_seccomp": {"base_ns":200.0,"seccomp_ns":201.0,"overhead_pct":0.5,
+            "base_runs_ns":[199.0,200.0,202.0],"seccomp_runs_ns":[200.0,201.0,203.0]},
           "cache_metrics": {
             "dcache": {"hits":10,"misses":2,"invalidations":1},
             "apparmor_binary_lookup": {"hits":5,"misses":1,"invalidations":0}
@@ -968,36 +905,61 @@ mod tests {
         assert!(validate_table5(&slow).unwrap_err().contains("below"));
         let cold = valid_doc().replace("\"hits\":10", "\"hits\":0");
         assert!(validate_table5(&cold).unwrap_err().contains("dcache"));
-        let wrong_schema = valid_doc().replace("bench_table5/v1", "v0");
-        assert!(validate_table5(&wrong_schema).is_err());
+        let wrong_schema = valid_doc().replace("bench_table5/v2", "bench_table5/v0");
+        assert!(validate_table5(&wrong_schema)
+            .unwrap_err()
+            .contains("schema"));
         assert!(validate_table5("not json").is_err());
         let no_macro = valid_doc().replace("\"macro\"", "\"macros\"");
         assert!(validate_table5(&no_macro).unwrap_err().contains("macro"));
     }
 
+    /// A `bench_macro/v3` document at the full (1/8/32/128) or smoke
+    /// (1/8) worker counts.
+    fn macro_doc(smoke: bool) -> String {
+        let point = |workers: u32, legacy: f64, protego: f64| {
+            format!(
+                "{{\"workers\":{w},\"runs_per_mode\":3,\"legacy_ops_per_sec\":{l:.1},\"protego_ops_per_sec\":{p:.1},\"overhead_pct\":{o:.1},\
+                  \"legacy_run_rates\":[{l0:.1},{l:.1},{l1:.1}],\"protego_run_rates\":[{p0:.1},{p:.1},{p1:.1}],\
+                  \"legacy\":{{\"ops\":4000,\"failures\":0}},\"protego\":{{\"ops\":4000,\"failures\":0}}}}",
+                w = workers,
+                l = legacy,
+                p = protego,
+                o = (legacy / protego - 1.0) * 100.0,
+                l0 = legacy * 0.9,
+                l1 = legacy * 1.1,
+                p0 = protego * 0.9,
+                p1 = protego * 1.1,
+            )
+        };
+        let curve = |name: &str, base: f64| {
+            let mut points = vec![point(1, base, base), point(8, base * 8.0, base * 7.5)];
+            if !smoke {
+                points.push(point(32, base * 30.0, base * 29.0));
+                points.push(point(128, base * 100.0, base * 95.0));
+            }
+            format!(
+                "{{\"name\":\"{}\",\"points\":[{}],\"protego_scaling_1_to_8\":7.5}}",
+                name,
+                points.join(",")
+            )
+        };
+        format!(
+            r#"{{
+          "schema": "bench_macro/v3",
+          "smoke": {},
+          "workloads": [{}, {}],
+          "soak": {{"workers":8,"fault_rate_pct":1,"injected":42,"ops":2400,"failures":31,
+                   "panicked_workers":0,"privileged_artifacts":0,"completed":true}}
+        }}"#,
+            smoke,
+            curve("web", 100.0),
+            curve("mail", 40.0)
+        )
+    }
+
     fn valid_macro_doc() -> String {
-        r#"{
-          "schema": "bench_macro/v1",
-          "smoke": false,
-          "iters_per_worker": 300,
-          "workloads": [
-            {"name":"web","points":[
-              {"workers":1,"legacy_ops_per_sec":100.0,"protego_ops_per_sec":95.0,"overhead_pct":5.2},
-              {"workers":2,"legacy_ops_per_sec":200.0,"protego_ops_per_sec":190.0,"overhead_pct":5.2},
-              {"workers":4,"legacy_ops_per_sec":400.0,"protego_ops_per_sec":380.0,"overhead_pct":5.2},
-              {"workers":8,"legacy_ops_per_sec":800.0,"protego_ops_per_sec":760.0,"overhead_pct":5.2}
-            ],"protego_scaling_1_to_max":8.0},
-            {"name":"mail","points":[
-              {"workers":1,"legacy_ops_per_sec":50.0,"protego_ops_per_sec":48.0,"overhead_pct":4.1},
-              {"workers":2,"legacy_ops_per_sec":100.0,"protego_ops_per_sec":96.0,"overhead_pct":4.1},
-              {"workers":4,"legacy_ops_per_sec":200.0,"protego_ops_per_sec":192.0,"overhead_pct":4.1},
-              {"workers":8,"legacy_ops_per_sec":400.0,"protego_ops_per_sec":384.0,"overhead_pct":4.1}
-            ],"protego_scaling_1_to_max":8.0}
-          ],
-          "soak": {"workers":8,"fault_rate_pct":1,"injected":42,"ops":2400,"failures":31,
-                   "panicked_workers":0,"privileged_artifacts":0,"completed":true}
-        }"#
-        .to_string()
+        macro_doc(false)
     }
 
     fn valid_profile_doc() -> String {
@@ -1049,10 +1011,10 @@ mod tests {
     #[test]
     fn macro_validator_enforces_scaling_soak_and_shape() {
         let flat = valid_macro_doc().replace(
-            "\"protego_scaling_1_to_max\":8.0",
-            "\"protego_scaling_1_to_max\":1.2",
+            "\"protego_scaling_1_to_8\":7.5",
+            "\"protego_scaling_1_to_8\":1.2",
         );
-        assert!(validate_macro(&flat).unwrap_err().contains("3x"));
+        assert!(validate_macro(&flat).unwrap_err().contains("2.5x"));
         let dirty =
             valid_macro_doc().replace("\"privileged_artifacts\":0", "\"privileged_artifacts\":2");
         assert!(validate_macro(&dirty).unwrap_err().contains("artifacts"));
@@ -1060,58 +1022,88 @@ mod tests {
         assert!(validate_macro(&panicky).unwrap_err().contains("panicked"));
         let no_storm = valid_macro_doc().replace("\"injected\":42", "\"injected\":0");
         assert!(validate_macro(&no_storm).unwrap_err().contains("injected"));
+        let no_rate = valid_macro_doc().replace("\"fault_rate_pct\":1", "\"fault_rate_pct\":0");
+        assert!(validate_macro(&no_rate).unwrap_err().contains("fault rate"));
         let no_mail = valid_macro_doc().replace("\"name\":\"mail\"", "\"name\":\"imap\"");
         assert!(validate_macro(&no_mail).unwrap_err().contains("mail"));
-        let short = valid_macro_doc().replace(
-            "{\"workers\":8,\"legacy_ops_per_sec\":800.0,\"protego_ops_per_sec\":760.0,\"overhead_pct\":5.2}\n            ],",
-            "],",
+        let short = valid_macro_doc().replacen("{\"workers\":128,", "{\"workers\":64,", 1);
+        assert!(validate_macro(&short)
+            .unwrap_err()
+            .contains("worker counts"));
+        // Web's 8-worker point is the first to read 6.7%.
+        let hot = valid_macro_doc().replacen("\"overhead_pct\":6.7", "\"overhead_pct\":9.0", 1);
+        assert!(validate_macro(&hot).unwrap_err().contains("budget"));
+        // Per-run rates: exactly runs_per_mode finite positive entries with
+        // the reported median inside their range.
+        let missing = valid_macro_doc().replacen("\"legacy_run_rates\"", "\"legacy_rates\"", 1);
+        assert!(validate_macro(&missing)
+            .unwrap_err()
+            .contains("legacy_run_rates"));
+        let too_few = valid_macro_doc().replacen(
+            "\"protego_run_rates\":[90.0,100.0,110.0]",
+            "\"protego_run_rates\":[90.0,100.0]",
+            1,
         );
-        assert!(validate_macro(&short).is_err());
+        assert!(validate_macro(&too_few).unwrap_err().contains("2 samples"));
+        let negative = valid_macro_doc().replacen(
+            "\"protego_run_rates\":[90.0,",
+            "\"protego_run_rates\":[-90.0,",
+            1,
+        );
+        assert!(validate_macro(&negative)
+            .unwrap_err()
+            .contains("finite positive"));
+        let skewed = valid_macro_doc().replacen(
+            "\"legacy_run_rates\":[90.0,100.0,110.0]",
+            "\"legacy_run_rates\":[190.0,200.0,210.0]",
+            1,
+        );
+        assert!(validate_macro(&skewed)
+            .unwrap_err()
+            .contains("sample range"));
+        // Fault-free points must not fail a single op.
+        let failing = valid_macro_doc().replacen(
+            "\"protego\":{\"ops\":4000,\"failures\":0}",
+            "\"protego\":{\"ops\":4000,\"failures\":3}",
+            1,
+        );
+        assert!(validate_macro(&failing)
+            .unwrap_err()
+            .contains("failed 3 ops"));
+        let no_agg = valid_macro_doc().replacen("\"legacy\":{", "\"legacy_agg\":{", 1);
+        assert!(validate_macro(&no_agg).unwrap_err().contains("aggregate"));
+        let retired = valid_macro_doc().replace("bench_macro/v3", "bench_macro/v0");
+        assert!(validate_macro(&retired).unwrap_err().contains("schema"));
         assert!(validate_macro("not json").is_err());
-        // Smoke documents skip the 1/2/4/8 + scaling requirements.
-        let smoke = valid_macro_doc()
-            .replace("\"smoke\": false", "\"smoke\": true")
-            .replace(
-                "\"protego_scaling_1_to_max\":8.0",
-                "\"protego_scaling_1_to_max\":1.0",
-            );
+        // Smoke documents carry 1/8 only and skip the scaling gate.
+        let smoke = macro_doc(true).replace(
+            "\"protego_scaling_1_to_8\":7.5",
+            "\"protego_scaling_1_to_8\":1.0",
+        );
         validate_macro(&smoke).unwrap();
-    }
-
-    fn valid_v2_doc() -> String {
-        valid_doc()
-            .replace("bench_table5/v1", "bench_table5/v2")
-            .replace(
-                "\"quick\": true,",
-                "\"quick\": false,\n          \"runs_per_mode\": 3,",
-            )
-            .replace(
-                "\"linux_ns\":90.0,\"protego_ns\":91.0,",
-                "\"linux_ns\":90.0,\"protego_ns\":91.0,\"linux_runs_ns\":[89.0,90.0,92.0],\"protego_runs_ns\":[90.5,91.0,93.0],",
-            )
-            .replace(
-                "\"cache_metrics\": {",
-                "\"dispatch_seccomp\": {\"base_ns\":200.0,\"seccomp_ns\":201.0,\"overhead_pct\":0.5,\n            \"base_runs_ns\":[199.0,200.0,202.0],\"seccomp_runs_ns\":[200.0,201.0,203.0]},\n          \"cache_metrics\": {",
-            )
+        let full_sizes_in_smoke = valid_macro_doc().replace("\"smoke\": false", "\"smoke\": true");
+        assert!(validate_macro(&full_sizes_in_smoke)
+            .unwrap_err()
+            .contains("expected [1, 8]"));
     }
 
     #[test]
     fn v2_validator_accepts_and_gates_the_seccomp_dispatch_row() {
-        validate_table5(&valid_v2_doc()).unwrap();
-        let missing = valid_v2_doc().replace("\"dispatch_seccomp\"", "\"dispatch_secomp\"");
+        validate_table5(&valid_doc()).unwrap();
+        let missing = valid_doc().replace("\"dispatch_seccomp\"", "\"dispatch_secomp\"");
         assert!(validate_table5(&missing)
             .unwrap_err()
             .contains("dispatch_seccomp"));
-        let hot = valid_v2_doc().replace("\"overhead_pct\":0.5", "\"overhead_pct\":1.7");
+        let hot = valid_doc().replace("\"overhead_pct\":0.5", "\"overhead_pct\":1.7");
         assert!(validate_table5(&hot)
             .unwrap_err()
             .contains("seccomp hot-path budget"));
         // Quick documents carry the evidence but skip the budget.
-        let quick = valid_v2_doc()
+        let quick = valid_doc()
             .replace("\"quick\": false", "\"quick\": true")
             .replace("\"overhead_pct\":0.5", "\"overhead_pct\":1.7");
         validate_table5(&quick).unwrap();
-        let skewed = valid_v2_doc().replace("\"seccomp_ns\":201.0", "\"seccomp_ns\":250.0");
+        let skewed = valid_doc().replace("\"seccomp_ns\":201.0", "\"seccomp_ns\":250.0");
         assert!(validate_table5(&skewed)
             .unwrap_err()
             .contains("sample range"));

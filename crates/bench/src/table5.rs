@@ -572,7 +572,7 @@ pub fn table5_json(
     let runs_arr = |xs: &[f64]| Value::Arr(xs.iter().map(|&n| Value::Num(n)).collect());
 
     let doc = Value::Obj(vec![
-        ("schema".into(), Value::Str(json::TABLE5_SCHEMA_V2.into())),
+        ("schema".into(), Value::Str(json::TABLE5_SCHEMA.into())),
         ("quick".into(), Value::Bool(quick)),
         ("runs_per_mode".into(), Value::Num(MICRO_RUNS as f64)),
         (
@@ -696,7 +696,7 @@ mod tests {
         let doc = json::parse(&text).expect("emitted JSON parses");
         assert_eq!(
             doc.get("schema").and_then(Value::as_str),
-            Some(json::TABLE5_SCHEMA_V2)
+            Some(json::TABLE5_SCHEMA)
         );
         assert_eq!(
             doc.get("runs_per_mode").and_then(Value::as_f64),
