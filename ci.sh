@@ -76,9 +76,11 @@ cargo run --release -p bench --bin tables -- seccomp-derive --smoke --check
 cargo run --release -p bench --bin tables -- bench-verify SECCOMP_PROFILES.json
 
 echo "== span-timing feature compiles out cleanly =="
-# The no-default-features build turns every span into a zero-sized no-op;
-# keep that configuration compiling so the flag stays usable.
+# The no-default-features build makes span timing a constant no-op (no
+# shard is ever created); keep that configuration compiling, and run the
+# kernel's unit tests in it so the compiled-out paths are tested too.
 cargo check -q -p sim-kernel --no-default-features
+cargo test -q -p sim-kernel --no-default-features --lib
 
 echo "== smoke replay: recorded syscall trace replays deterministically =="
 # Records the full functional battery through the dispatch boundary and

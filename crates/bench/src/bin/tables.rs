@@ -227,7 +227,7 @@ fn print_table6() {
         "  {:<16} {:>8} {:>8} {:>12} {:>8} {:>8}",
         "hook", "allow", "deny", "use_default", "defer", "info"
     );
-    for (hook, c) in &s.protego_metrics.per_hook {
+    for (hook, c) in s.protego_metrics.per_hook.by_name(|c| c.total() > 0) {
         println!(
             "  {:<16} {:>8} {:>8} {:>12} {:>8} {:>8}",
             hook, c.allow, c.deny, c.use_default, c.defer, c.info

@@ -334,10 +334,12 @@ pub fn run_shared_fleet(spec: FleetSpec) -> FleetAggregate {
         artifacts: Vec::new(),
         panicked: 0,
     };
-    for (class, a) in &after.classes {
-        let prior = before.classes.get(class).copied().unwrap_or_default();
-        agg.loop_classes
-            .insert(class, (a.calls - prior.calls, a.errors - prior.errors));
+    for (class, a) in after.classes.iter().filter(|(_, a)| a.calls > 0) {
+        let prior = &before.classes[class];
+        agg.loop_classes.insert(
+            class.name(),
+            (a.calls - prior.calls, a.errors - prior.errors),
+        );
     }
     let mut reports = 0usize;
     for report in rx {

@@ -455,8 +455,7 @@ mod tests {
         assert!(f
             .sys
             .kernel
-            .metrics
-            .snapshot()
+            .metrics_snapshot()
             .render()
             .contains("syscall_class_fs"));
     }

@@ -18,12 +18,10 @@ use crate::dev::{
 use crate::error::{Errno, KResult};
 use crate::lsm::{AuthProvider, AuthScope, Decision, SecurityModule};
 use crate::net::{NetStack, Netfilter, RouteTable, SimNet};
-use crate::sync::{lock, read, write, Locked};
+use crate::sync::{lock, read, write, Locked, Sharded};
 use crate::task::{Pid, PipeId, Task, TaskIdentity};
 use crate::trace::DecisionKind;
-use crate::trace::{
-    AuditEvent, AuditObject, AuditSink, Hook, Metrics, Provenance, ShardedMetrics, SharedAuditRing,
-};
+use crate::trace::{AuditEvent, AuditObject, AuditRing, AuditSink, Hook, Metrics, Provenance};
 use crate::vfs::{Ino, InodeData, Mode, ProcHook, Vfs};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
@@ -266,10 +264,10 @@ pub struct Kernel {
     /// Bounded audit trail of typed policy events, with per-worker write
     /// staging. Denials are always recorded; informational events
     /// require `trace`.
-    pub audit: SharedAuditRing,
+    pub audit: AuditRing,
     /// Kernel-wide decision counters and latency aggregates (always on),
-    /// accumulated per worker and merged on snapshot.
-    pub metrics: ShardedMetrics,
+    /// accumulated per worker and merged by [`Kernel::metrics_snapshot`].
+    pub(crate) metrics: Sharded<Mutex<Metrics>>,
     /// Whether unprivileged user-namespace creation is allowed — the
     /// Linux >= 3.8 behaviour (§4.6); the paper's 3.6 baseline is false.
     /// Set only at image-build time, before the kernel is shared.
@@ -393,8 +391,8 @@ impl Kernel {
             devices: Locked::new(DeviceRegistry::new()),
             pipes: PipeArena::default(),
             clock: AtomicU64::new(1_000_000),
-            audit: SharedAuditRing::default(),
-            metrics: ShardedMetrics::new(),
+            audit: AuditRing::new(crate::trace::DEFAULT_RING_CAPACITY),
+            metrics: Sharded::default(),
             trace: AtomicBool::new(false),
             unprivileged_userns: false,
             tasks: (0..TSHARDS).map(|_| RwLock::new(TaskMap::new())).collect(),
@@ -573,7 +571,8 @@ impl Kernel {
     /// plain value that can cross threads and be [`Metrics::merge`]d
     /// into a fleet-wide aggregate.
     pub fn metrics_snapshot(&self) -> Metrics {
-        let mut m = self.metrics.snapshot();
+        let mut m = Metrics::default();
+        self.metrics.for_each(|shard| m.merge(&lock(shard)));
         m.record_cache("dcache", self.vfs.dcache_stats());
         m.record_cache("intern", crate::vfs::intern::stats());
         for (name, stats) in self.lsm().cache_stats() {
@@ -627,7 +626,7 @@ impl Kernel {
             provenance,
             message,
         };
-        self.metrics.record(&ev);
+        self.metrics.with(|m| lock(m).record(&ev));
         for sink in lock(&self.sinks).iter_mut() {
             sink.on_event(&ev);
         }
@@ -839,7 +838,8 @@ impl Kernel {
         // Logical-clock interval between successful prompts for the same
         // task: the usability metric the recency-window ablation sweeps.
         if let Some(gap) = reprompt_gap {
-            self.metrics.observe_latency("auth_reprompt_gap", gap);
+            self.metrics
+                .with(|m| lock(m).observe_latency("auth_reprompt_gap", gap));
         }
         // Recency is a property of the login session, not just the one
         // process that prompted (sudo's classic per-terminal ticket): the
@@ -1190,7 +1190,7 @@ mod tests {
         );
         assert_eq!(k.audit.len(), 1);
         // Metrics saw both events even though only one was stored.
-        assert_eq!(k.metrics.snapshot().events, 2);
+        assert_eq!(k.metrics_snapshot().events, 2);
         // Sequence numbers reveal the gated event.
         assert_eq!(k.audit.next_seq(), 2);
         assert_eq!(k.audit.last().unwrap().seq, 1);
@@ -1212,7 +1212,7 @@ mod tests {
         assert_eq!(k.audit.len(), 1);
         assert!(k.audit.last().unwrap().is_denial());
         assert_eq!(
-            k.metrics.snapshot().hook(crate::trace::Hook::SbMount).deny,
+            k.metrics_snapshot().per_hook[crate::trace::Hook::SbMount].deny,
             1
         );
     }

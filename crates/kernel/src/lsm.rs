@@ -290,8 +290,7 @@ pub enum KmsOp {
 /// Protego's LSM is configured by the monitoring daemon in Figure 1.
 ///
 /// `Send + Sync` because the kernel is shared across worker threads:
-/// hooks run concurrently, so a module keeps interior state behind locks
-/// (or [`crate::sync::PerThread`] for per-dispatch scratch).
+/// hooks run concurrently, so a module keeps interior state behind locks.
 pub trait SecurityModule: Send + Sync {
     /// Module name (appears under `/proc/<name>/`).
     fn name(&self) -> &'static str;

@@ -7,18 +7,14 @@
 //! * poison-tolerant lock helpers ([`read`], [`write()`], [`lock`]) — a
 //!   panicking worker thread must not wedge every other worker on a
 //!   poisoned `std` lock, so all kernel subsystems acquire through these;
-//! * [`PerThread`], a per-instance thread-local slot used where a value
-//!   is logically *per (object, thread)* — e.g. the last-matched policy
-//!   rule an LSM reports between a hook call and the kernel draining it,
-//!   or a syscall meter's dispatch start time. Both are written and read
-//!   within one dispatch on one thread, so thread-locality keeps them
-//!   exact under concurrency without any locking.
+//! * [`Sharded`], the one per-thread-shard store behind the kernel's
+//!   telemetry (metrics, audit staging, span timing): each thread writes
+//!   its own shard without cross-thread contention, and readers on any
+//!   thread visit every shard.
 
 use std::any::Any;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 
 /// Acquires a read lock, recovering the guard if the lock was poisoned
 /// by a panicking thread.
@@ -36,74 +32,147 @@ pub fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Process-unique id source for [`PerThread`] instances (and any other
-/// subsystem that needs to key per-instance thread-local state).
-pub fn unique_id() -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(1);
-    NEXT.fetch_add(1, Ordering::Relaxed)
+/// A value kept as one shard per thread in a [`Sharded`] store.
+///
+/// Shards are reached through `&self`, so the type carries its own
+/// interior mutability: a `Mutex` for map-backed aggregates, or atomics
+/// written by the owning thread alone where even an uncontended lock is
+/// too dear (span timing).
+pub trait Shard: Default + Send + Sync + 'static {
+    /// Adds this shard's contents into `total`. Called once when the
+    /// owning thread exits, so memory held for exited threads is one
+    /// `Self`, not one per thread.
+    fn fold_into(&self, total: &mut Self);
+}
+
+/// A per-thread-sharded value: each thread gets its own `T`, registered
+/// on first use and merged on read.
+///
+/// [`Sharded::with`] resolves the calling thread's shard through a
+/// thread-local list (no cross-thread lock on the hot path);
+/// [`Sharded::for_each`] visits the folded total of exited threads and
+/// every live thread's shard, so a reader on any thread sees the whole
+/// store. Dropping the store drops every shard; a thread's stale
+/// handle is pruned the next time that thread registers a shard.
+#[derive(Default)]
+pub struct Sharded<T: Shard> {
+    inner: Arc<Shards<T>>,
+}
+
+#[derive(Default)]
+struct Shards<T> {
+    live: Mutex<Vec<Arc<T>>>,
+    retired: Mutex<T>,
+}
+
+/// One thread's handle on one store's shard, type-erased so a single
+/// thread-local list can hold shards of every `T`.
+trait Slot: Any {
+    /// Whether the owning store has been dropped.
+    fn orphaned(&self) -> bool;
+    /// Moves the shard out of the live list into the retired total.
+    fn retire(&self);
+}
+
+struct Held<T: Shard> {
+    shard: Arc<T>,
+    owner: Weak<Shards<T>>,
+}
+
+impl<T: Shard> Slot for Held<T> {
+    fn orphaned(&self) -> bool {
+        self.owner.strong_count() == 0
+    }
+
+    fn retire(&self) {
+        if let Some(owner) = self.owner.upgrade() {
+            let mut live = lock(&owner.live);
+            live.retain(|s| !Arc::ptr_eq(s, &self.shard));
+            self.shard.fold_into(&mut lock(&owner.retired));
+        }
+    }
+}
+
+/// The calling thread's shards, keyed by their store's address (each
+/// entry holds a `Weak` to its store, so the address is not reused while
+/// the entry exists). Dropped at thread exit, which folds every shard
+/// into its store's retired total.
+struct ThreadShards(RefCell<Vec<(usize, Box<dyn Slot>)>>);
+
+impl Drop for ThreadShards {
+    fn drop(&mut self) {
+        for (_, slot) in self.0.get_mut().drain(..) {
+            slot.retire();
+        }
+    }
 }
 
 thread_local! {
-    static SLOTS: RefCell<HashMap<usize, Box<dyn Any>>> = RefCell::new(HashMap::new());
+    static MINE: ThreadShards = const { ThreadShards(RefCell::new(Vec::new())) };
 }
 
-/// A per-(instance, thread) storage slot.
-///
-/// Each `PerThread<T>` value owns a process-unique id; `with` resolves
-/// the calling thread's copy of `T` (default-constructed on first use on
-/// that thread) and passes it to the closure. Distinct instances and
-/// distinct threads never observe each other's values.
-#[derive(Debug)]
-pub struct PerThread<T> {
-    id: usize,
-    _marker: std::marker::PhantomData<fn() -> T>,
-}
+impl<T: Shard> Sharded<T> {
+    fn key(&self) -> usize {
+        Arc::as_ptr(&self.inner) as usize
+    }
 
-impl<T: Default + 'static> PerThread<T> {
-    /// Creates a slot with a fresh process-unique identity.
-    pub fn new() -> PerThread<T> {
-        PerThread {
-            id: unique_id(),
-            _marker: std::marker::PhantomData,
+    /// Runs `f` over the calling thread's shard, if it has one. `f` runs
+    /// while the thread's shard list is borrowed, so it may reach other
+    /// stores' existing shards but not register new ones.
+    pub fn with_existing<R>(&self, f: impl FnOnce(&T) -> R) -> Option<R> {
+        MINE.try_with(|mine| {
+            let list = mine.0.try_borrow().ok()?;
+            let (_, slot) = list.iter().find(|(key, _)| *key == self.key())?;
+            let held = (&**slot as &dyn Any).downcast_ref::<Held<T>>()?;
+            Some(f(&held.shard))
+        })
+        .ok()
+        .flatten()
+    }
+
+    /// Runs `f` once over the calling thread's shard, registering it on
+    /// first use. Where no shard can be registered (during thread
+    /// teardown, or from inside another store's `f`) it runs over the
+    /// retired total instead, under its lock.
+    pub fn with<R>(&self, mut f: impl FnMut(&T) -> R) -> R {
+        match self.with_existing(&mut f) {
+            Some(r) => r,
+            None => self.register(f),
         }
     }
 
-    /// Runs `f` over this thread's copy of the value.
-    pub fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        SLOTS.with(|slots| {
-            let mut slots = slots.borrow_mut();
-            let entry = slots
-                .entry(self.id)
-                .or_insert_with(|| Box::new(T::default()));
-            let value = entry
-                .downcast_mut::<T>()
-                .expect("PerThread id collision with mismatched type");
-            f(value)
-        })
+    #[cold]
+    fn register<R>(&self, mut f: impl FnMut(&T) -> R) -> R {
+        let shard = Arc::new(T::default());
+        let held: Box<dyn Slot> = Box::new(Held {
+            shard: Arc::clone(&shard),
+            owner: Arc::downgrade(&self.inner),
+        });
+        let cached = MINE.try_with(|mine| match mine.0.try_borrow_mut() {
+            Ok(mut list) => {
+                list.retain(|(_, s)| !s.orphaned());
+                list.push((self.key(), held));
+                true
+            }
+            Err(_) => false,
+        });
+        if cached == Ok(true) {
+            lock(&self.inner.live).push(Arc::clone(&shard));
+            f(&shard)
+        } else {
+            f(&lock(&self.inner.retired))
+        }
     }
 
-    /// Replaces this thread's value, returning the previous one.
-    pub fn replace(&self, value: T) -> T {
-        self.with(|v| std::mem::replace(v, value))
-    }
-
-    /// Takes this thread's value, leaving the default.
-    pub fn take(&self) -> T {
-        self.with(std::mem::take)
-    }
-}
-
-impl<T: Default + 'static> Default for PerThread<T> {
-    fn default() -> Self {
-        PerThread::new()
-    }
-}
-
-/// Cloning creates an independent slot (per-thread state is scratch or
-/// drained-immediately data, never shared identity).
-impl<T: Default + 'static> Clone for PerThread<T> {
-    fn clone(&self) -> Self {
-        PerThread::new()
+    /// Visits the retired total of exited threads, then every live
+    /// thread's shard. Holds the live list for the whole visit, so a
+    /// thread exiting meanwhile is seen exactly once.
+    pub fn for_each(&self, mut f: impl FnMut(&T)) {
+        let live = lock(&self.inner.live);
+        f(&lock(&self.inner.retired));
+        for shard in live.iter() {
+            f(shard);
+        }
     }
 }
 
@@ -144,34 +213,81 @@ impl<T> Locked<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    #[test]
-    fn per_thread_is_per_instance() {
-        let a: PerThread<u32> = PerThread::new();
-        let b: PerThread<u32> = PerThread::new();
-        a.with(|v| *v = 7);
-        b.with(|v| *v = 9);
-        assert_eq!(a.with(|v| *v), 7);
-        assert_eq!(b.with(|v| *v), 9);
+    #[derive(Default)]
+    struct Count(AtomicU64);
+
+    impl Shard for Count {
+        fn fold_into(&self, total: &mut Self) {
+            *total.0.get_mut() += self.0.load(Ordering::Relaxed);
+        }
+    }
+
+    fn bump(s: &Sharded<Count>, n: u64) {
+        s.with(|c| c.0.fetch_add(n, Ordering::Relaxed));
+    }
+
+    fn sum(s: &Sharded<Count>) -> u64 {
+        let mut total = 0;
+        s.for_each(|c| total += c.0.load(Ordering::Relaxed));
+        total
     }
 
     #[test]
-    fn per_thread_is_per_thread() {
-        let a: std::sync::Arc<PerThread<u32>> = std::sync::Arc::new(PerThread::new());
-        a.with(|v| *v = 41);
-        let a2 = std::sync::Arc::clone(&a);
-        let other = std::thread::spawn(move || a2.with(|v| *v)).join().unwrap();
-        // `clone` was not involved: same instance, fresh thread, default value.
+    fn shards_are_per_instance_and_per_thread() {
+        let a: Arc<Sharded<Count>> = Arc::new(Sharded::default());
+        let b: Sharded<Count> = Sharded::default();
+        bump(&a, 7);
+        bump(&b, 9);
+        let a2 = Arc::clone(&a);
+        let other = std::thread::spawn(move || {
+            // A fresh thread starts from an empty shard of the same store.
+            let mine = a2.with(|c| c.0.load(Ordering::Relaxed));
+            bump(&a2, 1);
+            mine
+        })
+        .join()
+        .unwrap();
         assert_eq!(other, 0);
-        assert_eq!(a.with(|v| *v), 41);
+        assert_eq!(a.with(|c| c.0.load(Ordering::Relaxed)), 7);
+        assert_eq!((sum(&a), sum(&b)), (8, 9));
     }
 
     #[test]
-    fn replace_and_take() {
-        let s: PerThread<Option<String>> = PerThread::new();
-        assert_eq!(s.replace(Some("x".into())), None);
-        assert_eq!(s.take(), Some("x".into()));
-        assert_eq!(s.take(), None);
+    fn exited_threads_fold_into_one_retired_total() {
+        let s: Arc<Sharded<Count>> = Arc::new(Sharded::default());
+        for _ in 0..16 {
+            let s = Arc::clone(&s);
+            std::thread::spawn(move || bump(&s, 2)).join().unwrap();
+        }
+        assert_eq!(
+            lock(&s.inner.live).len(),
+            0,
+            "no shard kept per exited thread"
+        );
+        assert_eq!(sum(&s), 32);
+    }
+
+    #[test]
+    fn with_existing_never_registers() {
+        let s: Sharded<Count> = Sharded::default();
+        assert_eq!(s.with_existing(|_| ()), None);
+        assert_eq!(lock(&s.inner.live).len(), 0);
+        bump(&s, 1);
+        assert_eq!(s.with_existing(|c| c.0.load(Ordering::Relaxed)), Some(1));
+    }
+
+    #[test]
+    fn dropped_stores_are_pruned_from_the_thread_list() {
+        for _ in 0..8 {
+            bump(&Sharded::default(), 1);
+        }
+        let held = MINE.with(|m| m.0.borrow().len());
+        assert!(
+            held <= 2,
+            "stale shards pruned on registration, held {held}"
+        );
     }
 
     #[test]

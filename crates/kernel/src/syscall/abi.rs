@@ -30,59 +30,28 @@ use crate::syscall::interceptor::{SysCtx, Verdict};
 use crate::syscall::{Interceptor, IoctlCmd, IoctlOut, NetfilterOp, OpenFlags, RouteOp, Stat};
 use crate::task::{NsKind, Pid};
 use crate::trace;
-use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
+use crate::trace::{table_key, AuditObject, DecisionKind, Hook, Provenance};
 use crate::vfs::Mode;
 use std::sync::Arc;
 
-/// The class a syscall belongs to — the granularity at which the fault
-/// injector targets errno storms and the meter aggregates counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum SyscallClass {
-    /// Filesystem calls (open/read/write/stat/...).
-    Fs,
-    /// Credential calls (setuid/setgid/...).
-    Id,
-    /// Device ioctls.
-    Ioctl,
-    /// mount/umount.
-    Mount,
-    /// Sockets, packets, netfilter, and routing.
-    Net,
-    /// fork/execve/unshare/exit/wait.
-    Process,
-}
-
-impl SyscallClass {
-    /// Number of syscall classes ([`SyscallClass::ALL`] length).
-    pub const COUNT: usize = 6;
-
-    /// Fixed array index for this class (discriminant order, which is
-    /// also the [`SyscallClass::ALL`] / alphabetical-name order).
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// All classes, in stable order.
-    pub const ALL: [SyscallClass; 6] = [
-        SyscallClass::Fs,
-        SyscallClass::Id,
-        SyscallClass::Ioctl,
-        SyscallClass::Mount,
-        SyscallClass::Net,
-        SyscallClass::Process,
-    ];
-
-    /// Stable lower-case name (metrics keys).
-    pub fn name(self) -> &'static str {
-        match self {
-            SyscallClass::Fs => "fs",
-            SyscallClass::Id => "id",
-            SyscallClass::Ioctl => "ioctl",
-            SyscallClass::Mount => "mount",
-            SyscallClass::Net => "net",
-            SyscallClass::Process => "process",
-        }
+table_key! {
+    /// The class a syscall belongs to — the granularity at which the fault
+    /// injector targets errno storms and the meter aggregates counters.
+    /// Discriminant order is alphabetical-name order.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum SyscallClass {
+        /// Filesystem calls (open/read/write/stat/...).
+        Fs => "fs",
+        /// Credential calls (setuid/setgid/...).
+        Id => "id",
+        /// Device ioctls.
+        Ioctl => "ioctl",
+        /// mount/umount.
+        Mount => "mount",
+        /// Sockets, packets, netfilter, and routing.
+        Net => "net",
+        /// fork/execve/unshare/exit/wait.
+        Process => "process",
     }
 }
 
@@ -957,6 +926,7 @@ impl Kernel {
         // One identity snapshot per dispatch — a single task-shard read —
         // shared (it is `Copy`) by every hook of this dispatch.
         let task = self.task_identity(pid);
+        let entry_clock = self.clock();
         let mut injected = None;
         // Complain-mode notes filed by hooks via `Verdict::Note`; empty on
         // the fast path (`Vec::new` does not allocate until first push).
@@ -966,6 +936,7 @@ impl Kernel {
             for ic in chain() {
                 let mut ctx = SysCtx {
                     clock: self.clock(),
+                    entry_clock,
                     metrics: &self.metrics,
                     task,
                 };
@@ -1028,6 +999,7 @@ impl Kernel {
             for ic in chain().rev() {
                 let mut ctx = SysCtx {
                     clock: self.clock(),
+                    entry_clock,
                     metrics: &self.metrics,
                     task,
                 };

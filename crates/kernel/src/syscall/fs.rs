@@ -511,7 +511,7 @@ impl Kernel {
             ProcHook::LsmConfig(name) => Ok(self.lsm().config_read(name)?.into_bytes()),
             ProcHook::Audit => Ok(self.audit.render().into_bytes()),
             ProcHook::Metrics => Ok(self.metrics_snapshot().render().into_bytes()),
-            ProcHook::Histograms => Ok(crate::trace::span::render().into_bytes()),
+            ProcHook::Histograms => Ok(crate::trace::span::total().render().into_bytes()),
             ProcHook::SysAttr(attr) => Ok(self.sys_attr_read(&attr)?.into_bytes()),
             ProcHook::SeccompProfiles => Ok(self.seccomp.render_profiles().into_bytes()),
             ProcHook::SeccompStatus => Ok(self.seccomp.render_status().into_bytes()),

@@ -12,10 +12,10 @@
 //! replayer consume (see [`crate::trace::TraceRecorder`]).
 
 use crate::error::Errno;
-use crate::sync::{lock, PerThread};
+use crate::sync::{lock, Sharded};
 use crate::syscall::abi::{SysRet, Syscall, SyscallClass};
 use crate::task::{Pid, TaskIdentity};
-use crate::trace::ShardedMetrics;
+use crate::trace::Metrics;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
@@ -28,6 +28,8 @@ use std::sync::{Arc, Mutex};
 /// breaking change to every [`Interceptor`] implementor. Current fields:
 ///
 /// - [`clock`](SysCtx::clock) — the logical clock at hook time;
+/// - [`entry_clock`](SysCtx::entry_clock) — the logical clock at
+///   dispatch entry, so an `after` hook can time the call statelessly;
 /// - [`metrics`](SysCtx::metrics) — the kernel-wide metrics sink;
 /// - [`task`](SysCtx::task) — a [`TaskIdentity`] snapshot of the calling
 ///   task (uid/euid/binary), taken **once per dispatch** with a single
@@ -36,9 +38,10 @@ use std::sync::{Arc, Mutex};
 pub struct SysCtx<'a> {
     /// The kernel's logical clock at hook time.
     pub clock: u64,
-    /// The kernel-wide metrics sink (per-worker shards; see
-    /// [`ShardedMetrics`]).
-    pub metrics: &'a ShardedMetrics,
+    /// The kernel's logical clock when the dispatch began.
+    pub entry_clock: u64,
+    /// The kernel-wide metrics sink (one shard per worker thread).
+    pub metrics: &'a Sharded<Mutex<Metrics>>,
     /// Identity of the dispatching task, snapshotted at dispatch entry.
     /// For pids without a live task this is [`TaskIdentity::unknown`]
     /// (the entry point itself will fail with `ESRCH`).
@@ -74,8 +77,7 @@ pub enum Verdict {
 ///
 /// The kernel stores interceptors as shared handles and many worker
 /// threads may dispatch concurrently, so hooks take `&self` and
-/// implementations keep mutable state behind a mutex (or [`PerThread`]
-/// for values scoped to one dispatch on one thread); they interact with
+/// implementations keep mutable state behind a mutex; they interact with
 /// kernel state only through [`SysCtx`] — never by re-entering
 /// [`Kernel::dispatch`](crate::kernel::Kernel::dispatch), which does not
 /// nest on a thread.
@@ -317,18 +319,15 @@ impl Interceptor for FaultInjector {
 
 /// The per-class latency/count meter (tentpole interceptor #3): folds
 /// every dispatched call into [`Metrics::observe_class`](crate::trace::Metrics::observe_class), surfacing
-/// `syscall_class_<class>` lines in `/proc/<lsm>/metrics`.
+/// `syscall_class_<class>` lines in `/proc/<lsm>/metrics`. Stateless:
+/// the latency is the clock delta since [`SysCtx::entry_clock`].
 #[derive(Debug, Default)]
-pub struct SyscallMeter {
-    /// Clock at `before` time. Dispatch never re-enters itself on a
-    /// thread, so one pending slot per dispatching thread suffices.
-    start: PerThread<Option<u64>>,
-}
+pub struct SyscallMeter;
 
 impl SyscallMeter {
     /// Builds a meter.
     pub fn new() -> SyscallMeter {
-        SyscallMeter::default()
+        SyscallMeter
     }
 }
 
@@ -337,14 +336,9 @@ impl Interceptor for SyscallMeter {
         "syscall_meter"
     }
 
-    fn before(&self, _pid: Pid, _call: &Syscall, ctx: &mut SysCtx<'_>) -> Verdict {
-        self.start.replace(Some(ctx.clock));
-        Verdict::Continue
-    }
-
     fn after(&self, _pid: Pid, call: &Syscall, ret: &SysRet, ctx: &mut SysCtx<'_>) {
-        let start = self.start.take().unwrap_or(ctx.clock);
-        let delta = ctx.clock.saturating_sub(start);
-        ctx.metrics.observe_class(call.class(), delta, ret.is_err());
+        let delta = ctx.clock.saturating_sub(ctx.entry_clock);
+        ctx.metrics
+            .with(|m| lock(m).observe_class(call.class(), delta, ret.is_err()));
     }
 }

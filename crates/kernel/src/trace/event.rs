@@ -1,103 +1,49 @@
 //! The typed audit event and its provenance record.
 
+use super::table_key;
 use crate::error::Errno;
 use core::fmt;
 
-/// The LSM hook (or kernel-internal site) a decision came from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Hook {
-    /// `capable()` — coarse capability check.
-    Capable,
-    /// `sb_mount` — `mount(2)`.
-    SbMount,
-    /// `sb_umount` — `umount(2)`.
-    SbUmount,
-    /// `socket_create` — `socket(2)` (raw/packet sockets).
-    SocketCreate,
-    /// `socket_bind` — `bind(2)` to a privileged port.
-    SocketBind,
-    /// `task_setuid` — the `setuid(2)` family.
-    TaskSetuid,
-    /// `task_setgid` — the `setgid(2)` family.
-    TaskSetgid,
-    /// `bprm_check` — `execve(2)` credential transitions.
-    BprmCheck,
-    /// `ioctl_route_add` — route-table-changing ioctls.
-    IoctlRoute,
-    /// `ioctl_modem` — modem-line ioctls (pppd).
-    IoctlModem,
-    /// `ioctl_dmcrypt` — dm-crypt status ioctls.
-    IoctlDmcrypt,
-    /// `ioctl_kms` — KMS mode-setting ioctls.
-    IoctlKms,
-    /// `file_open` — per-open policy (key files, shadow fragments).
-    FileOpen,
-    /// Netfilter OUTPUT-chain verdicts on the packet path.
-    Netfilter,
-    /// `/proc/<lsm>/*` configuration reads/writes.
-    LsmConfig,
-    /// Kernel-launched trusted authentication (§4.3).
-    Auth,
-    /// Module registration and other lifecycle events.
-    Lifecycle,
-    /// A dispatch-chain interceptor (fault injection, replay checking).
-    Interceptor,
-}
-
-impl Hook {
-    /// Number of hooks (the fixed metrics-counter table size).
-    pub const COUNT: usize = 18;
-
-    /// Every hook, in discriminant order.
-    pub const ALL: [Hook; Hook::COUNT] = [
-        Hook::Capable,
-        Hook::SbMount,
-        Hook::SbUmount,
-        Hook::SocketCreate,
-        Hook::SocketBind,
-        Hook::TaskSetuid,
-        Hook::TaskSetgid,
-        Hook::BprmCheck,
-        Hook::IoctlRoute,
-        Hook::IoctlModem,
-        Hook::IoctlDmcrypt,
-        Hook::IoctlKms,
-        Hook::FileOpen,
-        Hook::Netfilter,
-        Hook::LsmConfig,
-        Hook::Auth,
-        Hook::Lifecycle,
-        Hook::Interceptor,
-    ];
-
-    /// Fixed counter-table index (the discriminant).
-    #[inline]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable lower-snake name (metrics keys, `/proc` rendering).
-    pub fn name(self) -> &'static str {
-        match self {
-            Hook::Capable => "capable",
-            Hook::SbMount => "sb_mount",
-            Hook::SbUmount => "sb_umount",
-            Hook::SocketCreate => "socket_create",
-            Hook::SocketBind => "socket_bind",
-            Hook::TaskSetuid => "task_setuid",
-            Hook::TaskSetgid => "task_setgid",
-            Hook::BprmCheck => "bprm_check",
-            Hook::IoctlRoute => "ioctl_route",
-            Hook::IoctlModem => "ioctl_modem",
-            Hook::IoctlDmcrypt => "ioctl_dmcrypt",
-            Hook::IoctlKms => "ioctl_kms",
-            Hook::FileOpen => "file_open",
-            Hook::Netfilter => "netfilter",
-            Hook::LsmConfig => "lsm_config",
-            Hook::Auth => "auth",
-            Hook::Lifecycle => "lifecycle",
-            Hook::Interceptor => "interceptor",
-        }
+table_key! {
+    /// The LSM hook (or kernel-internal site) a decision came from.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+    pub enum Hook {
+        /// `capable()` — coarse capability check.
+        Capable => "capable",
+        /// `sb_mount` — `mount(2)`.
+        SbMount => "sb_mount",
+        /// `sb_umount` — `umount(2)`.
+        SbUmount => "sb_umount",
+        /// `socket_create` — `socket(2)` (raw/packet sockets).
+        SocketCreate => "socket_create",
+        /// `socket_bind` — `bind(2)` to a privileged port.
+        SocketBind => "socket_bind",
+        /// `task_setuid` — the `setuid(2)` family.
+        TaskSetuid => "task_setuid",
+        /// `task_setgid` — the `setgid(2)` family.
+        TaskSetgid => "task_setgid",
+        /// `bprm_check` — `execve(2)` credential transitions.
+        BprmCheck => "bprm_check",
+        /// `ioctl_route_add` — route-table-changing ioctls.
+        IoctlRoute => "ioctl_route",
+        /// `ioctl_modem` — modem-line ioctls (pppd).
+        IoctlModem => "ioctl_modem",
+        /// `ioctl_dmcrypt` — dm-crypt status ioctls.
+        IoctlDmcrypt => "ioctl_dmcrypt",
+        /// `ioctl_kms` — KMS mode-setting ioctls.
+        IoctlKms => "ioctl_kms",
+        /// `file_open` — per-open policy (key files, shadow fragments).
+        FileOpen => "file_open",
+        /// Netfilter OUTPUT-chain verdicts on the packet path.
+        Netfilter => "netfilter",
+        /// `/proc/<lsm>/*` configuration reads/writes.
+        LsmConfig => "lsm_config",
+        /// Kernel-launched trusted authentication (§4.3).
+        Auth => "auth",
+        /// Module registration and other lifecycle events.
+        Lifecycle => "lifecycle",
+        /// A dispatch-chain interceptor (fault injection, replay checking).
+        Interceptor => "interceptor",
     }
 }
 

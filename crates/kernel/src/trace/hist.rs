@@ -1,11 +1,13 @@
-//! Fixed-size log2-bucket latency histograms.
+//! Fixed-size log2-bucket latency histograms: the kernel's one latency
+//! aggregate.
 //!
-//! Every timed pathway (see [`mod@crate::trace::span`]) feeds one
-//! [`LatencyHistogram`]: a 65-slot power-of-two bucket array plus exact
-//! count/total/min/max. The layout is allocation-free and `Copy`-free but
-//! plain-old-data, so snapshots cross threads over a channel and merge
-//! associatively and commutatively — the same contract [`super::Metrics`]
-//! honours for the fleet benchmarks.
+//! [`LatencyHistogram`] is a 65-slot power-of-two bucket array plus exact
+//! count/total/min/max. Every timed pathway (see
+//! [`mod@crate::trace::span`]) feeds one, and so do the logical-clock
+//! latencies in [`super::Metrics`] (named pathways and per-class dispatch
+//! latency). The layout is allocation-free plain-old-data, so snapshots
+//! cross threads and merge associatively and commutatively, which is
+//! what per-thread shards and fleet benchmarks rely on.
 //!
 //! Bucket layout: bucket 0 holds exactly the value 0; bucket `k` (k ≥ 1)
 //! holds values in `[2^(k-1), 2^k - 1]`. A `u64` value therefore always
@@ -41,20 +43,14 @@ impl Default for LatencyHistogram {
 /// The bucket index `value` falls into.
 #[inline]
 pub fn bucket_of(value: u64) -> usize {
-    if value == 0 {
-        0
-    } else {
-        (64 - value.leading_zeros()) as usize
-    }
+    (u64::BITS - value.leading_zeros()) as usize
 }
 
-/// The inclusive upper bound of bucket `idx`.
+/// The inclusive upper bound of bucket `idx` (`2^idx - 1`).
 pub fn bucket_bound(idx: usize) -> u64 {
-    match idx {
-        0 => 0,
-        64 => u64::MAX,
-        k => (1u64 << k) - 1,
-    }
+    u64::MAX
+        .checked_shr(u64::BITS.saturating_sub(idx as u32))
+        .unwrap_or(0)
 }
 
 impl LatencyHistogram {
@@ -87,16 +83,8 @@ impl LatencyHistogram {
     /// The smallest observation, or 0 when empty (the sentinel never
     /// leaks into rendered output).
     pub fn observed_min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Arithmetic mean of the observations (0 when empty).
-    pub fn mean(&self) -> u64 {
-        self.total.checked_div(self.count).unwrap_or(0)
+        // Empty: min is the sentinel and max is 0.
+        self.min.min(self.max)
     }
 
     /// The value at quantile `q` (0.0 ..= 1.0): the inclusive upper bound
@@ -180,7 +168,6 @@ mod tests {
         assert_eq!(h.total, 7 + 3 + 1024 + 3);
         assert_eq!(h.observed_min(), 3);
         assert_eq!(h.max, 1024);
-        assert_eq!(h.mean(), 1037 / 4);
     }
 
     #[test]

@@ -1,17 +1,19 @@
 //! Per-hook and per-syscall decision counters, an errno histogram, and
 //! logical-clock latency observations.
 //!
-//! The hot-path counters ([`HookCounters`], [`SyscallCounters`],
-//! [`ClassTable`]) are fixed arrays indexed by enum discriminant, so
-//! recording an event or a dispatched call never touches a map. Cold
-//! aggregates (errnos, named latency pathways, cache snapshots) stay in
-//! `BTreeMap`s. Rendering sorts by name at read time, which keeps the
-//! `/proc/<lsm>/metrics` output byte-identical to the old all-`BTreeMap`
-//! layout.
+//! Hot-path counters are fixed arrays — a [`Table`] per key enum
+//! ([`Hook`], [`SyscallClass`], the span `Pathway`) and one slot per ABI
+//! syscall name — so recording never touches a map. Cold aggregates stay
+//! in `BTreeMap`s, and rendering sorts by name, so `/proc/<lsm>/metrics`
+//! lines come out in a stable order.
 
 use super::event::{AuditEvent, DecisionKind, Hook};
+use super::hist::LatencyHistogram;
+use crate::sync::{lock, Shard};
 use crate::syscall::{Syscall, SyscallClass};
 use std::collections::BTreeMap;
+use std::marker::PhantomData;
+use std::sync::Mutex;
 
 /// Allow/deny/use-default/defer/info counts for one key.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,74 +78,10 @@ impl CacheStats {
     }
 }
 
-/// Logical-clock latency aggregate for one pathway.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct LatencyStats {
-    /// Number of observations.
-    pub samples: u64,
-    /// Sum of observed logical-clock deltas.
-    pub total: u64,
-    /// Smallest observed delta (`u64::MAX` until the first observation,
-    /// so merges are order-independent; use [`LatencyStats::observed_min`]
-    /// for display).
-    pub min: u64,
-    /// Largest observed delta.
-    pub max: u64,
-}
-
-impl Default for LatencyStats {
-    fn default() -> LatencyStats {
-        LatencyStats {
-            samples: 0,
-            total: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-}
-
-impl LatencyStats {
-    /// Records one observation.
-    pub fn observe(&mut self, delta: u64) {
-        self.samples += 1;
-        // Saturating like `LatencyHistogram::observe`: a clamped sum of
-        // non-negative deltas is still order-independent under merge.
-        self.total = self.total.saturating_add(delta);
-        self.min = self.min.min(delta);
-        self.max = self.max.max(delta);
-    }
-
-    /// The smallest observation, or 0 when empty (the sentinel never
-    /// leaks into rendered output).
-    pub fn observed_min(&self) -> u64 {
-        if self.samples == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Mean observation (0 when empty) — preserved exactly across merges
-    /// because `samples` and `total` both fold.
-    pub fn mean(&self) -> u64 {
-        self.total.checked_div(self.samples).unwrap_or(0)
-    }
-
-    /// Adds another aggregate into this one. Folds every field — samples,
-    /// total, min, and max — so thread merges lose no fidelity and are
-    /// associative, commutative, and order-independent.
-    pub fn merge(&mut self, other: &LatencyStats) {
-        self.samples += other.samples;
-        self.total = self.total.saturating_add(other.total);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
-
 /// Dispatch counters for one syscall class, fed by the
 /// [`crate::syscall::SyscallMeter`] interceptor: call and error totals
 /// plus logical-clock latency over the dispatched call.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ClassStats {
     /// Calls dispatched in this class.
     pub calls: u64,
@@ -152,7 +90,7 @@ pub struct ClassStats {
     /// Logical-clock latency over the dispatched call (normally 0 in the
     /// simulation; nonzero when a syscall advances the clock, e.g. an
     /// authentication prompt).
-    pub latency: LatencyStats,
+    pub latency: LatencyHistogram,
 }
 
 impl ClassStats {
@@ -164,71 +102,121 @@ impl ClassStats {
     }
 }
 
-/// Per-hook decision counters as a fixed array indexed by [`Hook`]
-/// discriminant: bumping a counter on the dispatch path is an array write,
-/// not a map lookup.
+/// A fieldless enum that indexes a [`Table`]; the kernel declares its
+/// keys with the crate-internal `table_key!` macro.
+pub trait TableKey: Copy + 'static {
+    /// Every variant, in discriminant order.
+    const ALL: &'static [Self];
+    /// The variant's position in [`TableKey::ALL`].
+    fn index(self) -> usize;
+    /// Stable snake_case name, used for rendering.
+    fn name(self) -> &'static str;
+}
+
+/// Declares a [`TableKey`] enum from one `Variant => "name"` list: the
+/// enum itself, `COUNT`, `ALL` (discriminant order), `index`, `name`, and
+/// the trait impl, so the variant list, the table size and the rendered
+/// names cannot drift apart.
+macro_rules! table_key {
+    ($(#[$meta:meta])* pub enum $key:ident {
+        $($(#[$doc:meta])* $variant:ident => $name:literal,)*
+    }) => {
+        $(#[$meta])*
+        pub enum $key {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl $key {
+            /// Number of variants (the size of a table keyed by them).
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// Every variant, in discriminant order.
+            pub const ALL: [$key; $key::COUNT] = [$($key::$variant),*];
+
+            /// Table index (the discriminant).
+            #[inline]
+            pub fn index(self) -> usize {
+                self as usize
+            }
+
+            /// Stable snake_case name (metrics keys, `/proc` rendering).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($key::$variant => $name,)*
+                }
+            }
+        }
+
+        impl $crate::trace::TableKey for $key {
+            const ALL: &'static [$key] = &$key::ALL;
+            fn index(self) -> usize {
+                $key::index(self)
+            }
+            fn name(self) -> &'static str {
+                $key::name(self)
+            }
+        }
+    };
+}
+pub(crate) use table_key;
+
+/// One `V` per variant of the key enum `K`, as a fixed array: lookups
+/// and updates are array accesses, never a map probe or allocation.
+/// `N` must equal `K::ALL.len()`, which building a table checks at
+/// compile time.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HookCounters {
-    table: [DecisionCounters; Hook::COUNT],
+pub struct Table<K, V, const N: usize> {
+    slots: [V; N],
+    key: PhantomData<fn() -> K>,
 }
 
-impl Default for HookCounters {
-    fn default() -> HookCounters {
-        HookCounters {
-            table: [DecisionCounters::default(); Hook::COUNT],
+impl<K: TableKey, V: Default, const N: usize> Default for Table<K, V, N> {
+    fn default() -> Self {
+        const { assert!(N == K::ALL.len(), "table length must match its key enum") };
+        Table {
+            slots: std::array::from_fn(|_| V::default()),
+            key: PhantomData,
         }
     }
 }
 
-impl HookCounters {
-    /// Increments the counter for `hook`/`kind`.
-    #[inline]
-    pub fn bump(&mut self, hook: Hook, kind: DecisionKind) {
-        self.table[hook.index()].bump(kind);
+impl<K: TableKey, V, const N: usize> Table<K, V, N> {
+    /// Every `(key, value)` pair, in discriminant order.
+    pub fn iter(&self) -> impl Iterator<Item = (K, &V)> {
+        K::ALL.iter().copied().zip(self.slots.iter())
     }
 
-    /// The counters for `hook` (zero if never hit).
-    pub fn get(&self, hook: Hook) -> DecisionCounters {
-        self.table[hook.index()]
-    }
-
-    /// Touched hooks as `(name, counters)` pairs, sorted by name — the
-    /// same visiting order the old `BTreeMap` produced.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &DecisionCounters)> {
-        let mut rows: Vec<(&'static str, &DecisionCounters)> = Hook::ALL
+    /// The `(name, value)` pairs for which `keep` holds, sorted by name
+    /// (the stable order of the `/proc` renderings).
+    pub fn by_name(&self, keep: impl Fn(&V) -> bool) -> Vec<(&'static str, &V)> {
+        let mut rows: Vec<_> = self
             .iter()
-            .map(|h| (h.name(), &self.table[h.index()]))
-            .filter(|(_, c)| c.total() > 0)
+            .filter(|(_, v)| keep(v))
+            .map(|(k, v)| (k.name(), v))
             .collect();
         rows.sort_by_key(|(name, _)| *name);
-        rows.into_iter()
+        rows
     }
 
-    /// Total denials across all hooks.
-    pub fn total_denials(&self) -> u64 {
-        self.table.iter().map(|c| c.deny).sum()
-    }
-
-    /// Adds another table into this one, element-wise.
-    pub fn merge(&mut self, other: &HookCounters) {
-        for (mine, theirs) in self.table.iter_mut().zip(other.table.iter()) {
-            mine.merge(theirs);
+    /// Folds `other` into this table slot by slot with `merge`.
+    pub fn merge_with(&mut self, other: &Self, merge: impl Fn(&mut V, &V)) {
+        for (mine, theirs) in self.slots.iter_mut().zip(other.slots.iter()) {
+            merge(mine, theirs);
         }
     }
 }
 
-impl<'a> IntoIterator for &'a HookCounters {
-    type Item = (&'static str, &'a DecisionCounters);
-    type IntoIter = std::vec::IntoIter<(&'static str, &'a DecisionCounters)>;
+impl<K: TableKey, V, const N: usize> std::ops::Index<K> for Table<K, V, N> {
+    type Output = V;
 
-    fn into_iter(self) -> Self::IntoIter {
-        let mut rows: Vec<(&'static str, &'a DecisionCounters)> = Hook::ALL
-            .iter()
-            .map(|h| (h.name(), &self.table[h.index()]))
-            .filter(|(_, c)| c.total() > 0)
-            .collect();
-        rows.sort_by_key(|(name, _)| *name);
-        rows.into_iter()
+    fn index(&self, key: K) -> &V {
+        &self.slots[key.index()]
+    }
+}
+
+impl<K: TableKey, V, const N: usize> std::ops::IndexMut<K> for Table<K, V, N> {
+    fn index_mut(&mut self, key: K) -> &mut V {
+        &mut self.slots[key.index()]
     }
 }
 
@@ -237,18 +225,18 @@ impl<'a> IntoIterator for &'a HookCounters {
 /// path, plus a `BTreeMap` overflow for kernel-internal pathway names
 /// (`"auth"`, `"register_lsm"`, `"capable"`, test fixtures, …) that are
 /// not ABI syscalls.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SyscallCounters {
-    fixed: SyscallFixed,
+    fixed: [DecisionCounters; Syscall::COUNT],
     overflow: BTreeMap<&'static str, DecisionCounters>,
 }
 
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct SyscallFixed([DecisionCounters; Syscall::COUNT]);
-
-impl Default for SyscallFixed {
-    fn default() -> SyscallFixed {
-        SyscallFixed([DecisionCounters::default(); Syscall::COUNT])
+impl Default for SyscallCounters {
+    fn default() -> SyscallCounters {
+        SyscallCounters {
+            fixed: [DecisionCounters::default(); Syscall::COUNT],
+            overflow: BTreeMap::new(),
+        }
     }
 }
 
@@ -258,7 +246,7 @@ impl SyscallCounters {
     #[inline]
     pub fn bump(&mut self, name: &'static str, kind: DecisionKind) {
         match Syscall::name_index(name) {
-            Some(i) => self.fixed.0[i].bump(kind),
+            Some(i) => self.fixed[i].bump(kind),
             None => self.overflow.entry(name).or_default().bump(kind),
         }
     }
@@ -266,14 +254,7 @@ impl SyscallCounters {
     /// The counters recorded under `name`, if any.
     pub fn get(&self, name: &str) -> Option<&DecisionCounters> {
         match Syscall::name_index(name) {
-            Some(i) => {
-                let c = &self.fixed.0[i];
-                if c.total() > 0 {
-                    Some(c)
-                } else {
-                    None
-                }
-            }
+            Some(i) => Some(&self.fixed[i]).filter(|c| c.total() > 0),
             None => self.overflow.get(name),
         }
     }
@@ -284,8 +265,8 @@ impl SyscallCounters {
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, &DecisionCounters)> {
         let mut rows: Vec<(&'static str, &DecisionCounters)> = Syscall::NAMES
             .iter()
-            .enumerate()
-            .map(|(i, name)| (*name, &self.fixed.0[i]))
+            .copied()
+            .zip(self.fixed.iter())
             .filter(|(_, c)| c.total() > 0)
             .collect();
         rows.extend(self.overflow.iter().map(|(k, v)| (*k, v)));
@@ -295,7 +276,7 @@ impl SyscallCounters {
 
     /// Adds another table into this one.
     pub fn merge(&mut self, other: &SyscallCounters) {
-        for (mine, theirs) in self.fixed.0.iter_mut().zip(other.fixed.0.iter()) {
+        for (mine, theirs) in self.fixed.iter_mut().zip(other.fixed.iter()) {
             mine.merge(theirs);
         }
         for (k, v) in &other.overflow {
@@ -304,97 +285,25 @@ impl SyscallCounters {
     }
 }
 
-impl std::ops::Index<&str> for SyscallCounters {
-    type Output = DecisionCounters;
-
-    fn index(&self, name: &str) -> &DecisionCounters {
-        match Syscall::name_index(name) {
-            Some(i) => &self.fixed.0[i],
-            None => &self.overflow[name],
-        }
-    }
-}
-
-/// Per-class dispatch counters as a fixed array indexed by
-/// [`SyscallClass`] discriminant.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ClassTable {
-    table: [ClassStats; SyscallClass::COUNT],
-}
-
-impl ClassTable {
-    /// The stats recorded for `class`.
-    pub fn class(&self, class: SyscallClass) -> &ClassStats {
-        &self.table[class.index()]
-    }
-
-    /// The stats recorded under a class *name*, if that class was hit.
-    pub fn get(&self, name: &str) -> Option<&ClassStats> {
-        SyscallClass::ALL
-            .iter()
-            .find(|c| c.name() == name)
-            .map(|c| &self.table[c.index()])
-            .filter(|s| s.calls > 0)
-    }
-
-    /// Touched classes as `(name, stats)` pairs. Discriminant order is
-    /// already alphabetical, matching the old `BTreeMap` rendering.
-    pub fn iter(&self) -> impl Iterator<Item = (&'static str, &ClassStats)> {
-        SyscallClass::ALL
-            .iter()
-            .map(|c| (c.name(), &self.table[c.index()]))
-            .filter(|(_, s)| s.calls > 0)
-    }
-
-    /// Adds another table into this one, element-wise.
-    pub fn merge(&mut self, other: &ClassTable) {
-        for (mine, theirs) in self.table.iter_mut().zip(other.table.iter()) {
-            mine.merge(theirs);
-        }
-    }
-}
-
-impl std::ops::Index<&str> for ClassTable {
-    type Output = ClassStats;
-
-    fn index(&self, name: &str) -> &ClassStats {
-        let class = SyscallClass::ALL
-            .iter()
-            .find(|c| c.name() == name)
-            .unwrap_or_else(|| panic!("unknown syscall class {name:?}"));
-        &self.table[class.index()]
-    }
-}
-
-impl<'a> IntoIterator for &'a ClassTable {
-    type Item = (&'static str, &'a ClassStats);
-    type IntoIter = std::vec::IntoIter<(&'static str, &'a ClassStats)>;
-
-    fn into_iter(self) -> Self::IntoIter {
-        self.iter().collect::<Vec<_>>().into_iter()
-    }
-}
-
 /// Kernel-wide observability counters. Updated on every emitted event,
 /// independent of the `trace` flag and of ring-buffer eviction.
 #[derive(Clone, Debug, Default)]
 pub struct Metrics {
-    /// Decision counts per LSM hook (fixed array, no map on the hot path).
-    pub per_hook: HookCounters,
+    /// Decision counts per LSM hook.
+    pub per_hook: Table<Hook, DecisionCounters, { Hook::COUNT }>,
     /// Decision counts per syscall name (fixed array + overflow map).
     pub per_syscall: SyscallCounters,
     /// Denial errno histogram.
     pub errnos: BTreeMap<&'static str, u64>,
     /// Logical-clock latency aggregates (e.g. authentication prompts).
-    pub latency: BTreeMap<&'static str, LatencyStats>,
+    pub latency: BTreeMap<&'static str, LatencyHistogram>,
     /// Cache counters keyed by cache name, synchronized from the VFS
     /// dcache and the registered module's policy caches when the
     /// `/proc/<lsm>/metrics` view is rendered.
     pub caches: BTreeMap<&'static str, CacheStats>,
-    /// Per-class dispatch counters (fixed array indexed by
-    /// [`SyscallClass`]), fed by the [`crate::syscall::SyscallMeter`]
-    /// interceptor.
-    pub classes: ClassTable,
+    /// Per-class dispatch counters, fed by the
+    /// [`crate::syscall::SyscallMeter`] interceptor.
+    pub classes: Table<SyscallClass, ClassStats, { SyscallClass::COUNT }>,
     /// Total events emitted.
     pub events: u64,
 }
@@ -404,7 +313,7 @@ impl Metrics {
     pub fn record(&mut self, ev: &AuditEvent) {
         self.events += 1;
         let kind = ev.provenance.decision;
-        self.per_hook.bump(ev.provenance.hook, kind);
+        self.per_hook[ev.provenance.hook].bump(kind);
         self.per_syscall.bump(ev.syscall, kind);
         if let Some(e) = ev.provenance.errno {
             *self.errnos.entry(e.name()).or_insert(0) += 1;
@@ -419,11 +328,9 @@ impl Metrics {
     /// Folds one dispatched call into the per-class counters.
     #[inline]
     pub fn observe_class(&mut self, class: SyscallClass, delta: u64, errored: bool) {
-        let s = &mut self.classes.table[class.index()];
+        let s = &mut self.classes[class];
         s.calls += 1;
-        if errored {
-            s.errors += 1;
-        }
+        s.errors += u64::from(errored);
         s.latency.observe(delta);
     }
 
@@ -434,20 +341,16 @@ impl Metrics {
         self.caches.insert(name, stats);
     }
 
-    /// The counters for `hook` (zero if never hit).
-    pub fn hook(&self, hook: Hook) -> DecisionCounters {
-        self.per_hook.get(hook)
-    }
-
     /// Total denials across all hooks.
     pub fn total_denials(&self) -> u64 {
-        self.per_hook.total_denials()
+        self.per_hook.iter().map(|(_, c)| c.deny).sum()
     }
 
     /// Adds another metrics snapshot into this one (corpus aggregation).
     pub fn merge(&mut self, other: &Metrics) {
         self.events += other.events;
-        self.per_hook.merge(&other.per_hook);
+        self.per_hook
+            .merge_with(&other.per_hook, DecisionCounters::merge);
         self.per_syscall.merge(&other.per_syscall);
         for (k, v) in &other.errnos {
             *self.errnos.entry(k).or_insert(0) += v;
@@ -458,24 +361,24 @@ impl Metrics {
         for (k, v) in &other.caches {
             self.caches.entry(k).or_default().merge(v);
         }
-        self.classes.merge(&other.classes);
+        self.classes.merge_with(&other.classes, ClassStats::merge);
     }
 
     /// Renders the `/proc/<lsm>/metrics` view: one `key value` line per
     /// counter, stable-ordered for easy diffing.
     pub fn render(&self) -> String {
         let mut out = format!("events_total {}\n", self.events);
-        for (hook, c) in self.per_hook.iter() {
+        let decisions = |out: &mut String, prefix, name, c: &DecisionCounters| {
             out.push_str(&format!(
-                "hook_{} allow={} deny={} use_default={} defer={} info={}\n",
-                hook, c.allow, c.deny, c.use_default, c.defer, c.info
+                "{}{} allow={} deny={} use_default={} defer={} info={}\n",
+                prefix, name, c.allow, c.deny, c.use_default, c.defer, c.info
             ));
+        };
+        for (hook, c) in self.per_hook.by_name(|c| c.total() > 0) {
+            decisions(&mut out, "hook_", hook, c);
         }
         for (sys, c) in self.per_syscall.iter() {
-            out.push_str(&format!(
-                "syscall_{} allow={} deny={} use_default={} defer={} info={}\n",
-                sys, c.allow, c.deny, c.use_default, c.defer, c.info
-            ));
+            decisions(&mut out, "syscall_", sys, c);
         }
         for (errno, n) in &self.errnos {
             out.push_str(&format!("errno_{} {}\n", errno, n));
@@ -484,7 +387,7 @@ impl Metrics {
             out.push_str(&format!(
                 "latency_{} samples={} total={} min={} max={}\n",
                 pathway,
-                l.samples,
+                l.count,
                 l.total,
                 l.observed_min(),
                 l.max
@@ -498,13 +401,21 @@ impl Metrics {
         }
         // The `syscall_class_` prefix keeps class rows distinct from the
         // per-syscall rows above ("mount" is both a class and a syscall).
-        for (class, s) in self.classes.iter() {
+        for (class, s) in self.classes.by_name(|s| s.calls > 0) {
             out.push_str(&format!(
                 "syscall_class_{} calls={} errors={} clk_total={} clk_max={}\n",
                 class, s.calls, s.errors, s.latency.total, s.latency.max
             ));
         }
         out
+    }
+}
+
+/// A kernel's metrics are sharded per thread (see [`crate::sync::Sharded`])
+/// and merged on read; an exited thread's shard folds into the total.
+impl Shard for Mutex<Metrics> {
+    fn fold_into(&self, total: &mut Self) {
+        lock(total).merge(&lock(self));
     }
 }
 
@@ -534,9 +445,9 @@ mod tests {
         m.record(&ev(Hook::SbMount, DecisionKind::Allow, None));
         m.record(&ev(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)));
         m.record(&ev(Hook::SbMount, DecisionKind::Deny, Some(Errno::EACCES)));
-        let c = m.hook(Hook::SbMount);
+        let c = m.per_hook[Hook::SbMount];
         assert_eq!((c.allow, c.deny, c.use_default), (1, 2, 0));
-        assert_eq!(m.per_syscall["mount"].total(), 3);
+        assert_eq!(m.per_syscall.get("mount").map(|c| c.total()), Some(3));
         assert_eq!(m.errnos["EPERM"], 1);
         assert_eq!(m.errnos["EACCES"], 1);
         assert_eq!(m.total_denials(), 2);
@@ -549,8 +460,10 @@ mod tests {
         e.syscall = "auth";
         m.record(&e);
         m.record(&ev(Hook::SbMount, DecisionKind::Allow, None));
-        assert_eq!(m.per_syscall["auth"].info, 1);
-        assert_eq!(m.per_syscall.get("auth").unwrap().total(), 1);
+        assert_eq!(m.per_syscall.get("auth").map(|c| c.info), Some(1));
+        assert_eq!(m.per_syscall.get("auth").map(|c| c.total()), Some(1));
+        assert_eq!(m.per_syscall.get("bind"), None);
+        assert_eq!(m.per_syscall.get("no_such_pathway"), None);
         // Sorted interleave: "auth" (overflow) precedes "mount" (fixed).
         let names: Vec<_> = m.per_syscall.iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["auth", "mount"]);
@@ -561,31 +474,9 @@ mod tests {
         let mut m = Metrics::default();
         m.observe_latency("auth", 3);
         m.observe_latency("auth", 7);
-        let l = m.latency["auth"];
-        assert_eq!((l.samples, l.total, l.max), (2, 10, 7));
+        let l = &m.latency["auth"];
+        assert_eq!((l.count, l.total, l.max), (2, 10, 7));
         assert_eq!(l.observed_min(), 3);
-        assert_eq!(l.mean(), 5);
-    }
-
-    #[test]
-    fn latency_merge_keeps_min_and_mean_fidelity() {
-        let mut a = LatencyStats::default();
-        a.observe(10);
-        a.observe(20);
-        let mut b = LatencyStats::default();
-        b.observe(2);
-        // Merge order must not matter, and min/mean must survive.
-        let mut ab = a;
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.observed_min(), 2);
-        assert_eq!(ab.mean(), 32 / 3);
-        // An empty aggregate is the merge identity.
-        let mut with_empty = ab;
-        with_empty.merge(&LatencyStats::default());
-        assert_eq!(with_empty, ab);
     }
 
     #[test]
@@ -596,9 +487,9 @@ mod tests {
         b.record(&ev(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)));
         b.observe_latency("auth", 5);
         a.merge(&b);
-        assert_eq!(a.hook(Hook::SbMount).deny, 2);
+        assert_eq!(a.per_hook[Hook::SbMount].deny, 2);
         assert_eq!(a.errnos["EPERM"], 2);
-        assert_eq!(a.latency["auth"].samples, 1);
+        assert_eq!(a.latency["auth"].count, 1);
         assert_eq!(a.events, 2);
     }
 
@@ -655,11 +546,10 @@ mod tests {
         b.observe_class(SyscallClass::Fs, 5, false);
         b.observe_class(SyscallClass::Net, 1, false);
         a.merge(&b);
-        assert_eq!(a.classes["fs"].calls, 3);
-        assert_eq!(a.classes["fs"].errors, 1);
-        assert_eq!(a.classes["fs"].latency.total, 8);
-        assert_eq!(a.classes["fs"].latency.max, 5);
-        assert_eq!(a.classes["net"].calls, 1);
+        let fs = &a.classes[SyscallClass::Fs];
+        assert_eq!((fs.calls, fs.errors), (3, 1));
+        assert_eq!((fs.latency.total, fs.latency.max), (8, 5));
+        assert_eq!(a.classes[SyscallClass::Net].calls, 1);
     }
 
     #[test]

@@ -1,18 +1,15 @@
 //! Structured kernel observability: typed audit events with decision
-//! provenance, a bounded ring buffer with kernel-audit-backlog drop
-//! semantics, per-hook / per-syscall decision metrics, and an
-//! [`AuditSink`] subscription point for userland daemons.
+//! provenance, one bounded audit ring, per-hook / per-syscall decision
+//! metrics, span-timing histograms, and an [`AuditSink`] subscription
+//! point for userland daemons.
 //!
-//! This replaces the original unbounded `Vec<String>` audit trail. Every
-//! policy-relevant decision site in the syscall layer now emits an
-//! [`AuditEvent`] carrying *which* LSM hook decided, *which* policy rule
-//! matched (when the module tracks one), the resulting decision kind and
-//! errno, and the subject (pid + credentials) and object (path, port,
-//! device, uid…) involved. The human-readable line the old log carried is
-//! preserved as [`AuditEvent::message`], so string-level assertions keep
-//! working, while everything downstream (benches, the exploit replay
-//! harness, `/proc/<lsm>/audit` and `/proc/<lsm>/metrics`) can query the
-//! typed form.
+//! Every policy-relevant decision site emits an [`AuditEvent`] carrying
+//! *which* LSM hook decided, *which* policy rule matched (when the module
+//! tracks one), the decision kind and errno, and the subject and object
+//! involved; [`AuditEvent::message`] keeps the human-readable line.
+//! Telemetry is written per thread into [`crate::sync::Sharded`] stores
+//! and merged on read, so `/proc/<lsm>/metrics` and
+//! `/proc/kernel/histograms` show every worker of a shared kernel.
 //!
 //! Recording policy (see `Kernel::emit_event`):
 //!
@@ -28,18 +25,16 @@ pub mod hist;
 mod metrics;
 mod recorder;
 mod ring;
-mod shared;
 mod sink;
 pub mod span;
 
 pub use event::{AuditEvent, AuditObject, DecisionKind, Hook, Provenance};
 pub use hist::{LatencyHistogram, HIST_BUCKETS};
+pub(crate) use metrics::table_key;
 pub use metrics::{
-    CacheStats, ClassStats, ClassTable, DecisionCounters, HookCounters, LatencyStats, Metrics,
-    SyscallCounters,
+    CacheStats, ClassStats, DecisionCounters, Metrics, SyscallCounters, Table, TableKey,
 };
 pub use recorder::{Divergence, Trace, TraceEntry, TraceError, TraceRecorder, TraceReplayer};
-pub use ring::{AuditRing, DEFAULT_RING_CAPACITY};
-pub use shared::{ShardedMetrics, SharedAuditRing, AUDIT_STAGE_BATCH};
+pub use ring::{AuditRing, AUDIT_STAGE_BATCH, DEFAULT_RING_CAPACITY};
 pub use sink::{AuditSink, CollectingSink};
 pub use span::{span, Pathway, SpanGuard, TimingSnapshot};

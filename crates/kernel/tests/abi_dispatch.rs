@@ -7,13 +7,14 @@
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::error::Errno;
 use sim_kernel::kernel::Kernel;
+use sim_kernel::lsm::NullLsm;
 use sim_kernel::net::{Domain, Ipv4, Packet, Route, SimNet, SockType};
 use sim_kernel::syscall::{
     FaultConfig, FaultInjector, Interceptor, IoctlCmd, IoctlOut, NetfilterOp, OpenFlags, RouteOp,
     SysCtx, SysRet, Syscall, SyscallMeter, Whence,
 };
 use sim_kernel::task::{NsKind, Pid};
-use sim_kernel::trace::TraceRecorder;
+use sim_kernel::trace::{AuditObject, DecisionKind, Hook, Provenance, TraceRecorder};
 use sim_kernel::vfs::Mode;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
@@ -396,7 +397,7 @@ fn meter_renders_per_class_metrics_lines() {
             path: "/nope".into(),
         },
     );
-    let rendered = k.metrics.snapshot().render();
+    let rendered = k.metrics_snapshot().render();
     assert!(
         rendered.contains("syscall_class_fs calls=2 errors=1"),
         "fs class line missing or wrong: {}",
@@ -472,4 +473,48 @@ fn recorded_trace_replays_byte_identically() {
     // And the serialized form round-trips.
     let parsed = sim_kernel::trace::Trace::parse(&rendered).unwrap();
     assert_eq!(parsed.first_divergence(&trace2.lock().unwrap()), None);
+}
+
+/// Regression: the `/proc/<lsm>/audit` header printed a sequence counter
+/// that never advanced (`next_seq=0` however many events were emitted).
+/// Read through `dispatch` as root, it now reports the next sequence
+/// number: one past the last event emitted, stored or trace-gated.
+#[test]
+fn audit_header_reports_the_next_sequence_number() {
+    const N: u64 = 5;
+    let (k, root, _user) = boot();
+    k.register_lsm(Box::new(NullLsm)).unwrap();
+    let fd = k
+        .dispatch(
+            root,
+            Syscall::Open {
+                path: "/proc/null/audit".into(),
+                flags: OpenFlags::read_only(),
+            },
+        )
+        .fd()
+        .unwrap();
+    let base = k.audit.next_seq();
+    for _ in 0..N {
+        k.emit_event(
+            0,
+            "test",
+            AuditObject::None,
+            Provenance::kernel(Hook::SbMount, DecisionKind::Deny, Some(Errno::EPERM)),
+            "denied".into(),
+        );
+    }
+    let data = k
+        .dispatch(root, Syscall::Read { fd, count: 1 << 20 })
+        .data()
+        .unwrap();
+    k.dispatch(root, Syscall::Close { fd }).unit().unwrap();
+    let text = String::from_utf8(data).unwrap();
+    let header = text.lines().next().unwrap();
+    assert!(
+        header.ends_with(&format!(" next_seq={}", base + N)),
+        "{header}"
+    );
+    // Every emitted event took a sequence number and was counted.
+    assert_eq!(k.metrics_snapshot().events, base + N);
 }
