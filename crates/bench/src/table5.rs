@@ -394,17 +394,11 @@ pub fn measure_dispatch_seccomp(warmup: u32, iters: u32) -> DispatchSeccompRow {
     let warmup = warmup.saturating_mul(SECCOMP_ITER_SCALE);
     let iters = iters.saturating_mul(SECCOMP_ITER_SCALE);
     let mut f = fixture(SystemMode::Protego);
-    let binary = f
-        .sys
-        .kernel
-        .task_identity(f.user)
-        .binary
-        .as_str()
-        .to_string();
+    let binary = f.sys.kernel.caller(f.user).binary.as_str();
     f.sys
         .kernel
         .seccomp
-        .load_profiles(&[ProfileSpec::allowing(&binary, &["stat"])])
+        .load_profiles(&[ProfileSpec::allowing(binary, &["stat"])])
         .expect("bench profile compiles");
     f.sys.attach_seccomp();
 
@@ -501,8 +495,8 @@ pub fn collect_cache_metrics() -> Vec<CacheCounters> {
         k.process(f.root)
             .write_file("/etc/hosts", b"127.0.0.1 localhost\n", Mode(0o644))
             .expect("hosts file");
-        let shell = k.task_mut(f.root).expect("root task").binary.clone();
-        k.task_mut(f.root).expect("root task").binary = "/usr/sbin/tcpdump".to_string();
+        let shell = k.task(f.root).expect("root task").binary;
+        k.task_mut(f.root).expect("root task").binary = "/usr/sbin/tcpdump".into();
         for _ in 0..8 {
             let _ = k.process(f.root).read_to_string("/etc/hosts");
         }

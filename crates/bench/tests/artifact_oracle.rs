@@ -35,7 +35,7 @@ fn artifacts_are_reported_under_faults_and_enforcing_seccomp() {
     sys.kernel.seccomp.set_mode(SeccompMode::Enforce);
     sys.attach_seccomp();
     sys.attach_fault_injector(FaultConfig::storm(1, 1));
-    assert_eq!(sys.kernel.task(init).unwrap().binary, "/sbin/init");
+    assert_eq!(sys.kernel.task(init).unwrap().binary.as_str(), "/sbin/init");
     // The syscall path is closed to init now...
     assert!(sys.process(init).stat("/tmp/rootshell").is_err());
     assert!(sys.process(init).read_to_string("/etc/shadow").is_err());

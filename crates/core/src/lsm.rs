@@ -306,7 +306,7 @@ impl SecurityModule for ProtegoLsm {
                     rule.binary,
                     rule.uid
                 ));
-                if rule.binary == req.binary && Uid(rule.uid) == cred.euid {
+                if rule.binary == req.binary.as_str() && Uid(rule.uid) == cred.euid {
                     Decision::Allow
                 } else {
                     // The port is allocated to a different application
@@ -713,7 +713,7 @@ mod tests {
         let lsm = lsm_with(p);
         let good = BindRequest {
             port: 25,
-            binary: "/usr/sbin/exim4".into(),
+            binary: Name::intern("/usr/sbin/exim4"),
             tcp: true,
         };
         assert_eq!(
@@ -722,7 +722,7 @@ mod tests {
         );
         let rogue = BindRequest {
             port: 25,
-            binary: "/usr/sbin/httpd".into(),
+            binary: Name::intern("/usr/sbin/httpd"),
             tcp: true,
         };
         assert_eq!(

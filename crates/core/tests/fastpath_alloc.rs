@@ -4,10 +4,12 @@
 //! under the full Protego LSM performs **zero** heap allocations.
 //!
 //! The open/read/close legs run through the kernel's caller-buffer
-//! inspection read ([`Kernel::read_file_into`]) and the getuid leg reads
-//! the task's credentials: `dispatch` cannot serve this gate, because its
-//! owned requests (`Open { path: String }`) and responses (`Data(Vec)`)
-//! allocate by design.
+//! inspection read ([`Kernel::read_file_into`]): `dispatch` cannot serve
+//! those, because its owned requests (`Open { path: String }`) and
+//! responses (`Data(Vec)`) allocate by design. The `getuid` and
+//! `socket` + `close` legs carry no owned data, so they run through
+//! `dispatch` itself: taking the caller snapshot, the LSM socket hook and
+//! the socket's owner identity must not allocate either.
 //!
 //! Built only with `--features alloc-count` (see `[[test]]` in
 //! Cargo.toml) so ordinary test runs keep the stock allocator.
@@ -15,7 +17,8 @@
 use protego_core::ProtegoLsm;
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::kernel::Kernel;
-use sim_kernel::net::SimNet;
+use sim_kernel::net::{Domain, SimNet, SockType};
+use sim_kernel::task::Pid;
 use sim_kernel::vfs::Mode;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -69,15 +72,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn fastpath_cycle(k: &Kernel, pid: sim_kernel::task::Pid, buf: &mut Vec<u8>) {
+fn fastpath_cycle(k: &Kernel, pid: Pid, buf: &mut Vec<u8>) {
     buf.clear();
     k.read_file_into(pid, "/etc/hosts", buf)
         .expect("open/read/close");
     std::hint::black_box(k.task(pid).expect("getuid").cred.ruid);
 }
 
-#[test]
-fn steady_state_resolve_open_read_is_allocation_free() {
+/// A Protego kernel with `/etc/hosts` and an unprivileged session.
+fn boot() -> (Kernel, Pid) {
     let k = Kernel::new(SimNet::new());
     k.install_standard_devices().expect("devices");
     k.register_lsm(Box::new(ProtegoLsm::new())).expect("lsm");
@@ -92,25 +95,57 @@ fn steady_state_resolve_open_read_is_allocation_free() {
         )
         .expect("hosts");
     let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/cat");
+    (k, user)
+}
 
-    // Warmup: populate the interner, the dcache entry for the path, the
-    // path-arena pools, the fd slot, and the read buffer's capacity.
-    let mut buf = Vec::with_capacity(4096);
+/// Allocations `cycle` makes over 256 runs, after 64 unmeasured warmup
+/// runs populate the interner, the dcache, the path-arena pools, the fd
+/// and socket slots and any buffer capacity.
+fn steady_state_allocs(mut cycle: impl FnMut()) -> u64 {
     for _ in 0..64 {
-        fastpath_cycle(&k, user, &mut buf);
+        cycle();
     }
-
     ALLOCS.with(|a| a.set(0));
     GATE.with(|g| g.set(true));
     for _ in 0..256 {
-        fastpath_cycle(&k, user, &mut buf);
+        cycle();
     }
     GATE.with(|g| g.set(false));
+    ALLOCS.with(|a| a.get())
+}
 
-    let n = ALLOCS.with(|a| a.get());
+#[test]
+fn steady_state_resolve_open_read_is_allocation_free() {
+    let (k, user) = boot();
+    let mut buf = Vec::with_capacity(4096);
+    let n = steady_state_allocs(|| fastpath_cycle(&k, user, &mut buf));
     assert_eq!(
         n, 0,
         "steady-state open/read/close/getuid cycle allocated {} times (expected 0)",
+        n
+    );
+}
+
+#[test]
+fn dispatched_getuid_is_allocation_free() {
+    let (k, user) = boot();
+    let n = steady_state_allocs(|| {
+        std::hint::black_box(k.process(user).getuid().expect("getuid"));
+    });
+    assert_eq!(n, 0, "dispatched getuid allocated {} times (expected 0)", n);
+}
+
+#[test]
+fn dispatched_socket_close_is_allocation_free() {
+    let (k, user) = boot();
+    let n = steady_state_allocs(|| {
+        let mut p = k.process(user);
+        let fd = p.socket(Domain::Inet, SockType::Stream, 0).expect("socket");
+        p.close(fd).expect("close");
+    });
+    assert_eq!(
+        n, 0,
+        "dispatched socket + close allocated {} times (expected 0)",
         n
     );
 }

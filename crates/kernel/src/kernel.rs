@@ -19,13 +19,13 @@ use crate::error::{Errno, KResult};
 use crate::lsm::{AuthProvider, AuthScope, Decision, SecurityModule};
 use crate::net::{NetStack, Netfilter, RouteTable, SimNet};
 use crate::sync::{lock, read, write, Locked, Sharded};
-use crate::task::{Pid, PipeId, Task, TaskIdentity};
+use crate::task::{Caller, Pid, PipeId, Task};
 use crate::trace::DecisionKind;
 use crate::trace::{AuditEvent, AuditObject, AuditRing, AuditSink, Hook, Metrics, Provenance};
 use crate::vfs::{Ino, InodeData, Mode, ProcHook, Vfs};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// A pipe buffer.
@@ -216,6 +216,30 @@ impl DerefMut for TaskMut<'_> {
     }
 }
 
+/// Per-thread count of task-table acquisitions ([`Kernel::task`] reads
+/// and [`Kernel::task_mut`] writes), for the tests that pin how many a
+/// dispatched call takes.
+#[cfg(test)]
+pub(crate) mod task_lookups {
+    use std::cell::Cell;
+
+    thread_local! {
+        static COUNTS: Cell<(u32, u32)> = const { Cell::new((0, 0)) };
+    }
+
+    pub(crate) fn count(write: bool) {
+        COUNTS.with(|c| {
+            let (r, w) = c.get();
+            c.set(if write { (r, w + 1) } else { (r + 1, w) });
+        });
+    }
+
+    /// The calling thread's `(reads, writes)` since the last `take`.
+    pub(crate) fn take() -> (u32, u32) {
+        COUNTS.with(|c| c.replace((0, 0)))
+    }
+}
+
 /// A shared borrow of the active security module (read guard wrapper).
 pub struct LsmRef<'a>(RwLockReadGuard<'a, Box<dyn SecurityModule>>);
 
@@ -283,6 +307,9 @@ pub struct Kernel {
     media_roots: Mutex<BTreeMap<DevId, Ino>>,
     sinks: Mutex<Vec<Box<dyn AuditSink>>>,
     pub(crate) interceptors: Locked<InterceptorChain>,
+    /// How many interceptors are enabled, published under the chain's
+    /// write lock so a dispatch on an empty chain takes no lock at all.
+    pub(crate) interceptors_enabled: AtomicUsize,
     /// Per-binary syscall-allowlist state (profiles, mode, violations),
     /// shared with any [`crate::seccomp::SeccompInterceptor`] on the
     /// dispatch chain and surfaced under `/proc/seccomp/`.
@@ -402,6 +429,7 @@ impl Kernel {
             media_roots: Mutex::new(BTreeMap::new()),
             sinks: Mutex::new(Vec::new()),
             interceptors: Locked::new(InterceptorChain::default()),
+            interceptors_enabled: AtomicUsize::new(0),
             seccomp: crate::seccomp::Seccomp::new(),
         }
     }
@@ -436,7 +464,17 @@ impl Kernel {
         &self,
         ic: Box<dyn crate::syscall::Interceptor>,
     ) -> InterceptorSlot {
-        self.interceptors.write().register(Arc::from(ic))
+        self.edit_interceptors(|chain| chain.register(Arc::from(ic)))
+    }
+
+    /// Runs `f` over the chain under its write lock, then republishes the
+    /// enabled count before the lock is released.
+    fn edit_interceptors<R>(&self, f: impl FnOnce(&mut InterceptorChain) -> R) -> R {
+        let mut chain = self.interceptors.write();
+        let r = f(&mut chain);
+        self.interceptors_enabled
+            .store(chain.enabled_len(), Ordering::Release);
+        r
     }
 
     /// Registers an interceptor, discarding the slot handle — for chains
@@ -450,13 +488,13 @@ impl Kernel {
     /// (a disabled slot keeps its chain position). Returns `false` if the
     /// slot no longer exists.
     pub fn set_interceptor_enabled(&self, slot: InterceptorSlot, enabled: bool) -> bool {
-        match self.interceptors.write().entry_mut(slot) {
+        self.edit_interceptors(|chain| match chain.entry_mut(slot) {
             Some(e) => {
                 e.enabled = enabled;
                 true
             }
             None => false,
-        }
+        })
     }
 
     /// Replaces the interceptor in `slot`, keeping its chain position and
@@ -479,25 +517,30 @@ impl Kernel {
     /// Unregisters the interceptor in `slot`. Returns `false` if the slot
     /// no longer exists.
     pub fn remove_interceptor(&self, slot: InterceptorSlot) -> bool {
-        let mut guard = self.interceptors.write();
-        let before = guard.entries.len();
-        guard.entries.retain(|e| e.id != slot.0);
-        guard.entries.len() != before
+        self.edit_interceptors(|chain| {
+            let before = chain.entries.len();
+            chain.entries.retain(|e| e.id != slot.0);
+            chain.entries.len() != before
+        })
     }
 
     /// Removes all registered interceptors (every slot handle dies).
     pub fn clear_interceptors(&self) {
-        self.interceptors.write().entries.clear();
+        self.edit_interceptors(|chain| chain.entries.clear());
     }
 
-    /// Snapshots the identity of `pid`'s task — one task-shard read; see
-    /// [`TaskIdentity`]. Returns [`TaskIdentity::unknown`] when the pid
-    /// has no live task.
-    pub fn task_identity(&self, pid: Pid) -> TaskIdentity {
-        match self.task(pid) {
-            Ok(t) => TaskIdentity::of(&t),
-            Err(_) => TaskIdentity::unknown(pid),
-        }
+    /// Snapshots `pid`'s task as a syscall sees it — one task-shard
+    /// read; see [`Caller`]. Returns [`Caller::unknown`] when the pid has
+    /// no live task.
+    pub fn caller(&self, pid: Pid) -> Caller {
+        self.live_caller(pid)
+            .unwrap_or_else(|_| Caller::unknown(pid))
+    }
+
+    /// Like [`Kernel::caller`], but `ESRCH` when the pid has no live
+    /// task: the fresh snapshot a body takes after changing its own task.
+    pub(crate) fn live_caller(&self, pid: Pid) -> KResult<Caller> {
+        Ok(Caller::of(&*self.task(pid)?))
     }
 
     /// Registers the active security module: installs its `/proc/<name>/`
@@ -714,6 +757,8 @@ impl Kernel {
     /// Immutable task lookup. The returned guard holds the pid's shard
     /// read-locked; keep its scope tight (see [`TaskRef`]).
     pub fn task(&self, pid: Pid) -> KResult<TaskRef<'_>> {
+        #[cfg(test)]
+        task_lookups::count(false);
         let guard = read(&self.tasks[tshard(pid.0)]);
         if guard.contains_key(&pid.0) {
             Ok(TaskRef { guard, pid: pid.0 })
@@ -725,6 +770,8 @@ impl Kernel {
     /// Mutable task lookup. The returned guard holds the pid's shard
     /// write-locked; keep its scope tight (see [`TaskMut`]).
     pub fn task_mut(&self, pid: Pid) -> KResult<TaskMut<'_>> {
+        #[cfg(test)]
+        task_lookups::count(true);
         let guard = write(&self.tasks[tshard(pid.0)]);
         if guard.contains_key(&pid.0) {
             Ok(TaskMut { guard, pid: pid.0 })
@@ -762,39 +809,27 @@ impl Kernel {
     // Privilege
     // ------------------------------------------------------------------
 
-    /// The kernel-wide `capable()` check: the credential must hold the
-    /// capability *and* the LSM must not veto it. (LSMs restrict
+    /// The kernel-wide `capable()` check: the caller's credentials must
+    /// hold the capability *and* the LSM must not veto it. (LSMs restrict
     /// capabilities here; they grant access through the object-specific
-    /// hooks instead, which is the paper's design point.)
-    pub fn capable(&self, pid: Pid, cap: Cap) -> bool {
-        // Borrow the task in place: the hook takes references, so the
-        // common grant/fall-through path performs no clones. Both guards
-        // (task shard read, LSM read) drop at the end of the block,
-        // before any event is emitted.
-        let (decision, has, euid) = {
-            let t = match self.task(pid) {
-                Ok(t) => t,
-                Err(_) => return false,
-            };
-            (
-                self.lsm().capable(&t.cred, &t.binary, cap),
-                t.cred.has_cap(cap),
-                t.cred.euid,
-            )
-        };
+    /// hooks instead, which is the paper's design point.) Reads only the
+    /// [`Caller`] snapshot, never the task table.
+    pub fn capable(&self, caller: &Caller, cap: Cap) -> bool {
+        let decision = self
+            .lsm()
+            .capable(&caller.cred, caller.binary.as_str(), cap);
         match decision {
-            Decision::UseDefault => has,
+            Decision::UseDefault => caller.cred.has_cap(cap),
             Decision::Allow => true,
             Decision::Deny(e) => {
-                let binary = self.task(pid).map(|t| t.binary.clone()).unwrap_or_default();
                 let msg = format!(
                     "capable: lsm denied {} for {} ({})",
                     cap.name(),
-                    euid,
-                    binary
+                    caller.cred.euid,
+                    caller.binary
                 );
                 self.emit_lsm_event(
-                    pid,
+                    caller.pid,
                     "capable",
                     Hook::Capable,
                     DecisionKind::Deny,
@@ -1110,8 +1145,8 @@ mod tests {
         let k = Kernel::new(SimNet::new());
         let root = k.spawn_init();
         let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
-        assert!(k.capable(root, Cap::SysAdmin));
-        assert!(!k.capable(user, Cap::SysAdmin));
+        assert!(k.capable(&k.caller(root), Cap::SysAdmin));
+        assert!(!k.capable(&k.caller(user), Cap::SysAdmin));
     }
 
     #[test]
@@ -1227,7 +1262,8 @@ mod tests {
         k.vfs.mkdir_p("/mnt/cdrom").unwrap();
         let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
         assert_eq!(
-            k.sys_mount(user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro"),
+            k.process(user)
+                .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro"),
             Err(Errno::EPERM)
         );
         let ev = k
@@ -1285,6 +1321,101 @@ mod tests {
         }
         assert_eq!(arena.capacity(), 1, "arena footprint stays bounded");
         assert_eq!(arena.live_count(), 0);
+    }
+
+    #[test]
+    fn a_dispatched_call_takes_one_task_read() {
+        use crate::net::{Domain, Ipv4, SockType};
+        use crate::syscall::OpenFlags;
+        let k = Kernel::new(SimNet::new());
+        k.spawn_init();
+        k.vfs
+            .install_file("/etc/motd", b"hello\n", Mode(0o644), Uid::ROOT, Gid::ROOT)
+            .unwrap();
+        let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/sh");
+        let mut p = k.process(user);
+        // (task reads, task writes) one call takes.
+        macro_rules! counted {
+            ($call:expr) => {{
+                task_lookups::take();
+                let r = $call;
+                (r, task_lookups::take())
+            }};
+        }
+        // The first cycle warms the interner and dcache; the second is
+        // measured. Each call reads the task once (the caller snapshot);
+        // a call that uses or installs a descriptor adds one fd-table
+        // access.
+        for warm in [false, true] {
+            let (_, stat) = counted!(p.stat("/etc/motd").unwrap());
+            let (fd, open) = counted!(p.open("/etc/motd", OpenFlags::read_only()).unwrap());
+            let (_, read) = counted!(p.read(fd, 64).unwrap());
+            let (_, lseek) = counted!(p.lseek(fd, 0, crate::syscall::Whence::Set).unwrap());
+            let (_, close) = counted!(p.close(fd).unwrap());
+            let (sock, socket) = counted!(p.socket(Domain::Inet, SockType::Stream, 0).unwrap());
+            let (_, bind) = counted!(p.bind(sock, Ipv4::ANY, 8080).unwrap());
+            let (_, listen) = counted!(p.listen(sock).unwrap());
+            let (_, close_sock) = counted!(p.close(sock).unwrap());
+            let (_, getuid) = counted!(p.getuid().unwrap());
+            if warm {
+                assert_eq!(stat, (1, 0), "stat");
+                assert_eq!(open, (1, 1), "open");
+                assert_eq!(read, (1, 1), "read");
+                assert_eq!(lseek, (1, 1), "lseek");
+                assert_eq!(close, (1, 1), "close");
+                assert_eq!(socket, (1, 1), "socket");
+                assert_eq!(bind, (2, 0), "bind");
+                assert_eq!(listen, (2, 0), "listen");
+                assert_eq!(close_sock, (1, 1), "close(socket)");
+                assert_eq!(getuid, (1, 0), "getuid");
+            }
+        }
+
+        // A whole ApacheBench-style request, the shape of
+        // `userland::workload::web_request`: 13 calls, 13 snapshots.
+        let root = Pid(1);
+        let mut srv = k.process(root);
+        let listen = srv.socket(Domain::Inet, SockType::Stream, 0).unwrap();
+        srv.bind(listen, Ipv4::ANY, 8081).unwrap();
+        srv.listen(listen).unwrap();
+        for warm in [false, true] {
+            let (_, request) = counted!({
+                let mut cli = k.process(user);
+                let mut srv = k.process(root);
+                let fd = cli.socket(Domain::Inet, SockType::Stream, 0).unwrap();
+                cli.connect(fd, Ipv4::LOOPBACK, 8081).unwrap();
+                cli.send(fd, b"GET /").unwrap();
+                let conn = srv.accept(listen).unwrap();
+                srv.recv(conn, 64).unwrap();
+                srv.stat("/etc/motd").unwrap();
+                srv.read_file("/etc/motd").unwrap();
+                srv.send(conn, b"200 OK").unwrap();
+                srv.close(conn).unwrap();
+                cli.recv(fd, 64).unwrap();
+                cli.close(fd).unwrap();
+            });
+            if warm {
+                assert_eq!(request, (19, 7), "web request");
+            }
+        }
+    }
+
+    #[test]
+    fn an_empty_chain_publishes_zero_enabled_interceptors() {
+        let k = Kernel::new(SimNet::new());
+        let enabled = |k: &Kernel| k.interceptors_enabled.load(Ordering::Acquire);
+        assert_eq!(enabled(&k), 0);
+        let a = k.register_interceptor(Box::new(crate::syscall::SyscallMeter));
+        let b = k.register_interceptor(Box::new(crate::syscall::SyscallMeter));
+        assert_eq!(enabled(&k), 2);
+        k.set_interceptor_enabled(a, false);
+        assert_eq!(enabled(&k), 1);
+        k.remove_interceptor(b);
+        assert_eq!(enabled(&k), 0);
+        k.set_interceptor_enabled(a, true);
+        assert_eq!(enabled(&k), 1);
+        k.clear_interceptors();
+        assert_eq!(enabled(&k), 0);
     }
 
     #[test]

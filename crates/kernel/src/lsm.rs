@@ -19,7 +19,8 @@ use crate::cred::{Credentials, Gid, Uid};
 use crate::dev::{ModemOpt, ModemState};
 use crate::error::{Errno, KResult};
 use crate::net::{Domain, Route, RouteTable, Rule, SockType};
-use crate::vfs::{Access, MountOptions};
+use crate::task::Caller;
+use crate::vfs::{Access, MountOptions, Name};
 
 /// Tri-state outcome of a simple hook.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -150,17 +151,17 @@ pub struct UmountRequest {
 pub struct BindRequest {
     /// Requested port.
     pub port: u16,
-    /// Path of the binary performing the bind — Protego's application
-    /// instance identity (binary, uid).
-    pub binary: String,
+    /// Interned path of the binary performing the bind — Protego's
+    /// application instance identity (binary, uid).
+    pub binary: Name,
     /// Whether this is TCP (else UDP).
     pub tcp: bool,
 }
 
 /// Context for the setuid/setgid hooks. Borrows the caller's credentials
-/// and binary path straight from the task table, so building one is free
-/// — the setuid/setgid fast path (every `id`-style re-assert of an
-/// already-held gid) performs no clones.
+/// and binary path from the dispatch's [`Caller`] snapshot, so building
+/// one is free — the setuid/setgid fast path (every `id`-style re-assert
+/// of an already-held gid) performs no clones and takes no lock.
 #[derive(Clone, Copy, Debug)]
 pub struct SetidCtx<'a> {
     /// Calling task's credentials.
@@ -175,7 +176,18 @@ pub struct SetidCtx<'a> {
     pub now: u64,
 }
 
-impl SetidCtx<'_> {
+impl<'a> SetidCtx<'a> {
+    /// The context for `caller` at logical time `now`.
+    pub fn of(caller: &'a Caller, now: u64) -> SetidCtx<'a> {
+        SetidCtx {
+            cred: &caller.cred,
+            binary: caller.binary.as_str(),
+            last_auth: caller.last_auth,
+            last_auth_scope: caller.last_auth_scope,
+            now,
+        }
+    }
+
     /// Whether the task proved `scope` within `window` seconds.
     pub fn authed_for(&self, scope: AuthScope, window: u64) -> bool {
         self.last_auth_scope == Some(scope)
@@ -223,7 +235,7 @@ impl ExecCtx {
 }
 
 /// Context for the file-open hook. Borrows the caller's credentials and
-/// paths straight from the task table (like [`SetidCtx`]), so building
+/// paths from the [`Caller`] snapshot (like [`SetidCtx`]), so building
 /// one on the open fast path clones nothing — `Credentials` owns a
 /// supplementary-groups `Vec`, which made the old owned form allocate on
 /// every open.

@@ -3,6 +3,7 @@
 use super::packet::{Ipv4, Packet};
 use crate::cred::Uid;
 use crate::error::{Errno, KResult};
+use crate::vfs::Name;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A socket identity: index into the socket arena.
@@ -70,9 +71,9 @@ pub struct Socket {
     pub owner_pid: u32,
     /// Uid at creation time (the LSM's subject for per-packet checks).
     pub owner_uid: Uid,
-    /// Path of the binary that created the socket (Protego's bind policy
-    /// keys on (binary, uid) application instances).
-    pub owner_binary: String,
+    /// Interned path of the binary that created the socket (Protego's
+    /// bind policy keys on (binary, uid) application instances).
+    pub owner_binary: Name,
     /// Local address, once bound.
     pub bound: Option<(Ipv4, u16)>,
     /// Remote address, once connected.
@@ -119,7 +120,7 @@ impl NetStack {
         protocol: u8,
         owner_pid: u32,
         owner_uid: Uid,
-        owner_binary: String,
+        owner_binary: Name,
     ) -> SockId {
         // Closed slots are recycled: the simulated kernel's close is
         // global (one close destroys the socket), so an id never outlives
@@ -259,7 +260,14 @@ mod tests {
 
     fn stack_with_socket(stype: SockType) -> (NetStack, SockId) {
         let mut ns = NetStack::new();
-        let id = ns.alloc(Domain::Inet, stype, 0, 1, Uid(1000), "/bin/test".into());
+        let id = ns.alloc(
+            Domain::Inet,
+            stype,
+            0,
+            1,
+            Uid(1000),
+            Name::intern("/bin/test"),
+        );
         (ns, id)
     }
 
@@ -280,7 +288,7 @@ mod tests {
             0,
             2,
             Uid(1001),
-            "/bin/x".into(),
+            Name::intern("/bin/x"),
         );
         ns.bind(a, Ipv4::ANY, 80).unwrap();
         assert_eq!(ns.bind(b, Ipv4::ANY, 80).unwrap_err(), Errno::EADDRINUSE);
@@ -311,7 +319,7 @@ mod tests {
             0,
             2,
             Uid(1001),
-            "/bin/x".into(),
+            Name::intern("/bin/x"),
         );
         ns.bind(a, Ipv4::ANY, 81).unwrap();
         ns.make_pair(a, b).unwrap();

@@ -7,7 +7,7 @@
 //! profiling pass (`tables seccomp-derive`) runs the functional battery
 //! and the web/mail workloads under a [`ProfileRecorder`], attributes
 //! every dispatched call to the calling task's binary (via the
-//! [`TaskIdentity`] snapshot in [`SysCtx`]), and emits one allowlist per
+//! [`Caller`] snapshot in [`SysCtx`]), and emits one allowlist per
 //! binary. At enforcement time each profile is compiled into a flat
 //! `[Action; Syscall::COUNT]` array indexed by [`Syscall::index`], so the
 //! per-call check is an array load — no maps, no string compares.
@@ -42,7 +42,7 @@ use crate::error::Errno;
 use crate::sync::{lock, read, write};
 use crate::syscall::abi::{SysRet, Syscall};
 use crate::syscall::interceptor::{Interceptor, SysCtx, Verdict};
-use crate::task::{Pid, TaskIdentity};
+use crate::task::{Caller, Pid};
 use crate::vfs::Name;
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
@@ -443,7 +443,7 @@ impl Seccomp {
     /// per pid, re-resolved when the binary or table generation changed)
     /// and maps the profile action plus the global mode onto a dispatch
     /// [`Verdict`].
-    pub fn check(&self, task: &TaskIdentity, call: &Syscall, clock: u64) -> Verdict {
+    pub fn check(&self, task: &Caller, call: &Syscall, clock: u64) -> Verdict {
         let mode = self.mode();
         if mode == SeccompMode::Off {
             return Verdict::Continue;
@@ -459,7 +459,7 @@ impl Seccomp {
         self.record_violation(Violation {
             clock,
             pid: task.pid,
-            binary: task.binary,
+            binary: task.binary.name(),
             syscall: call.name(),
             action,
             enforced,
@@ -472,7 +472,7 @@ impl Seccomp {
                 note: format!(
                     "seccomp complain: {} outside profile for {} (would {})",
                     call.name(),
-                    task.binary,
+                    task.binary.name(),
                     action.render()
                 ),
             }
@@ -484,10 +484,10 @@ impl Seccomp {
     /// and a shift on the packed allow mask, no locks. Misses fall back
     /// to the shared per-pid cache and the profile table, then refill the
     /// memo.
-    fn action_for(&self, task: &TaskIdentity, idx: usize) -> Option<Action> {
+    fn action_for(&self, task: &Caller, idx: usize) -> Option<Action> {
         let generation = self.inner.generation.load(Ordering::Relaxed);
         if let Some(m) = SEL_MEMO.with(Cell::get) {
-            if m.generation == generation && m.binary == task.binary && m.uniform {
+            if m.generation == generation && m.binary == task.binary.name() && m.uniform {
                 if !m.confined {
                     return None;
                 }
@@ -505,11 +505,11 @@ impl Seccomp {
     /// or its image / the table changed since. One read lock + hash probe
     /// on the shared per-pid cache when that is warm; a table lookup and
     /// cache fill otherwise.
-    fn action_for_slow(&self, task: &TaskIdentity, idx: usize, generation: u64) -> Option<Action> {
+    fn action_for_slow(&self, task: &Caller, idx: usize, generation: u64) -> Option<Action> {
         let cached = {
             let sel = read(&self.inner.pid_sel);
             sel.get(&task.pid.0)
-                .filter(|s| s.generation == generation && s.binary == task.binary)
+                .filter(|s| s.generation == generation && s.binary == task.binary.name())
                 .map(|s| s.profile)
         };
         let profile_idx = match cached {
@@ -519,12 +519,12 @@ impl Seccomp {
                 // binary against the table and refill the shared cache.
                 let p = {
                     let t = read(&self.inner.table);
-                    t.by_binary.get(&task.binary).map(|&i| i as u32)
+                    t.by_binary.get(&task.binary.name()).map(|&i| i as u32)
                 };
                 write(&self.inner.pid_sel).insert(
                     task.pid.0,
                     PidSel {
-                        binary: task.binary,
+                        binary: task.binary.name(),
                         generation,
                         profile: p,
                     },
@@ -539,7 +539,7 @@ impl Seccomp {
         SEL_MEMO.with(|c| {
             c.set(Some(SelMemo::new(
                 generation,
-                task.binary,
+                task.binary.name(),
                 profile.as_deref(),
             )))
         });
@@ -704,7 +704,7 @@ fn parse_profile_line(line: &str) -> Result<ProfileSpec, String> {
 }
 
 /// The enforcement interceptor: delegates every `before` hook to
-/// [`Seccomp::check`] against the [`TaskIdentity`] snapshot in the
+/// [`Seccomp::check`] against the [`Caller`] snapshot in the
 /// dispatch context.
 ///
 /// Ordering: register it *before* any [`FaultInjector`](crate::syscall::FaultInjector)
@@ -730,12 +730,12 @@ impl Interceptor for SeccompInterceptor {
     }
 
     fn before(&self, _pid: Pid, call: &Syscall, ctx: &mut SysCtx<'_>) -> Verdict {
-        self.state.check(&ctx.task, call, ctx.clock)
+        self.state.check(ctx.task, call, ctx.clock)
     }
 }
 
 /// The derivation recorder: accumulates the set of `(binary, syscall)`
-/// pairs actually dispatched, keyed by the [`TaskIdentity`] snapshot —
+/// pairs actually dispatched, keyed by the [`Caller`] snapshot —
 /// the raw material `tables seccomp-derive` turns into [`ProfileSpec`]s.
 /// Cloning shares the underlying set (the [`FaultInjector`](crate::syscall::FaultInjector)`::stats`
 /// pattern), so a clone can be registered while the original keeps read
@@ -805,14 +805,15 @@ impl Interceptor for ProfileRecorder {
 mod tests {
     use super::*;
 
-    fn ident(pid: u32, binary: &str) -> TaskIdentity {
-        TaskIdentity {
-            pid: Pid(pid),
-            uid: crate::cred::Uid(1000),
-            euid: crate::cred::Uid(1000),
-            binary: Name::intern(binary),
-            alive: true,
-        }
+    fn ident(pid: u32, binary: &str) -> Caller {
+        let task = crate::task::Task::new(
+            Pid(pid),
+            Pid(1),
+            crate::cred::Credentials::user(crate::cred::Uid(1000), crate::cred::Gid(1000)),
+            crate::vfs::Ino(0),
+            binary,
+        );
+        Caller::of(&task)
     }
 
     #[test]

@@ -28,10 +28,11 @@ use crate::kernel::Kernel;
 use crate::net::{Domain, Ipv4, Packet, SockType};
 use crate::syscall::interceptor::{SysCtx, Verdict};
 use crate::syscall::{Interceptor, IoctlCmd, IoctlOut, NetfilterOp, OpenFlags, RouteOp, Stat};
-use crate::task::{NsKind, Pid};
+use crate::task::{Caller, NsKind, Pid};
 use crate::trace;
 use crate::trace::{table_key, AuditObject, DecisionKind, Hook, Provenance};
 use crate::vfs::Mode;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 table_key! {
@@ -901,13 +902,14 @@ impl Kernel {
         // hooks run without holding any kernel lock (an interceptor may
         // itself consult kernel state) and concurrent dispatches do not
         // serialize on the chain. Only enabled slots are snapshotted, in
-        // registration order. Short chains (the overwhelmingly common
+        // registration order; an empty chain (the published count is 0)
+        // takes no lock at all. Short chains (the overwhelmingly common
         // case) snapshot into a stack array so dispatch entry touches no
         // heap; longer chains spill to a clone.
         const IC_INLINE: usize = 4;
         let mut inline: [Option<Arc<dyn Interceptor>>; IC_INLINE] = [None, None, None, None];
         let mut spill: Vec<Arc<dyn Interceptor>> = Vec::new();
-        {
+        if self.interceptors_enabled.load(Ordering::Acquire) != 0 {
             let guard = self.interceptors.read();
             if guard.enabled_len() <= IC_INLINE {
                 for (slot, ic) in inline.iter_mut().zip(guard.enabled()) {
@@ -923,9 +925,9 @@ impl Kernel {
                 .filter_map(|s| s.as_deref())
                 .chain(spill.iter().map(|a| &**a))
         };
-        // One identity snapshot per dispatch — a single task-shard read —
-        // shared (it is `Copy`) by every hook of this dispatch.
-        let task = self.task_identity(pid);
+        // One caller snapshot per dispatch — a single task-shard read —
+        // shared by every hook and by the body of this dispatch.
+        let caller = self.caller(pid);
         let entry_clock = self.clock();
         let mut injected = None;
         // Complain-mode notes filed by hooks via `Verdict::Note`; empty on
@@ -938,7 +940,7 @@ impl Kernel {
                     clock: self.clock(),
                     entry_clock,
                     metrics: &self.metrics,
-                    task,
+                    task: &caller,
                 };
                 match ic.before(pid, &call, &mut ctx) {
                     Verdict::Continue => {}
@@ -991,7 +993,7 @@ impl Kernel {
                 // Bracket the entry point in an arena scope so any pooled
                 // path buffers borrowed below are trimmed back to bounds
                 // when the dispatch exits (§14 reset discipline).
-                crate::vfs::PathArena::scope(|_| self.dispatch_inner(pid, &call))
+                crate::vfs::PathArena::scope(|_| self.dispatch_inner(&caller, &call))
             }
         };
         {
@@ -1001,7 +1003,7 @@ impl Kernel {
                     clock: self.clock(),
                     entry_clock,
                     metrics: &self.metrics,
-                    task,
+                    task: &caller,
                 };
                 ic.after(pid, &call, &ret, &mut ctx);
             }
@@ -1010,101 +1012,98 @@ impl Kernel {
     }
 
     /// The total request→entry-point mapping behind [`Kernel::dispatch`].
-    fn dispatch_inner(&self, pid: Pid, call: &Syscall) -> SysRet {
+    fn dispatch_inner(&self, c: &Caller, call: &Syscall) -> SysRet {
+        // A pid with no live task fails every call up front, before any
+        // body can act for it.
+        if !c.alive {
+            return SysRet::Err(Errno::ESRCH);
+        }
         match call {
-            Syscall::Open { path, flags } => wrap(self.sys_open(pid, path, *flags), SysRet::Fd),
-            Syscall::Close { fd } => wrap(self.sys_close(pid, *fd), |()| SysRet::Unit),
+            Syscall::Open { path, flags } => wrap(self.sys_open(c, path, *flags), SysRet::Fd),
+            Syscall::Close { fd } => wrap(self.sys_close(c, *fd), |()| SysRet::Unit),
             Syscall::Read { fd, count } => {
                 let mut buf = Vec::new();
-                wrap(self.sys_read(pid, *fd, &mut buf, *count), |_| {
+                wrap(self.sys_read(c, *fd, &mut buf, *count), |_| {
                     SysRet::Data(buf)
                 })
             }
-            Syscall::Write { fd, data } => wrap(self.sys_write(pid, *fd, data), SysRet::Size),
+            Syscall::Write { fd, data } => wrap(self.sys_write(c, *fd, data), SysRet::Size),
             Syscall::Lseek { fd, offset, whence } => {
-                wrap(self.sys_lseek(pid, *fd, *offset, *whence), SysRet::Size)
+                wrap(self.sys_lseek(c, *fd, *offset, *whence), SysRet::Size)
             }
-            Syscall::Stat { path } => wrap(self.sys_stat(pid, path), SysRet::Stat),
-            Syscall::Lstat { path } => wrap(self.sys_lstat(pid, path), SysRet::Stat),
+            Syscall::Stat { path } => wrap(self.sys_stat(c, path), SysRet::Stat),
+            Syscall::Lstat { path } => wrap(self.sys_lstat(c, path), SysRet::Stat),
             Syscall::Chmod { path, mode } => {
-                wrap(self.sys_chmod(pid, path, *mode), |()| SysRet::Unit)
+                wrap(self.sys_chmod(c, path, *mode), |()| SysRet::Unit)
             }
             Syscall::Chown { path, uid, gid } => {
-                wrap(self.sys_chown(pid, path, *uid, *gid), |()| SysRet::Unit)
+                wrap(self.sys_chown(c, path, *uid, *gid), |()| SysRet::Unit)
             }
             Syscall::Mkdir { path, mode } => {
-                wrap(self.sys_mkdir(pid, path, *mode), |()| SysRet::Unit)
+                wrap(self.sys_mkdir(c, path, *mode), |()| SysRet::Unit)
             }
-            Syscall::Unlink { path } => wrap(self.sys_unlink(pid, path), |()| SysRet::Unit),
-            Syscall::Rmdir { path } => wrap(self.sys_rmdir(pid, path), |()| SysRet::Unit),
-            Syscall::Rename { from, to } => wrap(self.sys_rename(pid, from, to), |()| SysRet::Unit),
+            Syscall::Unlink { path } => wrap(self.sys_unlink(c, path), |()| SysRet::Unit),
+            Syscall::Rmdir { path } => wrap(self.sys_rmdir(c, path), |()| SysRet::Unit),
+            Syscall::Rename { from, to } => wrap(self.sys_rename(c, from, to), |()| SysRet::Unit),
             Syscall::Symlink { target, linkpath } => {
-                wrap(self.sys_symlink(pid, target, linkpath), |()| SysRet::Unit)
+                wrap(self.sys_symlink(c, target, linkpath), |()| SysRet::Unit)
             }
-            Syscall::Chdir { path } => wrap(self.sys_chdir(pid, path), |()| SysRet::Unit),
-            Syscall::Readdir { path } => wrap(self.sys_readdir(pid, path), SysRet::Names),
-            Syscall::Pipe => wrap(self.sys_pipe(pid), |(r, w)| SysRet::FdPair(r, w)),
-            Syscall::Setuid { uid } => wrap(self.sys_setuid(pid, *uid), |()| SysRet::Unit),
-            Syscall::Seteuid { uid } => wrap(self.sys_seteuid(pid, *uid), |()| SysRet::Unit),
-            Syscall::Setgid { gid } => wrap(self.sys_setgid(pid, *gid), |()| SysRet::Unit),
-            Syscall::Setgroups { groups } => {
-                wrap(self.sys_setgroups(pid, groups), |()| SysRet::Unit)
-            }
-            Syscall::Getuid => wrap(self.sys_getuid(pid), SysRet::Uid),
-            Syscall::Geteuid => wrap(self.sys_geteuid(pid), SysRet::Uid),
-            Syscall::Getgid => wrap(self.sys_getgid(pid), SysRet::Gid),
-            Syscall::Ioctl { fd, cmd } => {
-                wrap(self.sys_ioctl(pid, *fd, cmd.clone()), SysRet::Ioctl)
-            }
+            Syscall::Chdir { path } => wrap(self.sys_chdir(c, path), |()| SysRet::Unit),
+            Syscall::Readdir { path } => wrap(self.sys_readdir(c, path), SysRet::Names),
+            Syscall::Pipe => wrap(self.sys_pipe(c), |(r, w)| SysRet::FdPair(r, w)),
+            Syscall::Setuid { uid } => wrap(self.sys_setuid(c, *uid), |()| SysRet::Unit),
+            Syscall::Seteuid { uid } => wrap(self.sys_seteuid(c, *uid), |()| SysRet::Unit),
+            Syscall::Setgid { gid } => wrap(self.sys_setgid(c, *gid), |()| SysRet::Unit),
+            Syscall::Setgroups { groups } => wrap(self.sys_setgroups(c, groups), |()| SysRet::Unit),
+            Syscall::Getuid => wrap(self.sys_getuid(c), SysRet::Uid),
+            Syscall::Geteuid => wrap(self.sys_geteuid(c), SysRet::Uid),
+            Syscall::Getgid => wrap(self.sys_getgid(c), SysRet::Gid),
+            Syscall::Ioctl { fd, cmd } => wrap(self.sys_ioctl(c, *fd, cmd.clone()), SysRet::Ioctl),
             Syscall::Mount {
                 source,
                 target,
                 fstype,
                 options,
-            } => wrap(self.sys_mount(pid, source, target, fstype, options), |()| {
+            } => wrap(self.sys_mount(c, source, target, fstype, options), |()| {
                 SysRet::Unit
             }),
-            Syscall::Umount { target } => wrap(self.sys_umount(pid, target), |()| SysRet::Unit),
+            Syscall::Umount { target } => wrap(self.sys_umount(c, target), |()| SysRet::Unit),
             Syscall::Socket {
                 domain,
                 stype,
                 protocol,
-            } => wrap(self.sys_socket(pid, *domain, *stype, *protocol), SysRet::Fd),
+            } => wrap(self.sys_socket(c, *domain, *stype, *protocol), SysRet::Fd),
             Syscall::Bind { fd, addr, port } => {
-                wrap(self.sys_bind(pid, *fd, *addr, *port), |()| SysRet::Unit)
+                wrap(self.sys_bind(c, *fd, *addr, *port), |()| SysRet::Unit)
             }
-            Syscall::Listen { fd } => wrap(self.sys_listen(pid, *fd), |()| SysRet::Unit),
+            Syscall::Listen { fd } => wrap(self.sys_listen(c, *fd), |()| SysRet::Unit),
             Syscall::Connect { fd, addr, port } => {
-                wrap(self.sys_connect(pid, *fd, *addr, *port), |()| SysRet::Unit)
+                wrap(self.sys_connect(c, *fd, *addr, *port), |()| SysRet::Unit)
             }
-            Syscall::Accept { fd } => wrap(self.sys_accept(pid, *fd), SysRet::Fd),
-            Syscall::Send { fd, data } => wrap(self.sys_send(pid, *fd, data), SysRet::Size),
-            Syscall::Recv { fd, max } => wrap(self.sys_recv(pid, *fd, *max), SysRet::Data),
-            Syscall::RecvPacket { fd } => wrap(self.sys_recv_packet(pid, *fd), SysRet::Packet),
+            Syscall::Accept { fd } => wrap(self.sys_accept(c, *fd), SysRet::Fd),
+            Syscall::Send { fd, data } => wrap(self.sys_send(c, *fd, data), SysRet::Size),
+            Syscall::Recv { fd, max } => wrap(self.sys_recv(c, *fd, *max), SysRet::Data),
+            Syscall::RecvPacket { fd } => wrap(self.sys_recv_packet(c, *fd), SysRet::Packet),
             Syscall::Sendto {
                 fd,
                 addr,
                 port,
                 data,
-            } => wrap(self.sys_sendto(pid, *fd, *addr, *port, data), SysRet::Size),
+            } => wrap(self.sys_sendto(c, *fd, *addr, *port, data), SysRet::Size),
             Syscall::SendPacket { fd, pkt } => {
-                wrap(self.sys_send_packet(pid, *fd, pkt.clone()), |()| {
-                    SysRet::Unit
-                })
+                wrap(self.sys_send_packet(c, *fd, pkt.clone()), |()| SysRet::Unit)
             }
-            Syscall::Socketpair => wrap(self.sys_socketpair(pid), |(a, b)| SysRet::FdPair(a, b)),
-            Syscall::Netfilter { op } => {
-                wrap(self.sys_netfilter(pid, op.clone()), |()| SysRet::Unit)
-            }
-            Syscall::NetfilterList => wrap(self.sys_netfilter_list(pid), SysRet::Rules),
+            Syscall::Socketpair => wrap(self.sys_socketpair(c), |(a, b)| SysRet::FdPair(a, b)),
+            Syscall::Netfilter { op } => wrap(self.sys_netfilter(c, op.clone()), |()| SysRet::Unit),
+            Syscall::NetfilterList => wrap(self.sys_netfilter_list(c), SysRet::Rules),
             Syscall::IoctlRoute { op } => {
-                wrap(self.sys_ioctl_route(pid, op.clone()), |()| SysRet::Unit)
+                wrap(self.sys_ioctl_route(c, op.clone()), |()| SysRet::Unit)
             }
-            Syscall::Fork => wrap(self.sys_fork(pid), SysRet::Pid),
-            Syscall::Execve { path } => wrap(self.sys_execve(pid, path), SysRet::Path),
-            Syscall::Unshare { kind } => wrap(self.sys_unshare(pid, *kind), |()| SysRet::Unit),
-            Syscall::Exit { status } => wrap(self.sys_exit(pid, *status), |()| SysRet::Unit),
-            Syscall::Wait { child } => wrap(self.sys_wait(pid, *child), SysRet::Status),
+            Syscall::Fork => wrap(self.sys_fork(c), SysRet::Pid),
+            Syscall::Execve { path } => wrap(self.sys_execve(c, path), SysRet::Path),
+            Syscall::Unshare { kind } => wrap(self.sys_unshare(c, *kind), |()| SysRet::Unit),
+            Syscall::Exit { status } => wrap(self.sys_exit(c, *status), |()| SysRet::Unit),
+            Syscall::Wait { child } => wrap(self.sys_wait(c, *child), SysRet::Status),
         }
     }
 }

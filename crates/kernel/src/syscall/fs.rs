@@ -7,7 +7,7 @@ use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{FileDecision, FileOpenCtx};
 use crate::syscall::abi::Whence;
-use crate::task::{Fd, FdObject, Pid};
+use crate::task::{Caller, Fd, FdObject, Pid};
 use crate::trace::{AuditObject, DecisionKind, Hook};
 use crate::vfs::{Access, Ino, InodeData, Mode, Name, PathArena, ProcHook, Resolved};
 
@@ -123,33 +123,18 @@ impl Kernel {
     // Permission helpers
     // ------------------------------------------------------------------
 
-    /// Checks a DAC access on an inode, honouring the DAC-override
-    /// capabilities through the (LSM-aware) `capable` path.
+    /// Checks a DAC access on an inode for the caller, honouring the
+    /// DAC-override capabilities through the (LSM-aware) `capable` path.
     ///
-    /// Called once per traversed directory on every walk, so the
-    /// credential snapshot stays on the stack: the scalars are copied
-    /// out and supplementary groups land in an inline array (tasks with
-    /// more than [`GROUPS_INLINE`] groups spill, which is cold).
-    pub(crate) fn check_access(&self, pid: Pid, ino: Ino, want: Access) -> KResult<()> {
-        /// Supplementary groups kept on the stack per check.
-        const GROUPS_INLINE: usize = 8;
-        let mut inline = [Gid(0); GROUPS_INLINE];
-        let (fsuid, egid, ngroups, spill) = {
-            let t = self.task(pid)?;
-            let c = &t.cred;
-            let n = c.groups.len().min(GROUPS_INLINE);
-            inline[..n].copy_from_slice(&c.groups[..n]);
-            let spill: Vec<Gid> = if c.groups.len() > GROUPS_INLINE {
-                c.groups[GROUPS_INLINE..].to_vec()
-            } else {
-                Vec::new()
-            };
-            (c.fsuid, c.egid, n, spill)
-        };
+    /// Called once per traversed directory on every walk, so it reads
+    /// the caller's credentials from the dispatch snapshot and takes no
+    /// task-table lock.
+    pub(crate) fn check_access(&self, c: &Caller, ino: Ino, want: Access) -> KResult<()> {
+        let cred = &*c.cred;
         let allowed = crate::vfs::Vfs::dac_allows(
             &self.vfs.inode(ino),
-            fsuid,
-            |g| egid == g || inline[..ngroups].contains(&g) || spill.contains(&g),
+            cred.fsuid,
+            |g| cred.in_group(g),
             want,
         );
         if allowed {
@@ -158,7 +143,7 @@ impl Kernel {
         // CAP_DAC_READ_SEARCH covers read and directory search.
         let read_or_search =
             !want.wants_write() && (!want.wants_exec() || self.vfs.inode(ino).data.is_dir());
-        if read_or_search && self.capable(pid, Cap::DacReadSearch) {
+        if read_or_search && self.capable(c, Cap::DacReadSearch) {
             return Ok(());
         }
         // CAP_DAC_OVERRIDE covers everything except exec of a file with no
@@ -169,29 +154,27 @@ impl Kernel {
             let inode = self.vfs.inode(ino);
             want.wants_exec() && !inode.data.is_dir() && inode.mode.bits() & 0o111 == 0
         };
-        if !exec_plain_file && self.capable(pid, Cap::DacOverride) {
+        if !exec_plain_file && self.capable(c, Cap::DacOverride) {
             return Ok(());
         }
         Err(Errno::EACCES)
     }
 
-    /// Resolves a path for task `pid`, checking search permission on every
-    /// traversed directory.
-    pub(crate) fn walk(&self, pid: Pid, path: &str) -> KResult<Resolved> {
-        let cwd = self.task(pid)?.cwd;
-        let r = self.vfs.resolve(cwd, path)?;
+    /// Resolves a path from the caller's working directory, checking
+    /// search permission on every traversed directory.
+    pub(crate) fn walk(&self, c: &Caller, path: &str) -> KResult<Resolved> {
+        let r = self.vfs.resolve(c.cwd, path)?;
         for dir in r.dirs.iter() {
-            self.check_access(pid, dir, Access::EXEC)?;
+            self.check_access(c, dir, Access::EXEC)?;
         }
         Ok(r)
     }
 
     /// Like [`Kernel::walk`] but stops at a trailing symlink.
-    pub(crate) fn walk_nofollow(&self, pid: Pid, path: &str) -> KResult<Resolved> {
-        let cwd = self.task(pid)?.cwd;
-        let r = self.vfs.resolve_nofollow(cwd, path)?;
+    pub(crate) fn walk_nofollow(&self, c: &Caller, path: &str) -> KResult<Resolved> {
+        let r = self.vfs.resolve_nofollow(c.cwd, path)?;
         for dir in r.dirs.iter() {
-            self.check_access(pid, dir, Access::EXEC)?;
+            self.check_access(c, dir, Access::EXEC)?;
         }
         Ok(r)
     }
@@ -206,12 +189,11 @@ impl Kernel {
     /// access DAC would grant (AppArmor confinement), grant one DAC would
     /// refuse (Protego's binary-identity rules for ssh-keysign), demand
     /// re-authentication (Protego's shadow files), or force close-on-exec.
-    pub(crate) fn sys_open(&self, pid: Pid, path: &str, flags: OpenFlags) -> KResult<i32> {
+    pub(crate) fn sys_open(&self, c: &Caller, path: &str, flags: OpenFlags) -> KResult<i32> {
         let want = flags.access();
-        let cwd = self.task(pid)?.cwd;
 
         // Creation path.
-        let resolved = match self.walk(pid, path) {
+        let resolved = match self.walk(c, path) {
             Ok(r) => {
                 if flags.create && flags.excl {
                     return Err(Errno::EEXIST);
@@ -225,15 +207,19 @@ impl Kernel {
         let ino = match resolved {
             Some(r) => r.ino,
             None => {
-                let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
+                let (parent, name) = self.vfs.resolve_parent(c.cwd, path)?;
                 for d in parent.dirs.iter() {
-                    self.check_access(pid, d, Access::EXEC)?;
+                    self.check_access(c, d, Access::EXEC)?;
                 }
-                self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
-                let cred = self.task(pid)?.cred.clone();
-                let ino = self
-                    .vfs
-                    .create_file(parent.ino, &name, flags.mode, cred.fsuid, cred.egid, true)?;
+                self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
+                let ino = self.vfs.create_file(
+                    parent.ino,
+                    &name,
+                    flags.mode,
+                    c.cred.fsuid,
+                    c.cred.egid,
+                    true,
+                )?;
                 self.vfs.touch(ino);
                 ino
             }
@@ -244,40 +230,35 @@ impl Kernel {
         }
 
         // DAC on the final object.
-        let dac = self.check_access(pid, ino, want);
+        let dac = self.check_access(c, ino, want);
         let dac_ok = dac.is_ok();
 
         // LSM file-open hook, with one authentication retry. The
         // absolute path is reconstructed into the per-thread arena and
-        // the hook context borrows it together with the task's
+        // the hook context borrows it together with the caller's
         // credentials, so the steady-state approve path (UseDefault with
         // DAC ok) allocates nothing.
         let file_owner = self.vfs.inode(ino).uid;
         let mut force_cloexec = false;
+        // After a successful authentication the task's recency changed:
+        // the retry sees a fresh snapshot, not the one taken at entry.
+        let mut refreshed: Option<Caller> = None;
         let abs_name = PathArena::scope(|arena| -> KResult<Name> {
             let abs = self.vfs.path_of_in(arena, ino);
             let mut attempts = 0;
             loop {
-                // Scoped: the task guard must drop before the arms below
-                // emit events or re-run authentication (both re-enter
-                // the task table). The hook itself runs with the guard
-                // held — modules only read the borrowed context (same
-                // discipline as the setuid/setgid hooks).
-                let decision = {
-                    let t = self.task(pid)?;
-                    let ctx = FileOpenCtx {
-                        cred: &t.cred,
-                        path: &abs,
-                        binary: &t.binary,
-                        access: want,
-                        dac_allows: dac_ok,
-                        file_owner,
-                        last_auth: t.last_auth,
-                        last_auth_scope: t.last_auth_scope,
-                        now: self.clock(),
-                    };
-                    self.lsm().file_open(&ctx)
-                };
+                let now = refreshed.as_ref().unwrap_or(c);
+                let decision = self.lsm().file_open(&FileOpenCtx {
+                    cred: &now.cred,
+                    path: &abs,
+                    binary: now.binary.as_str(),
+                    access: want,
+                    dac_allows: dac_ok,
+                    file_owner,
+                    last_auth: now.last_auth,
+                    last_auth_scope: now.last_auth_scope,
+                    now: self.clock(),
+                });
                 match decision {
                     FileDecision::UseDefault => {
                         dac?;
@@ -286,7 +267,7 @@ impl Kernel {
                     FileDecision::Allow => {
                         let msg = format!("open: lsm granted {}", abs);
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "open",
                             Hook::FileOpen,
                             DecisionKind::Allow,
@@ -300,7 +281,7 @@ impl Kernel {
                         force_cloexec = true;
                         let msg = format!("open: lsm granted {} (cloexec forced)", abs);
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "open",
                             Hook::FileOpen,
                             DecisionKind::Allow,
@@ -313,7 +294,7 @@ impl Kernel {
                     FileDecision::Deny(e) => {
                         let msg = format!("open: lsm denied {} ({})", abs, e.name());
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "open",
                             Hook::FileOpen,
                             DecisionKind::Deny,
@@ -325,10 +306,10 @@ impl Kernel {
                     }
                     FileDecision::NeedAuth(scope) => {
                         attempts += 1;
-                        if attempts > 1 || !self.run_auth(pid, scope) {
+                        if attempts > 1 || !self.run_auth(c.pid, scope) {
                             let msg = format!("open: auth failed for {}", abs);
                             self.emit_lsm_event(
-                                pid,
+                                c.pid,
                                 "open",
                                 Hook::FileOpen,
                                 DecisionKind::Deny,
@@ -338,6 +319,7 @@ impl Kernel {
                             );
                             return Err(Errno::EACCES);
                         }
+                        refreshed = Some(self.live_caller(c.pid)?);
                     }
                 }
             }
@@ -362,40 +344,42 @@ impl Kernel {
             cloexec: flags.cloexec || force_cloexec,
         };
         self.vfs.inc_open(ino);
-        self.task_mut(pid)?.fd_install(fd)
+        self.task_mut(c.pid)?.fd_install(fd)
     }
 
     /// `lseek(2)` — repositions the file offset relative to `whence`.
     pub(crate) fn sys_lseek(
         &self,
-        pid: Pid,
+        c: &Caller,
         fd: i32,
         offset: i64,
         whence: Whence,
     ) -> KResult<usize> {
-        let (ino, cur) = match &self.task(pid)?.fd(fd)?.object {
-            FdObject::File { ino, offset, .. } => (*ino, *offset),
-            _ => return Err(Errno::EINVAL),
+        // One fd-table access: the size read for `End` nests an inode
+        // guard (a VFS leaf) under the task guard.
+        let mut t = self.task_mut(c.pid)?;
+        let FdObject::File {
+            ino, offset: cur, ..
+        } = &mut t.fd_mut(fd)?.object
+        else {
+            return Err(Errno::EINVAL);
         };
         let base = match whence {
             Whence::Set => 0,
-            Whence::Cur => cur as i64,
-            Whence::End => self.vfs.inode(ino).size() as i64,
+            Whence::Cur => *cur as i64,
+            Whence::End => self.vfs.inode(*ino).size() as i64,
         };
         let new = base.checked_add(offset).ok_or(Errno::EINVAL)?;
         if new < 0 {
             return Err(Errno::EINVAL);
         }
-        match &mut self.task_mut(pid)?.fd_mut(fd)?.object {
-            FdObject::File { offset, .. } => *offset = new as usize,
-            _ => return Err(Errno::EINVAL),
-        }
+        *cur = new as usize;
         Ok(new as usize)
     }
 
     /// `close(2)`.
-    pub(crate) fn sys_close(&self, pid: Pid, fd: i32) -> KResult<()> {
-        let taken = self.task_mut(pid)?.fd_take(fd)?;
+    pub(crate) fn sys_close(&self, c: &Caller, fd: i32) -> KResult<()> {
+        let taken = self.task_mut(c.pid)?.fd_take(fd)?;
         self.release_fd_object(taken.object);
         Ok(())
     }
@@ -425,48 +409,51 @@ impl Kernel {
     /// `read(2)`.
     pub(crate) fn sys_read(
         &self,
-        pid: Pid,
+        c: &Caller,
         fd: i32,
         buf: &mut Vec<u8>,
         count: usize,
     ) -> KResult<usize> {
-        let fdo = self.task(pid)?.fd(fd)?.clone();
-        match fdo.object {
-            FdObject::File {
+        // Regular files take one fd-table access: the content is copied
+        // straight out of the inode guard (a VFS leaf, nested under the
+        // task guard) and the offset advances in place. Everything else
+        // leaves the guard with a copy of the descriptor.
+        let object = {
+            let mut t = self.task_mut(c.pid)?;
+            let object = &mut t.fd_mut(fd)?.object;
+            if let FdObject::File {
                 ino,
                 offset,
                 readable,
                 ..
-            } => {
-                if !readable {
+            } = object
+            {
+                if !*readable {
                     return Err(Errno::EBADF);
                 }
-                // Regular files copy straight out of the inode guard —
-                // no intermediate content clone. Dynamic nodes (and the
-                // EISDIR/EINVAL cases) fall through to `render_node`.
-                let fast = {
-                    let inode = self.vfs.inode(ino);
-                    match &inode.data {
-                        InodeData::Regular(d) => {
-                            let end = (offset + count).min(d.len());
-                            let slice = &d[offset.min(d.len())..end];
-                            buf.extend_from_slice(slice);
-                            Some(slice.len())
-                        }
-                        _ => None,
-                    }
-                };
-                let n = match fast {
-                    Some(n) => n,
-                    None => {
-                        let content = self.render_node(pid, ino)?;
-                        let end = (offset + count).min(content.len());
-                        let slice = &content[offset.min(content.len())..end];
-                        buf.extend_from_slice(slice);
-                        slice.len()
-                    }
-                };
-                if let FdObject::File { offset, .. } = &mut self.task_mut(pid)?.fd_mut(fd)?.object {
+                let inode = self.vfs.inode(*ino);
+                if let InodeData::Regular(d) = &inode.data {
+                    let end = (*offset + count).min(d.len());
+                    let slice = &d[(*offset).min(d.len())..end];
+                    buf.extend_from_slice(slice);
+                    *offset += slice.len();
+                    return Ok(slice.len());
+                }
+            }
+            object.clone()
+        };
+        match object {
+            FdObject::File { ino, offset, .. } => {
+                // Dynamic nodes (and the EISDIR/EINVAL cases) render
+                // without any task or inode guard held: several
+                // renderers re-enter kernel locks.
+                let content = self.render_node(ino)?;
+                let end = (offset + count).min(content.len());
+                let slice = &content[offset.min(content.len())..end];
+                buf.extend_from_slice(slice);
+                let n = slice.len();
+                if let FdObject::File { offset, .. } = &mut self.task_mut(c.pid)?.fd_mut(fd)?.object
+                {
                     *offset += n;
                 }
                 Ok(n)
@@ -490,7 +477,7 @@ impl Kernel {
 
     /// Materializes the byte content of an inode for reading, dispatching
     /// dynamic `/proc` and `/sys` nodes.
-    fn render_node(&self, _pid: Pid, ino: Ino) -> KResult<Vec<u8>> {
+    fn render_node(&self, ino: Ino) -> KResult<Vec<u8>> {
         // Copy the hook out before rendering: several hook renderers
         // re-enter VFS or LSM locks, which must not happen under this
         // inode's shard guard.
@@ -520,8 +507,8 @@ impl Kernel {
     }
 
     /// `write(2)`.
-    pub(crate) fn sys_write(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
-        let fdo = self.task(pid)?.fd(fd)?.clone();
+    pub(crate) fn sys_write(&self, c: &Caller, fd: i32, data: &[u8]) -> KResult<usize> {
+        let fdo = self.task(c.pid)?.fd(fd)?.clone();
         match fdo.object {
             FdObject::File {
                 ino,
@@ -542,7 +529,7 @@ impl Kernel {
                     }
                 };
                 if let Some(h) = hook {
-                    return self.write_hook_node(pid, h, data);
+                    return self.write_hook_node(c, h, data);
                 }
                 if append {
                     self.vfs.append(ino, data)?;
@@ -555,7 +542,7 @@ impl Kernel {
                     content[offset..offset + data.len()].copy_from_slice(data);
                     self.vfs.write_all(ino, &content)?;
                     if let FdObject::File { offset, .. } =
-                        &mut self.task_mut(pid)?.fd_mut(fd)?.object
+                        &mut self.task_mut(c.pid)?.fd_mut(fd)?.object
                     {
                         *offset += data.len();
                     }
@@ -577,14 +564,14 @@ impl Kernel {
     /// Handles a write to a dynamic node. LSM configuration files accept
     /// writes only from root — the trusted daemon/administrator path of
     /// Figure 1.
-    fn write_hook_node(&self, pid: Pid, hook: ProcHook, data: &[u8]) -> KResult<usize> {
+    fn write_hook_node(&self, c: &Caller, hook: ProcHook, data: &[u8]) -> KResult<usize> {
         match hook {
             ProcHook::LsmConfig(name) => {
-                let cred = self.task(pid)?.cred.clone();
+                let cred = &c.cred;
                 if !cred.euid.is_root() {
                     let msg = format!("lsm-config: non-root write to '{}' refused", name);
                     self.emit_kernel_event(
-                        pid,
+                        c.pid,
                         "write",
                         Hook::LsmConfig,
                         DecisionKind::Deny,
@@ -598,7 +585,7 @@ impl Kernel {
                 self.lsm_mut().config_write(name, &content)?;
                 let msg = format!("lsm-config: '{}' updated", name);
                 self.emit_kernel_event(
-                    pid,
+                    c.pid,
                     "write",
                     Hook::LsmConfig,
                     DecisionKind::Info,
@@ -609,7 +596,7 @@ impl Kernel {
                 Ok(data.len())
             }
             ProcHook::SeccompProfiles | ProcHook::SeccompStatus | ProcHook::SeccompViolations => {
-                self.write_seccomp_node(pid, hook, data)
+                self.write_seccomp_node(c, hook, data)
             }
             _ => Err(Errno::EACCES),
         }
@@ -619,16 +606,16 @@ impl Kernel {
     /// root-owned (non-root opens already fail `EACCES` at DAC); this
     /// re-checks euid like the LSM config path so an fd leaked across a
     /// credential drop still refuses, with an audited `EPERM`.
-    fn write_seccomp_node(&self, pid: Pid, hook: ProcHook, data: &[u8]) -> KResult<usize> {
+    fn write_seccomp_node(&self, c: &Caller, hook: ProcHook, data: &[u8]) -> KResult<usize> {
         let node = match hook {
             ProcHook::SeccompProfiles => "seccomp/profiles",
             ProcHook::SeccompStatus => "seccomp/status",
             _ => "seccomp/violations",
         };
-        if !self.task(pid)?.cred.euid.is_root() {
+        if !c.cred.euid.is_root() {
             let msg = format!("seccomp: non-root write to '{}' refused", node);
             self.emit_kernel_event(
-                pid,
+                c.pid,
                 "write",
                 Hook::LsmConfig,
                 DecisionKind::Deny,
@@ -663,7 +650,7 @@ impl Kernel {
             }
         };
         self.emit_kernel_event(
-            pid,
+            c.pid,
             "write",
             Hook::LsmConfig,
             DecisionKind::Info,
@@ -687,15 +674,16 @@ impl Kernel {
     /// closes — on every path, errors included.
     pub fn read_file_into(&self, pid: Pid, path: &str, buf: &mut Vec<u8>) -> KResult<()> {
         const CHUNK: usize = 65536;
-        let fd = self.sys_open(pid, path, OpenFlags::read_only())?;
+        let c = &self.live_caller(pid)?;
+        let fd = self.sys_open(c, path, OpenFlags::read_only())?;
         let read = loop {
-            match self.sys_read(pid, fd, buf, CHUNK) {
+            match self.sys_read(c, fd, buf, CHUNK) {
                 Ok(CHUNK) => continue,
                 Ok(_) => break Ok(()),
                 Err(e) => break Err(e),
             }
         };
-        let closed = self.sys_close(pid, fd);
+        let closed = self.sys_close(c, fd);
         read.and(closed)
     }
 
@@ -711,8 +699,8 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     /// `stat(2)`.
-    pub(crate) fn sys_stat(&self, pid: Pid, path: &str) -> KResult<Stat> {
-        let r = self.walk(pid, path)?;
+    pub(crate) fn sys_stat(&self, c: &Caller, path: &str) -> KResult<Stat> {
+        let r = self.walk(c, path)?;
         let i = self.vfs.inode(r.ino);
         Ok(Stat {
             ino: i.ino,
@@ -726,8 +714,8 @@ impl Kernel {
     }
 
     /// `lstat(2)` — like stat but does not follow a trailing symlink.
-    pub(crate) fn sys_lstat(&self, pid: Pid, path: &str) -> KResult<Stat> {
-        let r = self.walk_nofollow(pid, path)?;
+    pub(crate) fn sys_lstat(&self, c: &Caller, path: &str) -> KResult<Stat> {
+        let r = self.walk_nofollow(c, path)?;
         let i = self.vfs.inode(r.ino);
         Ok(Stat {
             ino: i.ino,
@@ -741,11 +729,11 @@ impl Kernel {
     }
 
     /// `chmod(2)` — owner or CAP_FOWNER.
-    pub(crate) fn sys_chmod(&self, pid: Pid, path: &str, mode: Mode) -> KResult<()> {
-        let r = self.walk(pid, path)?;
-        let cred = self.task(pid)?.cred.clone();
+    pub(crate) fn sys_chmod(&self, c: &Caller, path: &str, mode: Mode) -> KResult<()> {
+        let r = self.walk(c, path)?;
+        let cred = &c.cred;
         let owner = self.vfs.inode(r.ino).uid;
-        if cred.fsuid != owner && !self.capable(pid, Cap::Fowner) {
+        if cred.fsuid != owner && !self.capable(c, Cap::Fowner) {
             return Err(Errno::EPERM);
         }
         // Setting setuid/setgid as non-root is allowed on own files (as on
@@ -762,28 +750,28 @@ impl Kernel {
     /// group requires ownership and membership, or CAP_CHOWN.
     pub(crate) fn sys_chown(
         &self,
-        pid: Pid,
+        c: &Caller,
         path: &str,
         uid: Option<Uid>,
         gid: Option<Gid>,
     ) -> KResult<()> {
-        let r = self.walk(pid, path)?;
-        let cred = self.task(pid)?.cred.clone();
+        let r = self.walk(c, path)?;
+        let cred = &c.cred;
         let inode_uid = self.vfs.inode(r.ino).uid;
         if let Some(new_uid) = uid {
-            if new_uid != inode_uid && !self.capable(pid, Cap::Chown) {
+            if new_uid != inode_uid && !self.capable(c, Cap::Chown) {
                 return Err(Errno::EPERM);
             }
         }
         if let Some(new_gid) = gid {
             let owns = cred.fsuid == inode_uid;
             let group_change_ok = owns && cred.in_group(new_gid);
-            if !group_change_ok && !self.capable(pid, Cap::Chown) {
+            if !group_change_ok && !self.capable(c, Cap::Chown) {
                 return Err(Errno::EPERM);
             }
         }
         // As on Linux, chown by an unprivileged principal clears setuid.
-        let clearing = !self.capable(pid, Cap::Fsetid);
+        let clearing = !self.capable(c, Cap::Fsetid);
         {
             // Scoped: the guard must drop before `touch` relocks the shard.
             let mut inode = self.vfs.inode_mut(r.ino);
@@ -803,84 +791,79 @@ impl Kernel {
     }
 
     /// `mkdir(2)`.
-    pub(crate) fn sys_mkdir(&self, pid: Pid, path: &str, mode: Mode) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
+    pub(crate) fn sys_mkdir(&self, c: &Caller, path: &str, mode: Mode) -> KResult<()> {
+        let (parent, name) = self.vfs.resolve_parent(c.cwd, path)?;
         for d in parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
+            self.check_access(c, d, Access::EXEC)?;
         }
-        self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
-        let cred = self.task(pid)?.cred.clone();
+        self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
+        let cred = &c.cred;
         self.vfs
             .mkdir(parent.ino, &name, mode, cred.fsuid, cred.egid)?;
         Ok(())
     }
 
     /// `unlink(2)`.
-    pub(crate) fn sys_unlink(&self, pid: Pid, path: &str) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
+    pub(crate) fn sys_unlink(&self, c: &Caller, path: &str) -> KResult<()> {
+        let (parent, name) = self.vfs.resolve_parent(c.cwd, path)?;
         for d in parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
+            self.check_access(c, d, Access::EXEC)?;
         }
-        self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
+        self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
         self.vfs.unlink(parent.ino, &name)
     }
 
     /// `rmdir(2)`.
-    pub(crate) fn sys_rmdir(&self, pid: Pid, path: &str) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (parent, name) = self.vfs.resolve_parent(cwd, path)?;
+    pub(crate) fn sys_rmdir(&self, c: &Caller, path: &str) -> KResult<()> {
+        let (parent, name) = self.vfs.resolve_parent(c.cwd, path)?;
         for d in parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
+            self.check_access(c, d, Access::EXEC)?;
         }
-        self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
+        self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
         self.vfs.rmdir(parent.ino, &name)
     }
 
     /// `rename(2)` — both parents need write+search permission.
-    pub(crate) fn sys_rename(&self, pid: Pid, from: &str, to: &str) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (from_parent, from_name) = self.vfs.resolve_parent(cwd, from)?;
+    pub(crate) fn sys_rename(&self, c: &Caller, from: &str, to: &str) -> KResult<()> {
+        let (from_parent, from_name) = self.vfs.resolve_parent(c.cwd, from)?;
         for d in from_parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
+            self.check_access(c, d, Access::EXEC)?;
         }
-        self.check_access(pid, from_parent.ino, Access::WRITE.and(Access::EXEC))?;
-        let (to_parent, to_name) = self.vfs.resolve_parent(cwd, to)?;
+        self.check_access(c, from_parent.ino, Access::WRITE.and(Access::EXEC))?;
+        let (to_parent, to_name) = self.vfs.resolve_parent(c.cwd, to)?;
         for d in to_parent.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
+            self.check_access(c, d, Access::EXEC)?;
         }
-        self.check_access(pid, to_parent.ino, Access::WRITE.and(Access::EXEC))?;
+        self.check_access(c, to_parent.ino, Access::WRITE.and(Access::EXEC))?;
         self.vfs
             .rename(from_parent.ino, &from_name, to_parent.ino, &to_name)
     }
 
     /// `symlink(2)`.
-    pub(crate) fn sys_symlink(&self, pid: Pid, target: &str, linkpath: &str) -> KResult<()> {
-        let cwd = self.task(pid)?.cwd;
-        let (parent, name) = self.vfs.resolve_parent(cwd, linkpath)?;
-        self.check_access(pid, parent.ino, Access::WRITE.and(Access::EXEC))?;
-        let cred = self.task(pid)?.cred.clone();
+    pub(crate) fn sys_symlink(&self, c: &Caller, target: &str, linkpath: &str) -> KResult<()> {
+        let (parent, name) = self.vfs.resolve_parent(c.cwd, linkpath)?;
+        self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
+        let cred = &c.cred;
         self.vfs
             .symlink(parent.ino, &name, target, cred.fsuid, cred.egid)?;
         Ok(())
     }
 
     /// `chdir(2)`.
-    pub(crate) fn sys_chdir(&self, pid: Pid, path: &str) -> KResult<()> {
-        let r = self.walk(pid, path)?;
+    pub(crate) fn sys_chdir(&self, c: &Caller, path: &str) -> KResult<()> {
+        let r = self.walk(c, path)?;
         if !self.vfs.inode(r.ino).data.is_dir() {
             return Err(Errno::ENOTDIR);
         }
-        self.check_access(pid, r.ino, Access::EXEC)?;
-        self.task_mut(pid)?.cwd = r.ino;
+        self.check_access(c, r.ino, Access::EXEC)?;
+        self.task_mut(c.pid)?.cwd = r.ino;
         Ok(())
     }
 
     /// Lists a directory's entry names.
-    pub(crate) fn sys_readdir(&self, pid: Pid, path: &str) -> KResult<Vec<String>> {
-        let r = self.walk(pid, path)?;
-        self.check_access(pid, r.ino, Access::READ)?;
+    pub(crate) fn sys_readdir(&self, c: &Caller, path: &str) -> KResult<Vec<String>> {
+        let r = self.walk(c, path)?;
+        self.check_access(c, r.ino, Access::READ)?;
         let inode = self.vfs.inode(r.ino);
         let entries = inode.dir_entries().ok_or(Errno::ENOTDIR)?;
         let mut names: Vec<String> = entries.keys().map(|n| n.as_str().to_string()).collect();
@@ -889,9 +872,9 @@ impl Kernel {
     }
 
     /// `pipe(2)` — returns (read fd, write fd).
-    pub(crate) fn sys_pipe(&self, pid: Pid) -> KResult<(i32, i32)> {
+    pub(crate) fn sys_pipe(&self, c: &Caller) -> KResult<(i32, i32)> {
         let id = self.pipes.alloc();
-        let mut t = self.task_mut(pid)?;
+        let mut t = self.task_mut(c.pid)?;
         let r = t.fd_install(Fd {
             object: FdObject::PipeRead(id),
             cloexec: false,
@@ -961,7 +944,10 @@ mod tests {
         // descriptor, so the next open got fd 1 instead of 0.
         let (k, _, u) = boot();
         assert_eq!(k.read_to_string(u, "/tmp").unwrap_err(), Errno::EISDIR);
-        assert_eq!(k.sys_open(u, "/etc/motd", OpenFlags::read_only()), Ok(0));
+        assert_eq!(
+            k.process(u).open("/etc/motd", OpenFlags::read_only()),
+            Ok(0)
+        );
     }
 
     #[test]
@@ -986,7 +972,7 @@ mod tests {
             .write_file("/tmp/a.txt", b"data", Mode(0o600))
             .unwrap();
         assert_eq!(k.process(u).read_file("/tmp/a.txt").unwrap(), b"data");
-        let st = k.sys_stat(u, "/tmp/a.txt").unwrap();
+        let st = k.process(u).stat("/tmp/a.txt").unwrap();
         assert_eq!(st.uid, Uid(1000));
         assert_eq!(st.mode, Mode(0o600));
         assert_eq!(st.size, 4);
@@ -1007,9 +993,9 @@ mod tests {
         let (k, _, u) = boot();
         let mut f = OpenFlags::create_trunc(Mode(0o600));
         f.excl = true;
-        let fd = k.sys_open(u, "/tmp/x", f).unwrap();
-        k.sys_close(u, fd).unwrap();
-        assert_eq!(k.sys_open(u, "/tmp/x", f).unwrap_err(), Errno::EEXIST);
+        let fd = k.process(u).open("/tmp/x", f).unwrap();
+        k.process(u).close(fd).unwrap();
+        assert_eq!(k.process(u).open("/tmp/x", f).unwrap_err(), Errno::EEXIST);
     }
 
     #[test]
@@ -1018,9 +1004,11 @@ mod tests {
         k.process(u)
             .write_file("/tmp/y", b"secret", Mode(0o600))
             .unwrap();
-        let fd = k.sys_open(u, "/tmp/y", OpenFlags::write_only()).unwrap();
-        let mut buf = Vec::new();
-        assert_eq!(k.sys_read(u, fd, &mut buf, 10).unwrap_err(), Errno::EBADF);
+        let fd = k
+            .process(u)
+            .open("/tmp/y", OpenFlags::write_only())
+            .unwrap();
+        assert_eq!(k.process(u).read(fd, 10).unwrap_err(), Errno::EBADF);
     }
 
     #[test]
@@ -1029,21 +1017,24 @@ mod tests {
         k.process(u)
             .write_file("/tmp/own", b"", Mode(0o644))
             .unwrap();
-        k.sys_chmod(u, "/tmp/own", Mode(0o600)).unwrap();
+        k.process(u).chmod("/tmp/own", Mode(0o600)).unwrap();
         // Non-owner cannot chmod.
         assert_eq!(
-            k.sys_chmod(u, "/etc/motd", Mode(0o777)).unwrap_err(),
+            k.process(u).chmod("/etc/motd", Mode(0o777)).unwrap_err(),
             Errno::EPERM
         );
         // User cannot give a file away.
         assert_eq!(
-            k.sys_chown(u, "/tmp/own", Some(Uid::ROOT), None)
+            k.process(u)
+                .chown("/tmp/own", Some(Uid::ROOT), None)
                 .unwrap_err(),
             Errno::EPERM
         );
         // Root can.
-        k.sys_chown(r, "/tmp/own", Some(Uid(1001)), None).unwrap();
-        assert_eq!(k.sys_stat(r, "/tmp/own").unwrap().uid, Uid(1001));
+        k.process(r)
+            .chown("/tmp/own", Some(Uid(1001)), None)
+            .unwrap();
+        assert_eq!(k.process(r).stat("/tmp/own").unwrap().uid, Uid(1001));
     }
 
     #[test]
@@ -1052,23 +1043,25 @@ mod tests {
         k.process(r)
             .write_file("/tmp/suid", b"", Mode(0o4755))
             .unwrap();
-        k.sys_chmod(r, "/tmp/suid", Mode(0o4755)).unwrap();
+        k.process(r).chmod("/tmp/suid", Mode(0o4755)).unwrap();
         // Root holds CAP_FSETID so the bit survives root's chown...
-        k.sys_chown(r, "/tmp/suid", Some(Uid(1000)), None).unwrap();
-        assert!(k.sys_stat(r, "/tmp/suid").unwrap().mode.is_setuid());
+        k.process(r)
+            .chown("/tmp/suid", Some(Uid(1000)), None)
+            .unwrap();
+        assert!(k.process(r).stat("/tmp/suid").unwrap().mode.is_setuid());
     }
 
     #[test]
     fn mkdir_unlink_rmdir() {
         let (k, _, u) = boot();
-        k.sys_mkdir(u, "/tmp/d", Mode(0o755)).unwrap();
+        k.process(u).mkdir("/tmp/d", Mode(0o755)).unwrap();
         k.process(u)
             .write_file("/tmp/d/f", b"x", Mode(0o644))
             .unwrap();
-        assert_eq!(k.sys_rmdir(u, "/tmp/d").unwrap_err(), Errno::ENOTEMPTY);
-        k.sys_unlink(u, "/tmp/d/f").unwrap();
-        k.sys_rmdir(u, "/tmp/d").unwrap();
-        assert_eq!(k.sys_stat(u, "/tmp/d").unwrap_err(), Errno::ENOENT);
+        assert_eq!(k.process(u).rmdir("/tmp/d").unwrap_err(), Errno::ENOTEMPTY);
+        k.process(u).unlink("/tmp/d/f").unwrap();
+        k.process(u).rmdir("/tmp/d").unwrap();
+        assert_eq!(k.process(u).stat("/tmp/d").unwrap_err(), Errno::ENOENT);
     }
 
     #[test]
@@ -1090,12 +1083,12 @@ mod tests {
     #[test]
     fn chdir_and_relative_paths() {
         let (k, _, u) = boot();
-        k.sys_chdir(u, "/tmp").unwrap();
+        k.process(u).chdir("/tmp").unwrap();
         k.process(u)
             .write_file("rel.txt", b"r", Mode(0o644))
             .unwrap();
         assert_eq!(k.process(u).read_file("/tmp/rel.txt").unwrap(), b"r");
-        assert_eq!(k.sys_chdir(u, "/etc/motd").unwrap_err(), Errno::ENOTDIR);
+        assert_eq!(k.process(u).chdir("/etc/motd").unwrap_err(), Errno::ENOTDIR);
     }
 
     #[test]
@@ -1103,30 +1096,28 @@ mod tests {
         let (k, _, u) = boot();
         k.process(u).write_file("/tmp/a", b"", Mode(0o644)).unwrap();
         k.process(u).write_file("/tmp/b", b"", Mode(0o644)).unwrap();
-        let names = k.sys_readdir(u, "/tmp").unwrap();
+        let names = k.process(u).readdir("/tmp").unwrap();
         assert_eq!(names, vec!["a".to_string(), "b".to_string()]);
     }
 
     #[test]
     fn pipe_roundtrip() {
         let (k, _, u) = boot();
-        let (r, w) = k.sys_pipe(u).unwrap();
-        k.sys_write(u, w, b"through the pipe").unwrap();
-        let mut buf = Vec::new();
-        let n = k.sys_read(u, r, &mut buf, 1024).unwrap();
-        assert_eq!(&buf[..n], b"through the pipe");
+        let (r, w) = k.process(u).pipe().unwrap();
+        k.process(u).write(w, b"through the pipe").unwrap();
+        assert_eq!(k.process(u).read(r, 1024).unwrap(), b"through the pipe");
         // Empty with live writer -> EAGAIN; after close -> EOF.
-        assert_eq!(k.sys_read(u, r, &mut buf, 1).unwrap_err(), Errno::EAGAIN);
-        k.sys_close(u, w).unwrap();
-        assert_eq!(k.sys_read(u, r, &mut buf, 1).unwrap(), 0);
+        assert_eq!(k.process(u).read(r, 1).unwrap_err(), Errno::EAGAIN);
+        k.process(u).close(w).unwrap();
+        assert!(k.process(u).read(r, 1).unwrap().is_empty());
     }
 
     #[test]
     fn write_to_closed_pipe_is_epipe() {
         let (k, _, u) = boot();
-        let (r, w) = k.sys_pipe(u).unwrap();
-        k.sys_close(u, r).unwrap();
-        assert_eq!(k.sys_write(u, w, b"x").unwrap_err(), Errno::EPIPE);
+        let (r, w) = k.process(u).pipe().unwrap();
+        k.process(u).close(r).unwrap();
+        assert_eq!(k.process(u).write(w, b"x").unwrap_err(), Errno::EPIPE);
     }
 
     #[test]
@@ -1141,7 +1132,10 @@ mod tests {
     fn dev_null_swallows_writes() {
         let (k, _, u) = boot();
         k.install_standard_devices().unwrap();
-        let fd = k.sys_open(u, "/dev/null", OpenFlags::write_only()).unwrap();
-        assert_eq!(k.sys_write(u, fd, b"gone").unwrap(), 4);
+        let fd = k
+            .process(u)
+            .open("/dev/null", OpenFlags::write_only())
+            .unwrap();
+        assert_eq!(k.process(u).write(fd, b"gone").unwrap(), 4);
     }
 }

@@ -12,34 +12,31 @@ use crate::cred::{Gid, Uid};
 use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{SetidCtx, SetuidDecision};
-use crate::task::Pid;
+use crate::task::Caller;
 use crate::trace::{AuditObject, DecisionKind, Hook};
+use std::sync::Arc;
 
 impl Kernel {
     /// `setuid(2)`.
-    pub(crate) fn sys_setuid(&self, pid: Pid, target: Uid) -> KResult<()> {
+    pub(crate) fn sys_setuid(&self, c: &Caller, target: Uid) -> KResult<()> {
         let mut attempts = 0;
+        // After a successful authentication the retry sees a fresh
+        // snapshot, not the one taken at entry.
+        let mut refreshed: Option<Caller> = None;
         loop {
-            // The hook context borrows the task's credentials and binary
-            // in place — no clones on the id fast path. Only the scalar
-            // ruid survives the block for the audit messages.
-            let (decision, ruid) = {
-                let t = self.task(pid)?;
-                let ctx = SetidCtx {
-                    cred: &t.cred,
-                    binary: &t.binary,
-                    last_auth: t.last_auth,
-                    last_auth_scope: t.last_auth_scope,
-                    now: self.clock(),
-                };
-                (self.lsm().task_setuid(&ctx, target), t.cred.ruid)
-            };
+            // The hook context borrows the caller's credentials and binary
+            // — no clones on the id fast path.
+            let now = refreshed.as_ref().unwrap_or(c);
+            let ruid = now.cred.ruid;
+            let decision = self
+                .lsm()
+                .task_setuid(&SetidCtx::of(now, self.clock()), target);
             match decision {
-                SetuidDecision::UseDefault => return self.setuid_stock(pid, target),
+                SetuidDecision::UseDefault => return self.setuid_stock(now, target),
                 SetuidDecision::Allow => {
                     let msg = format!("setuid: lsm granted {} -> {}", ruid, target);
                     self.emit_lsm_event(
-                        pid,
+                        c.pid,
                         "setuid",
                         Hook::TaskSetuid,
                         DecisionKind::Allow,
@@ -47,14 +44,15 @@ impl Kernel {
                         AuditObject::UidTarget(target.0),
                         msg,
                     );
-                    let mut t = self.task_mut(pid)?;
-                    t.cred.ruid = target;
-                    t.cred.euid = target;
-                    t.cred.suid = target;
-                    t.cred.fsuid = target;
+                    let mut t = self.task_mut(c.pid)?;
+                    let cred = Arc::make_mut(&mut t.cred);
+                    cred.ruid = target;
+                    cred.euid = target;
+                    cred.suid = target;
+                    cred.fsuid = target;
                     // Privilege is granted only *after* all checks pass
                     // (the paper's point about sudo-to-root).
-                    t.cred.caps = if target.is_root() {
+                    cred.caps = if target.is_root() {
                         CapSet::full()
                     } else {
                         CapSet::EMPTY
@@ -64,7 +62,7 @@ impl Kernel {
                 SetuidDecision::Deny(e) => {
                     let msg = format!("setuid: lsm denied {} -> {} ({})", ruid, target, e.name());
                     self.emit_lsm_event(
-                        pid,
+                        c.pid,
                         "setuid",
                         Hook::TaskSetuid,
                         DecisionKind::Deny,
@@ -80,7 +78,7 @@ impl Kernel {
                         ruid, target, p.allowed_binaries
                     );
                     self.emit_lsm_event(
-                        pid,
+                        c.pid,
                         "setuid",
                         Hook::TaskSetuid,
                         DecisionKind::Defer,
@@ -88,17 +86,17 @@ impl Kernel {
                         AuditObject::UidTarget(target.0),
                         msg,
                     );
-                    self.task_mut(pid)?.pending_setuid = Some(p);
+                    self.task_mut(c.pid)?.pending_setuid = Some(p);
                     // The call *reports* success; the credential change is
                     // deferred to exec (§4.3's change in error behaviour).
                     return Ok(());
                 }
                 SetuidDecision::NeedAuth(scope) => {
                     attempts += 1;
-                    if attempts > 1 || !self.run_auth(pid, scope) {
+                    if attempts > 1 || !self.run_auth(c.pid, scope) {
                         let msg = format!("setuid: auth failed for {} -> {}", ruid, target);
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "setuid",
                             Hook::TaskSetuid,
                             DecisionKind::Deny,
@@ -108,46 +106,35 @@ impl Kernel {
                         );
                         return Err(Errno::EPERM);
                     }
+                    refreshed = Some(self.live_caller(c.pid)?);
                 }
             }
         }
     }
 
     /// Stock `setuid(2)` semantics.
-    fn setuid_stock(&self, pid: Pid, target: Uid) -> KResult<()> {
-        if self.capable(pid, Cap::Setuid) {
-            let mut t = self.task_mut(pid)?;
-            t.cred.ruid = target;
-            t.cred.euid = target;
-            t.cred.suid = target;
-            t.cred.fsuid = target;
+    fn setuid_stock(&self, c: &Caller, target: Uid) -> KResult<()> {
+        if self.capable(c, Cap::Setuid) {
+            let mut t = self.task_mut(c.pid)?;
+            let cred = Arc::make_mut(&mut t.cred);
+            cred.ruid = target;
+            cred.euid = target;
+            cred.suid = target;
+            cred.fsuid = target;
             if !target.is_root() {
                 // Dropping root drops the capability set.
-                t.cred.caps = CapSet::EMPTY;
+                cred.caps = CapSet::EMPTY;
             }
             return Ok(());
         }
-        // The write guard is scoped so it is gone before the audit
-        // emission (which re-reads the same task shard).
-        let (allowed, ruid) = {
-            let mut t = self.task_mut(pid)?;
-            if target == t.cred.ruid || target == t.cred.suid {
-                t.cred.euid = target;
-                t.cred.fsuid = target;
-                (true, t.cred.ruid)
-            } else {
-                (false, t.cred.ruid)
-            }
-        };
-        if allowed {
-            Ok(())
-        } else {
+        let cred = &c.cred;
+        if target != cred.ruid && target != cred.suid {
             let msg = format!(
                 "setuid: stock denied {} -> {} (no CAP_SETUID)",
-                ruid, target
+                cred.ruid, target
             );
             self.emit_kernel_event(
-                pid,
+                c.pid,
                 "setuid",
                 Hook::TaskSetuid,
                 DecisionKind::Deny,
@@ -155,53 +142,53 @@ impl Kernel {
                 AuditObject::UidTarget(target.0),
                 msg,
             );
-            Err(Errno::EPERM)
+            return Err(Errno::EPERM);
         }
+        // A re-assert of the identity already held commits nothing.
+        if cred.euid != target || cred.fsuid != target {
+            let mut t = self.task_mut(c.pid)?;
+            let cred = Arc::make_mut(&mut t.cred);
+            cred.euid = target;
+            cred.fsuid = target;
+        }
+        Ok(())
     }
 
     /// `seteuid(2)` — stock semantics only (no LSM hook needed: it cannot
     /// reach an identity the task does not already hold without
     /// CAP_SETUID).
-    pub(crate) fn sys_seteuid(&self, pid: Pid, target: Uid) -> KResult<()> {
-        if self.capable(pid, Cap::Setuid) {
-            let mut t = self.task_mut(pid)?;
-            t.cred.euid = target;
-            t.cred.fsuid = target;
-            return Ok(());
+    pub(crate) fn sys_seteuid(&self, c: &Caller, target: Uid) -> KResult<()> {
+        let cred = &c.cred;
+        let held = target == cred.ruid || target == cred.suid || target == cred.euid;
+        if !self.capable(c, Cap::Setuid) && !held {
+            return Err(Errno::EPERM);
         }
-        let mut t = self.task_mut(pid)?;
-        if target == t.cred.ruid || target == t.cred.suid || target == t.cred.euid {
-            t.cred.euid = target;
-            t.cred.fsuid = target;
-            Ok(())
-        } else {
-            Err(Errno::EPERM)
+        if cred.euid != target || cred.fsuid != target {
+            let mut t = self.task_mut(c.pid)?;
+            let cred = Arc::make_mut(&mut t.cred);
+            cred.euid = target;
+            cred.fsuid = target;
         }
+        Ok(())
     }
 
     /// `setgid(2)`.
-    pub(crate) fn sys_setgid(&self, pid: Pid, target: Gid) -> KResult<()> {
+    pub(crate) fn sys_setgid(&self, c: &Caller, target: Gid) -> KResult<()> {
         let mut attempts = 0;
+        let mut refreshed: Option<Caller> = None;
         loop {
-            // Clone-free hook context, as in sys_setuid; the scalar rgid
-            // survives for the audit messages.
-            let (decision, rgid) = {
-                let t = self.task(pid)?;
-                let ctx = SetidCtx {
-                    cred: &t.cred,
-                    binary: &t.binary,
-                    last_auth: t.last_auth,
-                    last_auth_scope: t.last_auth_scope,
-                    now: self.clock(),
-                };
-                (self.lsm().task_setgid(&ctx, target), t.cred.rgid)
-            };
+            // Clone-free hook context, as in sys_setuid.
+            let now = refreshed.as_ref().unwrap_or(c);
+            let rgid = now.cred.rgid;
+            let decision = self
+                .lsm()
+                .task_setgid(&SetidCtx::of(now, self.clock()), target);
             match decision {
-                SetuidDecision::UseDefault => return self.setgid_stock(pid, target),
+                SetuidDecision::UseDefault => return self.setgid_stock(now, target),
                 SetuidDecision::Allow => {
                     let msg = format!("setgid: lsm granted {} -> {}", rgid.0, target.0);
                     self.emit_lsm_event(
-                        pid,
+                        c.pid,
                         "setgid",
                         Hook::TaskSetgid,
                         DecisionKind::Allow,
@@ -209,12 +196,13 @@ impl Kernel {
                         AuditObject::GidTarget(target.0),
                         msg,
                     );
-                    let mut t = self.task_mut(pid)?;
-                    t.cred.rgid = target;
-                    t.cred.egid = target;
-                    t.cred.sgid = target;
-                    if !t.cred.groups.contains(&target) {
-                        t.cred.groups.push(target);
+                    let mut t = self.task_mut(c.pid)?;
+                    let cred = Arc::make_mut(&mut t.cred);
+                    cred.rgid = target;
+                    cred.egid = target;
+                    cred.sgid = target;
+                    if !cred.groups.contains(&target) {
+                        cred.groups.push(target);
                     }
                     return Ok(());
                 }
@@ -226,7 +214,7 @@ impl Kernel {
                         e.name()
                     );
                     self.emit_lsm_event(
-                        pid,
+                        c.pid,
                         "setgid",
                         Hook::TaskSetgid,
                         DecisionKind::Deny,
@@ -239,10 +227,10 @@ impl Kernel {
                 SetuidDecision::Pending(_) => return Err(Errno::EINVAL),
                 SetuidDecision::NeedAuth(scope) => {
                     attempts += 1;
-                    if attempts > 1 || !self.run_auth(pid, scope) {
+                    if attempts > 1 || !self.run_auth(c.pid, scope) {
                         let msg = format!("setgid: auth failed for {} -> {}", rgid.0, target.0);
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "setgid",
                             Hook::TaskSetgid,
                             DecisionKind::Deny,
@@ -252,39 +240,30 @@ impl Kernel {
                         );
                         return Err(Errno::EPERM);
                     }
+                    refreshed = Some(self.live_caller(c.pid)?);
                 }
             }
         }
     }
 
     /// Stock `setgid(2)` semantics.
-    fn setgid_stock(&self, pid: Pid, target: Gid) -> KResult<()> {
-        if self.capable(pid, Cap::Setgid) {
-            let mut t = self.task_mut(pid)?;
-            t.cred.rgid = target;
-            t.cred.egid = target;
-            t.cred.sgid = target;
+    fn setgid_stock(&self, c: &Caller, target: Gid) -> KResult<()> {
+        if self.capable(c, Cap::Setgid) {
+            let mut t = self.task_mut(c.pid)?;
+            let cred = Arc::make_mut(&mut t.cred);
+            cred.rgid = target;
+            cred.egid = target;
+            cred.sgid = target;
             return Ok(());
         }
-        // Scoped as in setuid_stock: guard released before any emission.
-        let (allowed, rgid) = {
-            let mut t = self.task_mut(pid)?;
-            if target == t.cred.rgid || target == t.cred.sgid {
-                t.cred.egid = target;
-                (true, t.cred.rgid)
-            } else {
-                (false, t.cred.rgid)
-            }
-        };
-        if allowed {
-            Ok(())
-        } else {
+        let cred = &c.cred;
+        if target != cred.rgid && target != cred.sgid {
             let msg = format!(
                 "setgid: stock denied {} -> {} (no CAP_SETGID)",
-                rgid.0, target.0
+                cred.rgid.0, target.0
             );
             self.emit_kernel_event(
-                pid,
+                c.pid,
                 "setgid",
                 Hook::TaskSetgid,
                 DecisionKind::Deny,
@@ -292,32 +271,36 @@ impl Kernel {
                 AuditObject::GidTarget(target.0),
                 msg,
             );
-            Err(Errno::EPERM)
+            return Err(Errno::EPERM);
         }
+        if cred.egid != target {
+            Arc::make_mut(&mut self.task_mut(c.pid)?.cred).egid = target;
+        }
+        Ok(())
     }
 
     /// `setgroups(2)` — requires CAP_SETGID.
-    pub(crate) fn sys_setgroups(&self, pid: Pid, groups: &[Gid]) -> KResult<()> {
-        if !self.capable(pid, Cap::Setgid) {
+    pub(crate) fn sys_setgroups(&self, c: &Caller, groups: &[Gid]) -> KResult<()> {
+        if !self.capable(c, Cap::Setgid) {
             return Err(Errno::EPERM);
         }
-        self.task_mut(pid)?.cred.groups = groups.to_vec();
+        Arc::make_mut(&mut self.task_mut(c.pid)?.cred).groups = groups.to_vec();
         Ok(())
     }
 
     /// `getuid(2)`.
-    pub(crate) fn sys_getuid(&self, pid: Pid) -> KResult<Uid> {
-        Ok(self.task(pid)?.cred.ruid)
+    pub(crate) fn sys_getuid(&self, c: &Caller) -> KResult<Uid> {
+        Ok(c.cred.ruid)
     }
 
     /// `geteuid(2)`.
-    pub(crate) fn sys_geteuid(&self, pid: Pid) -> KResult<Uid> {
-        Ok(self.task(pid)?.cred.euid)
+    pub(crate) fn sys_geteuid(&self, c: &Caller) -> KResult<Uid> {
+        Ok(c.cred.euid)
     }
 
     /// `getgid(2)`.
-    pub(crate) fn sys_getgid(&self, pid: Pid) -> KResult<Gid> {
-        Ok(self.task(pid)?.cred.rgid)
+    pub(crate) fn sys_getgid(&self, c: &Caller) -> KResult<Gid> {
+        Ok(c.cred.rgid)
     }
 }
 
@@ -326,6 +309,7 @@ mod tests {
     use super::*;
     use crate::cred::Credentials;
     use crate::net::SimNet;
+    use crate::task::Pid;
 
     fn boot() -> (Kernel, Pid, Pid) {
         let k = Kernel::new(SimNet::new());
@@ -337,7 +321,7 @@ mod tests {
     #[test]
     fn root_can_setuid_anywhere_and_drops_caps() {
         let (k, root, _) = boot();
-        k.sys_setuid(root, Uid(1000)).unwrap();
+        k.process(root).setuid(Uid(1000)).unwrap();
         {
             // Scoped: the guard must drop before the next sys_setuid call
             // re-locks the same task shard.
@@ -349,21 +333,21 @@ mod tests {
             assert!(c.caps.is_empty());
         }
         // Once dropped, cannot regain.
-        assert_eq!(k.sys_setuid(root, Uid::ROOT).unwrap_err(), Errno::EPERM);
+        assert_eq!(k.process(root).setuid(Uid::ROOT).unwrap_err(), Errno::EPERM);
     }
 
     #[test]
     fn user_setuid_to_stranger_is_eperm() {
         let (k, _, user) = boot();
-        assert_eq!(k.sys_setuid(user, Uid(1001)).unwrap_err(), Errno::EPERM);
-        assert_eq!(k.sys_setuid(user, Uid::ROOT).unwrap_err(), Errno::EPERM);
+        assert_eq!(k.process(user).setuid(Uid(1001)).unwrap_err(), Errno::EPERM);
+        assert_eq!(k.process(user).setuid(Uid::ROOT).unwrap_err(), Errno::EPERM);
     }
 
     #[test]
     fn user_setuid_to_self_ok() {
         let (k, _, user) = boot();
-        k.sys_setuid(user, Uid(1000)).unwrap();
-        assert_eq!(k.sys_geteuid(user).unwrap(), Uid(1000));
+        k.process(user).setuid(Uid(1000)).unwrap();
+        assert_eq!(k.process(user).geteuid().unwrap(), Uid(1000));
     }
 
     #[test]
@@ -372,41 +356,45 @@ mod tests {
         // Simulate a setuid-nonroot binary: euid 38, ruid 1000, suid 38.
         {
             let mut t = k.task_mut(user).unwrap();
-            t.cred.euid = Uid(38);
-            t.cred.suid = Uid(38);
-            t.cred.fsuid = Uid(38);
+            let cred = Arc::make_mut(&mut t.cred);
+            cred.euid = Uid(38);
+            cred.suid = Uid(38);
+            cred.fsuid = Uid(38);
         }
         // Temporarily drop to the real uid...
-        k.sys_seteuid(user, Uid(1000)).unwrap();
-        assert_eq!(k.sys_geteuid(user).unwrap(), Uid(1000));
+        k.process(user).seteuid(Uid(1000)).unwrap();
+        assert_eq!(k.process(user).geteuid().unwrap(), Uid(1000));
         // ...and regain the saved uid.
-        k.sys_seteuid(user, Uid(38)).unwrap();
-        assert_eq!(k.sys_geteuid(user).unwrap(), Uid(38));
+        k.process(user).seteuid(Uid(38)).unwrap();
+        assert_eq!(k.process(user).geteuid().unwrap(), Uid(38));
         // But never an unrelated uid.
-        assert_eq!(k.sys_seteuid(user, Uid(7)).unwrap_err(), Errno::EPERM);
+        assert_eq!(k.process(user).seteuid(Uid(7)).unwrap_err(), Errno::EPERM);
     }
 
     #[test]
     fn setgid_stock_semantics() {
         let (k, root, user) = boot();
-        k.sys_setgid(root, Gid(1000)).unwrap();
+        k.process(root).setgid(Gid(1000)).unwrap();
         assert_eq!(k.task(root).unwrap().cred.egid, Gid(1000));
-        assert_eq!(k.sys_setgid(user, Gid(24)).unwrap_err(), Errno::EPERM);
-        k.sys_setgid(user, Gid(1000)).unwrap();
+        assert_eq!(k.process(user).setgid(Gid(24)).unwrap_err(), Errno::EPERM);
+        k.process(user).setgid(Gid(1000)).unwrap();
     }
 
     #[test]
     fn setgroups_requires_cap() {
         let (k, root, user) = boot();
-        k.sys_setgroups(root, &[Gid(0), Gid(24)]).unwrap();
-        assert_eq!(k.sys_setgroups(user, &[Gid(24)]).unwrap_err(), Errno::EPERM);
+        k.process(root).setgroups(&[Gid(0), Gid(24)]).unwrap();
+        assert_eq!(
+            k.process(user).setgroups(&[Gid(24)]).unwrap_err(),
+            Errno::EPERM
+        );
     }
 
     #[test]
     fn getters() {
         let (k, root, user) = boot();
-        assert_eq!(k.sys_getuid(root).unwrap(), Uid::ROOT);
-        assert_eq!(k.sys_getuid(user).unwrap(), Uid(1000));
-        assert_eq!(k.sys_getgid(user).unwrap(), Gid(1000));
+        assert_eq!(k.process(root).getuid().unwrap(), Uid::ROOT);
+        assert_eq!(k.process(user).getuid().unwrap(), Uid(1000));
+        assert_eq!(k.process(user).getgid().unwrap(), Gid(1000));
     }
 }

@@ -14,7 +14,7 @@
 use crate::error::Errno;
 use crate::sync::{lock, Sharded};
 use crate::syscall::abi::{SysRet, Syscall, SyscallClass};
-use crate::task::{Pid, TaskIdentity};
+use crate::task::{Caller, Pid};
 use crate::trace::Metrics;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -31,10 +31,11 @@ use std::sync::{Arc, Mutex};
 /// - [`entry_clock`](SysCtx::entry_clock) — the logical clock at
 ///   dispatch entry, so an `after` hook can time the call statelessly;
 /// - [`metrics`](SysCtx::metrics) — the kernel-wide metrics sink;
-/// - [`task`](SysCtx::task) — a [`TaskIdentity`] snapshot of the calling
-///   task (uid/euid/binary), taken **once per dispatch** with a single
-///   task-shard read and shared by every hook of that dispatch, so
-///   identity-aware interceptors (seccomp) pay no per-hook lookup.
+/// - [`task`](SysCtx::task) — the [`Caller`] snapshot of the calling
+///   task (credentials, binary, ...), taken **once per dispatch** with a
+///   single task-shard read and shared by every hook and the body of
+///   that dispatch, so identity-aware interceptors (seccomp) pay no
+///   per-hook lookup.
 pub struct SysCtx<'a> {
     /// The kernel's logical clock at hook time.
     pub clock: u64,
@@ -42,10 +43,10 @@ pub struct SysCtx<'a> {
     pub entry_clock: u64,
     /// The kernel-wide metrics sink (one shard per worker thread).
     pub metrics: &'a Sharded<Mutex<Metrics>>,
-    /// Identity of the dispatching task, snapshotted at dispatch entry.
-    /// For pids without a live task this is [`TaskIdentity::unknown`]
-    /// (the entry point itself will fail with `ESRCH`).
-    pub task: TaskIdentity,
+    /// The dispatching task, snapshotted at dispatch entry. For pids
+    /// without a live task this is [`Caller::unknown`] (the call itself
+    /// fails with `ESRCH`).
+    pub task: &'a Caller,
 }
 
 /// What a `before` hook decided about a dispatched call.

@@ -11,7 +11,7 @@ use crate::dev::{claim_modem, DeviceKind, DmFullStatus, ModemOpt};
 use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{Decision, KmsOp};
-use crate::task::{FdObject, Pid};
+use crate::task::{Caller, FdObject};
 use crate::trace::{AuditObject, DecisionKind, Hook};
 use crate::vfs::InodeData;
 
@@ -46,8 +46,8 @@ pub enum IoctlOut {
 }
 
 impl Kernel {
-    fn fd_device(&self, pid: Pid, fd: i32) -> KResult<crate::dev::DevId> {
-        match self.task(pid)?.fd(fd)?.object {
+    fn fd_device(&self, c: &Caller, fd: i32) -> KResult<crate::dev::DevId> {
+        match self.task(c.pid)?.fd(fd)?.object {
             FdObject::File { ino, .. } => match self.vfs.inode(ino).data {
                 InodeData::CharDev(d) | InodeData::BlockDev(d) => Ok(d),
                 _ => Err(Errno::ENOTTY),
@@ -57,8 +57,8 @@ impl Kernel {
     }
 
     /// `ioctl(2)` on a device fd.
-    pub(crate) fn sys_ioctl(&self, pid: Pid, fd: i32, cmd: IoctlCmd) -> KResult<IoctlOut> {
-        let dev = self.fd_device(pid, fd)?;
+    pub(crate) fn sys_ioctl(&self, c: &Caller, fd: i32, cmd: IoctlCmd) -> KResult<IoctlOut> {
+        let dev = self.fd_device(c, fd)?;
         // Snapshot path + kind so the registry guard is not held across the
         // LSM hooks and audit emissions below.
         let (dev_path, kind) = {
@@ -68,7 +68,7 @@ impl Kernel {
         };
         match (cmd, kind) {
             (IoctlCmd::ModemClaim, DeviceKind::Modem(_)) => {
-                let pidn = pid.0;
+                let pidn = c.pid.0;
                 let mut devices = self.devices.write();
                 if let DeviceKind::Modem(m) = &mut devices.get_mut(dev)?.kind {
                     claim_modem(m, pidn)?;
@@ -76,7 +76,7 @@ impl Kernel {
                 Ok(IoctlOut::None)
             }
             (IoctlCmd::ModemRelease, DeviceKind::Modem(_)) => {
-                let pidn = pid.0;
+                let pidn = c.pid.0;
                 let mut devices = self.devices.write();
                 if let DeviceKind::Modem(m) = &mut devices.get_mut(dev)?.kind {
                     crate::dev::release_modem(m, pidn);
@@ -84,17 +84,17 @@ impl Kernel {
                 Ok(IoctlOut::None)
             }
             (IoctlCmd::Modem(opt), DeviceKind::Modem(state)) => {
-                let cred = self.task(pid)?.cred.clone();
-                let decision = self.lsm().ioctl_modem(&cred, opt, &state);
+                let cred = &c.cred;
+                let decision = self.lsm().ioctl_modem(cred, opt, &state);
                 match decision {
                     Decision::UseDefault => {
-                        if !self.capable(pid, Cap::NetAdmin) {
+                        if !self.capable(c, Cap::NetAdmin) {
                             let msg = format!(
                                 "ioctl: modem {:?} denied for {} (no CAP_NET_ADMIN)",
                                 opt, cred.ruid
                             );
                             self.emit_kernel_event(
-                                pid,
+                                c.pid,
                                 "ioctl",
                                 Hook::IoctlModem,
                                 DecisionKind::Deny,
@@ -108,7 +108,7 @@ impl Kernel {
                     Decision::Allow => {
                         let msg = format!("ioctl: lsm granted modem {:?} to {}", opt, cred.ruid);
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "ioctl",
                             Hook::IoctlModem,
                             DecisionKind::Allow,
@@ -125,7 +125,7 @@ impl Kernel {
                             e.name()
                         );
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "ioctl",
                             Hook::IoctlModem,
                             DecisionKind::Deny,
@@ -150,17 +150,17 @@ impl Kernel {
                 Ok(IoctlOut::None)
             }
             (IoctlCmd::DmStatus, DeviceKind::DmCrypt(state)) => {
-                let cred = self.task(pid)?.cred.clone();
-                let decision = self.lsm().ioctl_dmcrypt(&cred);
+                let cred = &c.cred;
+                let decision = self.lsm().ioctl_dmcrypt(cred);
                 match decision {
                     Decision::UseDefault => {
-                        if !self.capable(pid, Cap::SysAdmin) {
+                        if !self.capable(c, Cap::SysAdmin) {
                             let msg = format!(
                                 "ioctl: dm status denied for {} (no CAP_SYS_ADMIN)",
                                 cred.ruid
                             );
                             self.emit_kernel_event(
-                                pid,
+                                c.pid,
                                 "ioctl",
                                 Hook::IoctlDmcrypt,
                                 DecisionKind::Deny,
@@ -179,7 +179,7 @@ impl Kernel {
                             e.name()
                         );
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "ioctl",
                             Hook::IoctlDmcrypt,
                             DecisionKind::Deny,
@@ -200,8 +200,8 @@ impl Kernel {
                 }))
             }
             (IoctlCmd::Kms(op), DeviceKind::Video(state)) => {
-                let cred = self.task(pid)?.cred.clone();
-                let decision = self.lsm().ioctl_kms(&cred, op);
+                let cred = &c.cred;
+                let decision = self.lsm().ioctl_kms(cred, op);
                 match decision {
                     Decision::UseDefault => {
                         // Stock policy: with KMS the kernel manages mode
@@ -211,7 +211,7 @@ impl Kernel {
                         // every operation needs the capabilities — this is
                         // why pre-KMS X must be setuid root (§4.5).
                         let privileged_ok =
-                            self.capable(pid, Cap::SysRawio) && self.capable(pid, Cap::SysAdmin);
+                            self.capable(c, Cap::SysRawio) && self.capable(c, Cap::SysAdmin);
                         let need_priv =
                             matches!(op, KmsOp::RawRegisterAccess) || !state.kms_capable;
                         if need_priv && !privileged_ok {
@@ -220,7 +220,7 @@ impl Kernel {
                                 op, cred.ruid
                             );
                             self.emit_kernel_event(
-                                pid,
+                                c.pid,
                                 "ioctl",
                                 Hook::IoctlKms,
                                 DecisionKind::Deny,
@@ -240,7 +240,7 @@ impl Kernel {
                             e.name()
                         );
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "ioctl",
                             Hook::IoctlKms,
                             DecisionKind::Deny,
@@ -307,6 +307,7 @@ mod tests {
     use crate::cred::{Credentials, Gid, Uid};
     use crate::net::SimNet;
     use crate::syscall::OpenFlags;
+    use crate::task::Pid;
 
     fn boot() -> (Kernel, Pid, Pid) {
         let k = Kernel::new(SimNet::new());
@@ -317,7 +318,7 @@ mod tests {
     }
 
     fn open_dev(k: &Kernel, pid: Pid, path: &str) -> i32 {
-        k.sys_open(pid, path, OpenFlags::read_write()).unwrap()
+        k.process(pid).open(path, OpenFlags::read_write()).unwrap()
     }
 
     #[test]
@@ -325,12 +326,14 @@ mod tests {
         let (k, root, user) = boot();
         let fd_u = open_dev(&k, user, "/dev/ttyS0");
         assert_eq!(
-            k.sys_ioctl(user, fd_u, IoctlCmd::Modem(ModemOpt::Baud(57600)))
+            k.process(user)
+                .ioctl(fd_u, IoctlCmd::Modem(ModemOpt::Baud(57600)))
                 .unwrap_err(),
             Errno::EPERM
         );
         let fd_r = open_dev(&k, root, "/dev/ttyS0");
-        k.sys_ioctl(root, fd_r, IoctlCmd::Modem(ModemOpt::Baud(57600)))
+        k.process(root)
+            .ioctl(fd_r, IoctlCmd::Modem(ModemOpt::Baud(57600)))
             .unwrap();
     }
 
@@ -338,14 +341,16 @@ mod tests {
     fn modem_claim_exclusive() {
         let (k, root, user) = boot();
         let fd_u = open_dev(&k, user, "/dev/ttyS0");
-        k.sys_ioctl(user, fd_u, IoctlCmd::ModemClaim).unwrap();
+        k.process(user).ioctl(fd_u, IoctlCmd::ModemClaim).unwrap();
         let fd_r = open_dev(&k, root, "/dev/ttyS0");
         assert_eq!(
-            k.sys_ioctl(root, fd_r, IoctlCmd::ModemClaim).unwrap_err(),
+            k.process(root)
+                .ioctl(fd_r, IoctlCmd::ModemClaim)
+                .unwrap_err(),
             Errno::EBUSY
         );
-        k.sys_ioctl(user, fd_u, IoctlCmd::ModemRelease).unwrap();
-        k.sys_ioctl(root, fd_r, IoctlCmd::ModemClaim).unwrap();
+        k.process(user).ioctl(fd_u, IoctlCmd::ModemRelease).unwrap();
+        k.process(root).ioctl(fd_r, IoctlCmd::ModemClaim).unwrap();
     }
 
     #[test]
@@ -361,11 +366,11 @@ mod tests {
         k.vfs.inode_mut(r).mode = crate::vfs::Mode(0o666);
         let fd_u = open_dev(&k, user, "/dev/mapper/cryptohome");
         assert_eq!(
-            k.sys_ioctl(user, fd_u, IoctlCmd::DmStatus).unwrap_err(),
+            k.process(user).ioctl(fd_u, IoctlCmd::DmStatus).unwrap_err(),
             Errno::EPERM
         );
         let fd_r = open_dev(&k, root, "/dev/mapper/cryptohome");
-        match k.sys_ioctl(root, fd_r, IoctlCmd::DmStatus).unwrap() {
+        match k.process(root).ioctl(fd_r, IoctlCmd::DmStatus).unwrap() {
             IoctlOut::Dm(s) => {
                 assert_eq!(s.physical_device, "/dev/sda3");
                 assert!(!s.key_material.is_empty());
@@ -379,8 +384,8 @@ mod tests {
         let (k, _, user) = boot();
         let fd = open_dev(&k, user, "/dev/dri/card0");
         let out = k
-            .sys_ioctl(
-                user,
+            .process(user)
+            .ioctl(
                 fd,
                 IoctlCmd::Kms(KmsOp::SetMode {
                     width: 1920,
@@ -396,30 +401,32 @@ mod tests {
     fn kms_vt_switch_saves_and_restores() {
         let (k, _, user) = boot();
         let fd = open_dev(&k, user, "/dev/dri/card0");
-        k.sys_ioctl(
-            user,
-            fd,
-            IoctlCmd::Kms(KmsOp::SetMode {
-                width: 1920,
-                height: 1080,
-                refresh: 60,
-            }),
-        )
-        .unwrap();
-        k.sys_ioctl(user, fd, IoctlCmd::Kms(KmsOp::VtSwitch { vt: 2 }))
+        k.process(user)
+            .ioctl(
+                fd,
+                IoctlCmd::Kms(KmsOp::SetMode {
+                    width: 1920,
+                    height: 1080,
+                    refresh: 60,
+                }),
+            )
             .unwrap();
-        k.sys_ioctl(
-            user,
-            fd,
-            IoctlCmd::Kms(KmsOp::SetMode {
-                width: 800,
-                height: 600,
-                refresh: 75,
-            }),
-        )
-        .unwrap();
+        k.process(user)
+            .ioctl(fd, IoctlCmd::Kms(KmsOp::VtSwitch { vt: 2 }))
+            .unwrap();
+        k.process(user)
+            .ioctl(
+                fd,
+                IoctlCmd::Kms(KmsOp::SetMode {
+                    width: 800,
+                    height: 600,
+                    refresh: 75,
+                }),
+            )
+            .unwrap();
         let out = k
-            .sys_ioctl(user, fd, IoctlCmd::Kms(KmsOp::VtSwitch { vt: 1 }))
+            .process(user)
+            .ioctl(fd, IoctlCmd::Kms(KmsOp::VtSwitch { vt: 1 }))
             .unwrap();
         // The kernel restored VT 1's mode.
         assert_eq!(out, IoctlOut::Mode(1920, 1080, 60));
@@ -430,12 +437,14 @@ mod tests {
         let (k, root, user) = boot();
         let fd_u = open_dev(&k, user, "/dev/dri/card0");
         assert_eq!(
-            k.sys_ioctl(user, fd_u, IoctlCmd::Kms(KmsOp::RawRegisterAccess))
+            k.process(user)
+                .ioctl(fd_u, IoctlCmd::Kms(KmsOp::RawRegisterAccess))
                 .unwrap_err(),
             Errno::EPERM
         );
         let fd_r = open_dev(&k, root, "/dev/dri/card0");
-        k.sys_ioctl(root, fd_r, IoctlCmd::Kms(KmsOp::RawRegisterAccess))
+        k.process(root)
+            .ioctl(fd_r, IoctlCmd::Kms(KmsOp::RawRegisterAccess))
             .unwrap();
     }
 
@@ -451,16 +460,16 @@ mod tests {
         }
         let fd = open_dev(&k, user, "/dev/dri/card0");
         assert_eq!(
-            k.sys_ioctl(
-                user,
-                fd,
-                IoctlCmd::Kms(KmsOp::SetMode {
-                    width: 640,
-                    height: 480,
-                    refresh: 60
-                })
-            )
-            .unwrap_err(),
+            k.process(user)
+                .ioctl(
+                    fd,
+                    IoctlCmd::Kms(KmsOp::SetMode {
+                        width: 640,
+                        height: 480,
+                        refresh: 60
+                    })
+                )
+                .unwrap_err(),
             Errno::EPERM
         );
     }
@@ -469,7 +478,7 @@ mod tests {
     fn eject_and_reload() {
         let (k, root, _) = boot();
         let fd = open_dev(&k, root, "/dev/cdrom");
-        k.sys_ioctl(root, fd, IoctlCmd::Eject).unwrap();
+        k.process(root).ioctl(fd, IoctlCmd::Eject).unwrap();
         let dev = k.devices.read().id_by_path("/dev/cdrom").unwrap();
         {
             let devices = k.devices.read();
@@ -478,7 +487,7 @@ mod tests {
                 _ => unreachable!(),
             }
         }
-        k.sys_ioctl(root, fd, IoctlCmd::LoadMedia).unwrap();
+        k.process(root).ioctl(fd, IoctlCmd::LoadMedia).unwrap();
     }
 
     #[test]
@@ -488,9 +497,12 @@ mod tests {
         k.process(root)
             .write_file("/tmp/f", b"", crate::vfs::Mode(0o644))
             .unwrap();
-        let fd = k.sys_open(root, "/tmp/f", OpenFlags::read_only()).unwrap();
+        let fd = k
+            .process(root)
+            .open("/tmp/f", OpenFlags::read_only())
+            .unwrap();
         assert_eq!(
-            k.sys_ioctl(root, fd, IoctlCmd::Eject).unwrap_err(),
+            k.process(root).ioctl(fd, IoctlCmd::Eject).unwrap_err(),
             Errno::ENOTTY
         );
     }
@@ -500,7 +512,7 @@ mod tests {
         let (k, root, _) = boot();
         let fd = open_dev(&k, root, "/dev/ttyS0");
         assert_eq!(
-            k.sys_ioctl(root, fd, IoctlCmd::DmStatus).unwrap_err(),
+            k.process(root).ioctl(fd, IoctlCmd::DmStatus).unwrap_err(),
             Errno::ENOTTY
         );
     }

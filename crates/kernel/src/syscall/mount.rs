@@ -10,7 +10,7 @@ use crate::dev::DeviceKind;
 use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{Decision, MountRequest, UmountRequest};
-use crate::task::Pid;
+use crate::task::Caller;
 use crate::trace::{AuditObject, DecisionKind, Hook};
 use crate::vfs::{Access, InodeData, MountOptions};
 
@@ -18,13 +18,13 @@ impl Kernel {
     /// `mount(2)`.
     pub(crate) fn sys_mount(
         &self,
-        pid: Pid,
+        c: &Caller,
         source: &str,
         target: &str,
         fstype: &str,
         options: &str,
     ) -> KResult<()> {
-        let r = self.walk(pid, target)?;
+        let r = self.walk(c, target)?;
         if !self.vfs.inode(r.ino).data.is_dir() {
             return Err(Errno::ENOTDIR);
         }
@@ -41,7 +41,7 @@ impl Kernel {
         }
         let mut opts = MountOptions::parse(options);
 
-        let cred = self.task(pid)?.cred.clone();
+        let cred = &c.cred;
         let req = MountRequest {
             source: source.to_string(),
             target: mountpoint.clone(),
@@ -49,16 +49,16 @@ impl Kernel {
             options: opts.clone(),
         };
         let object = AuditObject::Path(format!("{} -> {}", source, mountpoint));
-        let decision = self.lsm().sb_mount(&cred, &req);
+        let decision = self.lsm().sb_mount(cred, &req);
         match decision {
             Decision::UseDefault => {
-                if !self.capable(pid, Cap::SysAdmin) {
+                if !self.capable(c, Cap::SysAdmin) {
                     let msg = format!(
                         "mount: {} -> {} denied (no CAP_SYS_ADMIN)",
                         source, mountpoint
                     );
                     self.emit_kernel_event(
-                        pid,
+                        c.pid,
                         "mount",
                         Hook::SbMount,
                         DecisionKind::Deny,
@@ -70,7 +70,7 @@ impl Kernel {
                 }
                 let msg = format!("mount: {} -> {} via CAP_SYS_ADMIN", source, mountpoint);
                 self.emit_kernel_event(
-                    pid,
+                    c.pid,
                     "mount",
                     Hook::SbMount,
                     DecisionKind::UseDefault,
@@ -91,7 +91,7 @@ impl Kernel {
                     source, mountpoint, cred.ruid
                 );
                 self.emit_lsm_event(
-                    pid,
+                    c.pid,
                     "mount",
                     Hook::SbMount,
                     DecisionKind::Allow,
@@ -108,7 +108,7 @@ impl Kernel {
                     e.name()
                 );
                 self.emit_lsm_event(
-                    pid,
+                    c.pid,
                     "mount",
                     Hook::SbMount,
                     DecisionKind::Deny,
@@ -134,7 +134,7 @@ impl Kernel {
                 )
             }
             _ => {
-                let dev_res = self.walk(pid, source)?;
+                let dev_res = self.walk(c, source)?;
                 let dev_id = match &self.vfs.inode(dev_res.ino).data {
                     InodeData::BlockDev(d) => *d,
                     _ => return Err(Errno::ENOTBLK),
@@ -155,20 +155,19 @@ impl Kernel {
             }
         };
 
-        let ruid = self.task(pid)?.cred.ruid;
+        let ruid = c.cred.ruid;
         self.vfs
             .add_mount(source, &mountpoint, fstype, opts, root_ino, r.ino, ruid)?;
         Ok(())
     }
 
     /// `umount(2)`.
-    pub(crate) fn sys_umount(&self, pid: Pid, target: &str) -> KResult<()> {
+    pub(crate) fn sys_umount(&self, c: &Caller, target: &str) -> KResult<()> {
         // Resolve the *mountpoint* (without crossing into the mount): we
         // look up the path string in the mount table.
-        let cwd = self.task(pid)?.cwd;
-        let r = self.vfs.resolve(cwd, target)?;
+        let r = self.vfs.resolve(c.cwd, target)?;
         for d in r.dirs.iter() {
-            self.check_access(pid, d, Access::EXEC)?;
+            self.check_access(c, d, Access::EXEC)?;
         }
         let mountpoint = self.vfs.path_of(r.ino);
         let m = self
@@ -177,7 +176,7 @@ impl Kernel {
             .ok_or(Errno::EINVAL)?
             .clone();
 
-        let cred = self.task(pid)?.cred.clone();
+        let cred = &c.cred;
         let req = UmountRequest {
             target: mountpoint.clone(),
             source: m.source.clone(),
@@ -185,13 +184,13 @@ impl Kernel {
             mounted_by: m.mounted_by,
         };
         let object = AuditObject::Path(mountpoint.clone());
-        let decision = self.lsm().sb_umount(&cred, &req);
+        let decision = self.lsm().sb_umount(cred, &req);
         match decision {
             Decision::UseDefault => {
-                if !self.capable(pid, Cap::SysAdmin) {
+                if !self.capable(c, Cap::SysAdmin) {
                     let msg = format!("umount: {} denied (no CAP_SYS_ADMIN)", mountpoint);
                     self.emit_kernel_event(
-                        pid,
+                        c.pid,
                         "umount",
                         Hook::SbUmount,
                         DecisionKind::Deny,
@@ -203,7 +202,7 @@ impl Kernel {
                 }
                 let msg = format!("umount: {} via CAP_SYS_ADMIN", mountpoint);
                 self.emit_kernel_event(
-                    pid,
+                    c.pid,
                     "umount",
                     Hook::SbUmount,
                     DecisionKind::UseDefault,
@@ -215,7 +214,7 @@ impl Kernel {
             Decision::Allow => {
                 let msg = format!("umount: lsm granted {} for {}", mountpoint, cred.ruid);
                 self.emit_lsm_event(
-                    pid,
+                    c.pid,
                     "umount",
                     Hook::SbUmount,
                     DecisionKind::Allow,
@@ -227,7 +226,7 @@ impl Kernel {
             Decision::Deny(e) => {
                 let msg = format!("umount: lsm denied {} ({})", mountpoint, e.name());
                 self.emit_lsm_event(
-                    pid,
+                    c.pid,
                     "umount",
                     Hook::SbUmount,
                     DecisionKind::Deny,
@@ -249,6 +248,7 @@ mod tests {
     use super::*;
     use crate::cred::{Credentials, Gid, Uid};
     use crate::net::SimNet;
+    use crate::task::Pid;
 
     fn boot() -> (Kernel, Pid, Pid) {
         let k = Kernel::new(SimNet::new());
@@ -263,10 +263,11 @@ mod tests {
     #[test]
     fn root_can_mount_and_umount() {
         let (k, root, _) = boot();
-        k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+        k.process(root)
+            .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
             .unwrap();
         assert!(k.process(root).read_file("/mnt/cdrom/README").is_ok());
-        k.sys_umount(root, "/mnt/cdrom").unwrap();
+        k.process(root).umount("/mnt/cdrom").unwrap();
         assert_eq!(
             k.process(root).read_file("/mnt/cdrom/README").unwrap_err(),
             Errno::ENOENT
@@ -277,7 +278,8 @@ mod tests {
     fn user_mount_denied_on_stock_kernel() {
         let (k, _, user) = boot();
         assert_eq!(
-            k.sys_mount(user, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+            k.process(user)
+                .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
                 .unwrap_err(),
             Errno::EPERM
         );
@@ -286,16 +288,21 @@ mod tests {
     #[test]
     fn user_umount_denied_on_stock_kernel() {
         let (k, root, user) = boot();
-        k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+        k.process(root)
+            .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
             .unwrap();
-        assert_eq!(k.sys_umount(user, "/mnt/cdrom").unwrap_err(), Errno::EPERM);
+        assert_eq!(
+            k.process(user).umount("/mnt/cdrom").unwrap_err(),
+            Errno::EPERM
+        );
     }
 
     #[test]
     fn mount_nonexistent_device() {
         let (k, root, _) = boot();
         assert_eq!(
-            k.sys_mount(root, "/dev/nope", "/mnt/cdrom", "iso9660", "ro")
+            k.process(root)
+                .mount("/dev/nope", "/mnt/cdrom", "iso9660", "ro")
                 .unwrap_err(),
             Errno::ENOENT
         );
@@ -314,7 +321,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(
-            k.sys_mount(root, "/dev/cdrom", "/mnt/file", "iso9660", "ro")
+            k.process(root)
+                .mount("/dev/cdrom", "/mnt/file", "iso9660", "ro")
                 .unwrap_err(),
             Errno::ENOTDIR
         );
@@ -324,7 +332,8 @@ mod tests {
     fn mount_non_block_source_is_enotblk() {
         let (k, root, _) = boot();
         assert_eq!(
-            k.sys_mount(root, "/dev/null", "/mnt/cdrom", "iso9660", "ro")
+            k.process(root)
+                .mount("/dev/null", "/mnt/cdrom", "iso9660", "ro")
                 .unwrap_err(),
             Errno::ENOTBLK
         );
@@ -333,13 +342,17 @@ mod tests {
     #[test]
     fn umount_of_unmounted_path_is_einval() {
         let (k, root, _) = boot();
-        assert_eq!(k.sys_umount(root, "/mnt/cdrom").unwrap_err(), Errno::EINVAL);
+        assert_eq!(
+            k.process(root).umount("/mnt/cdrom").unwrap_err(),
+            Errno::EINVAL
+        );
     }
 
     #[test]
     fn proc_mounts_reflects_mount_table() {
         let (k, root, _) = boot();
-        k.sys_mount(root, "/dev/sdb1", "/media/usb", "vfat", "rw")
+        k.process(root)
+            .mount("/dev/sdb1", "/media/usb", "vfat", "rw")
             .unwrap();
         let s = k.read_to_string(root, "/proc/mounts").unwrap();
         assert!(s.contains("/dev/sdb1 /media/usb vfat rw"));
@@ -349,11 +362,13 @@ mod tests {
     fn pseudo_fs_mount() {
         let (k, root, _) = boot();
         k.vfs.mkdir_p("/mnt/t").unwrap();
-        k.sys_mount(root, "tmpfs", "/mnt/t", "tmpfs", "rw").unwrap();
+        k.process(root)
+            .mount("tmpfs", "/mnt/t", "tmpfs", "rw")
+            .unwrap();
         k.process(root)
             .write_file("/mnt/t/x", b"1", crate::vfs::Mode(0o644))
             .unwrap();
-        k.sys_umount(root, "/mnt/t").unwrap();
+        k.process(root).umount("/mnt/t").unwrap();
         assert_eq!(
             k.process(root).read_file("/mnt/t/x").unwrap_err(),
             Errno::ENOENT
@@ -371,7 +386,8 @@ mod tests {
             }
         }
         assert_eq!(
-            k.sys_mount(root, "/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
+            k.process(root)
+                .mount("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro")
                 .unwrap_err(),
             Errno::ENXIO
         );

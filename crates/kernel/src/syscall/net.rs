@@ -24,7 +24,7 @@ use crate::net::{
     Verdict, L4,
 };
 use crate::syscall::abi::NetfilterRule;
-use crate::task::{Fd, FdObject, Pid};
+use crate::task::{Caller, Fd, FdObject};
 use crate::trace::{AuditObject, DecisionKind, Hook, Provenance};
 
 /// Netfilter administration operations (the iptables backend).
@@ -55,8 +55,8 @@ pub enum RouteOp {
 }
 
 impl Kernel {
-    fn fd_socket(&self, pid: Pid, fd: i32) -> KResult<SockId> {
-        match self.task(pid)?.fd(fd)?.object {
+    fn fd_socket(&self, c: &Caller, fd: i32) -> KResult<SockId> {
+        match self.task(c.pid)?.fd(fd)?.object {
             FdObject::Socket(sid) => Ok(sid),
             _ => Err(Errno::ENOTCONN),
         }
@@ -65,23 +65,23 @@ impl Kernel {
     /// `socket(2)`.
     pub(crate) fn sys_socket(
         &self,
-        pid: Pid,
+        c: &Caller,
         domain: Domain,
         stype: SockType,
         protocol: u8,
     ) -> KResult<i32> {
-        let cred = self.task(pid)?.cred.clone();
+        let cred = &c.cred;
         let needs_raw_cap = matches!(stype, SockType::Raw) || matches!(domain, Domain::Packet);
-        let decision = self.lsm().socket_create(&cred, domain, stype, protocol);
+        let decision = self.lsm().socket_create(cred, domain, stype, protocol);
         match decision {
             Decision::UseDefault => {
-                if needs_raw_cap && !self.capable(pid, Cap::NetRaw) {
+                if needs_raw_cap && !self.capable(c, Cap::NetRaw) {
                     let msg = format!(
                         "socket: raw socket denied for {} (no CAP_NET_RAW)",
                         cred.euid
                     );
                     self.emit_kernel_event(
-                        pid,
+                        c.pid,
                         "socket",
                         Hook::SocketCreate,
                         DecisionKind::Deny,
@@ -99,7 +99,7 @@ impl Kernel {
                         cred.euid
                     );
                     self.emit_lsm_event(
-                        pid,
+                        c.pid,
                         "socket",
                         Hook::SocketCreate,
                         DecisionKind::Allow,
@@ -112,7 +112,7 @@ impl Kernel {
             Decision::Deny(e) => {
                 let msg = format!("socket: lsm denied socket to {} ({})", cred.euid, e.name());
                 self.emit_lsm_event(
-                    pid,
+                    c.pid,
                     "socket",
                     Hook::SocketCreate,
                     DecisionKind::Deny,
@@ -123,39 +123,38 @@ impl Kernel {
                 return Err(e);
             }
         }
-        let binary = self.task(pid)?.binary.clone();
-        let sid = self
-            .net
-            .write()
-            .alloc(domain, stype, protocol, pid.0, cred.euid, binary);
-        self.task_mut(pid)?.fd_install(Fd {
+        let sid =
+            self.net
+                .write()
+                .alloc(domain, stype, protocol, c.pid.0, cred.euid, c.binary.name());
+        self.task_mut(c.pid)?.fd_install(Fd {
             object: FdObject::Socket(sid),
             cloexec: false,
         })
     }
 
     /// `bind(2)`.
-    pub(crate) fn sys_bind(&self, pid: Pid, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
-        let sid = self.fd_socket(pid, fd)?;
+    pub(crate) fn sys_bind(&self, c: &Caller, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
+        let sid = self.fd_socket(c, fd)?;
         let stype = self.net.read().get(sid)?.stype;
         if port != 0 && port < 1024 && !matches!(stype, SockType::Raw) {
-            let cred = self.task(pid)?.cred.clone();
+            let cred = &c.cred;
             let req = BindRequest {
                 port,
-                binary: self.task(pid)?.binary.clone(),
+                binary: c.binary.name(),
                 tcp: matches!(stype, SockType::Stream),
             };
             let object = AuditObject::Port { port, tcp: req.tcp };
-            let decision = self.lsm().socket_bind(&cred, &req);
+            let decision = self.lsm().socket_bind(cred, &req);
             match decision {
                 Decision::UseDefault => {
-                    if !self.capable(pid, Cap::NetBindService) {
+                    if !self.capable(c, Cap::NetBindService) {
                         let msg = format!(
                             "bind: port {} denied for {} (no CAP_NET_BIND_SERVICE)",
                             port, cred.euid
                         );
                         self.emit_kernel_event(
-                            pid,
+                            c.pid,
                             "bind",
                             Hook::SocketBind,
                             DecisionKind::Deny,
@@ -172,7 +171,7 @@ impl Kernel {
                         port, req.binary, cred.euid
                     );
                     self.emit_lsm_event(
-                        pid,
+                        c.pid,
                         "bind",
                         Hook::SocketBind,
                         DecisionKind::Allow,
@@ -187,7 +186,7 @@ impl Kernel {
                         port, req.binary, cred.euid
                     );
                     self.emit_lsm_event(
-                        pid,
+                        c.pid,
                         "bind",
                         Hook::SocketBind,
                         DecisionKind::Deny,
@@ -203,8 +202,8 @@ impl Kernel {
     }
 
     /// `listen(2)`.
-    pub(crate) fn sys_listen(&self, pid: Pid, fd: i32) -> KResult<()> {
-        let sid = self.fd_socket(pid, fd)?;
+    pub(crate) fn sys_listen(&self, c: &Caller, fd: i32) -> KResult<()> {
+        let sid = self.fd_socket(c, fd)?;
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
         if !matches!(s.stype, SockType::Stream) {
@@ -218,8 +217,8 @@ impl Kernel {
     }
 
     /// `connect(2)`.
-    pub(crate) fn sys_connect(&self, pid: Pid, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
-        let sid = self.fd_socket(pid, fd)?;
+    pub(crate) fn sys_connect(&self, c: &Caller, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
+        let sid = self.fd_socket(c, fd)?;
         let stype = self.net.read().get(sid)?.stype;
         match stype {
             SockType::Dgram | SockType::Raw => {
@@ -235,7 +234,7 @@ impl Kernel {
                     let listener = net
                         .port_owner(PortProto::Tcp, port)
                         .filter(|s| s.state == StreamState::Listening)
-                        .map(|s| (s.id, s.owner_pid, s.owner_uid, s.owner_binary.clone()))
+                        .map(|s| (s.id, s.owner_pid, s.owner_uid, s.owner_binary))
                         .ok_or(Errno::ECONNREFUSED)?;
                     let conn = net.alloc(
                         Domain::Inet,
@@ -268,8 +267,8 @@ impl Kernel {
     }
 
     /// `accept(2)` — returns a new fd for the next pending connection.
-    pub(crate) fn sys_accept(&self, pid: Pid, fd: i32) -> KResult<i32> {
-        let sid = self.fd_socket(pid, fd)?;
+    pub(crate) fn sys_accept(&self, c: &Caller, fd: i32) -> KResult<i32> {
+        let sid = self.fd_socket(c, fd)?;
         let conn = {
             let mut net = self.net.write();
             let s = net.get_mut(sid)?;
@@ -278,15 +277,15 @@ impl Kernel {
             }
             s.backlog.pop_front().ok_or(Errno::EAGAIN)?
         };
-        self.task_mut(pid)?.fd_install(Fd {
+        self.task_mut(c.pid)?.fd_install(Fd {
             object: FdObject::Socket(conn),
             cloexec: false,
         })
     }
 
     /// `send(2)` on a connected socket.
-    pub(crate) fn sys_send(&self, pid: Pid, fd: i32, data: &[u8]) -> KResult<usize> {
-        let sid = self.fd_socket(pid, fd)?;
+    pub(crate) fn sys_send(&self, c: &Caller, fd: i32, data: &[u8]) -> KResult<usize> {
+        let sid = self.fd_socket(c, fd)?;
         let (stype, peer, connected, state) = {
             let net = self.net.read();
             let s = net.get(sid)?;
@@ -317,15 +316,15 @@ impl Kernel {
             }
             SockType::Dgram => {
                 let (addr, port) = connected.ok_or(Errno::ENOTCONN)?;
-                self.sys_sendto(pid, fd, addr, port, data)
+                self.sys_sendto(c, fd, addr, port, data)
             }
             SockType::Raw => Err(Errno::EINVAL),
         }
     }
 
     /// `recv(2)` on a stream socket.
-    pub(crate) fn sys_recv(&self, pid: Pid, fd: i32, max: usize) -> KResult<Vec<u8>> {
-        let sid = self.fd_socket(pid, fd)?;
+    pub(crate) fn sys_recv(&self, c: &Caller, fd: i32, max: usize) -> KResult<Vec<u8>> {
+        let sid = self.fd_socket(c, fd)?;
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
         match s.stype {
@@ -344,8 +343,8 @@ impl Kernel {
     }
 
     /// `recvfrom(2)` on a datagram/raw socket: returns the next packet.
-    pub(crate) fn sys_recv_packet(&self, pid: Pid, fd: i32) -> KResult<Packet> {
-        let sid = self.fd_socket(pid, fd)?;
+    pub(crate) fn sys_recv_packet(&self, c: &Caller, fd: i32) -> KResult<Packet> {
+        let sid = self.fd_socket(c, fd)?;
         let mut net = self.net.write();
         let s = net.get_mut(sid)?;
         s.rx_packets.pop_front().ok_or(Errno::EAGAIN)
@@ -355,13 +354,13 @@ impl Kernel {
     /// source port cannot be forged.
     pub(crate) fn sys_sendto(
         &self,
-        pid: Pid,
+        c: &Caller,
         fd: i32,
         addr: Ipv4,
         port: u16,
         data: &[u8],
     ) -> KResult<usize> {
-        let sid = self.fd_socket(pid, fd)?;
+        let sid = self.fd_socket(c, fd)?;
         if self.net.read().get(sid)?.bound.is_none() {
             self.net.write().bind(sid, Ipv4::ANY, 0)?;
         }
@@ -373,7 +372,6 @@ impl Kernel {
             }
             s.bound.map(|b| b.1).unwrap_or(0)
         };
-        let cred_uid = self.task(pid)?.cred.euid;
         let pkt = Packet {
             src: self
                 .simnet
@@ -389,16 +387,16 @@ impl Kernel {
             },
             payload: data.to_vec(),
             from_raw_socket: false,
-            sender_uid: cred_uid,
+            sender_uid: c.cred.euid,
         };
-        self.transmit(pid, sid, pkt)?;
+        self.transmit(c, sid, pkt)?;
         Ok(data.len())
     }
 
     /// Raw transmission: the caller constructed all headers (§4.1.1). The
     /// packet is subject to the OUTPUT netfilter chain with spoof analysis.
-    pub(crate) fn sys_send_packet(&self, pid: Pid, fd: i32, mut pkt: Packet) -> KResult<()> {
-        let sid = self.fd_socket(pid, fd)?;
+    pub(crate) fn sys_send_packet(&self, c: &Caller, fd: i32, mut pkt: Packet) -> KResult<()> {
+        let sid = self.fd_socket(c, fd)?;
         {
             let net = self.net.read();
             let s = net.get(sid)?;
@@ -407,13 +405,13 @@ impl Kernel {
             }
         }
         pkt.from_raw_socket = true;
-        pkt.sender_uid = self.task(pid)?.cred.euid;
-        self.transmit(pid, sid, pkt)
+        pkt.sender_uid = c.cred.euid;
+        self.transmit(c, sid, pkt)
     }
 
     /// Common output path: netfilter, then routing, then delivery; replies
     /// are queued on the sending socket.
-    fn transmit(&self, pid: Pid, sid: SockId, pkt: Packet) -> KResult<()> {
+    fn transmit(&self, c: &Caller, sid: SockId, pkt: Packet) -> KResult<()> {
         // Spoof analysis: does the claimed source port belong to a socket
         // of a different user?
         let spoofed = match (&pkt.l4, pkt.from_raw_socket) {
@@ -454,7 +452,7 @@ impl Kernel {
                 Some(Errno::EPERM),
             );
             let object = AuditObject::Packet(format!("{:?} -> {}", pkt.l4, pkt.dst));
-            self.emit_event(pid.0, "send", object, provenance, msg);
+            self.emit_event(c.pid.0, "send", object, provenance, msg);
             return Err(Errno::EPERM);
         }
 
@@ -528,24 +526,16 @@ impl Kernel {
     }
 
     /// `socketpair(2)` (AF_UNIX, SOCK_STREAM).
-    pub(crate) fn sys_socketpair(&self, pid: Pid) -> KResult<(i32, i32)> {
-        let cred = self.task(pid)?.cred.clone();
-        let binary = self.task(pid)?.binary.clone();
+    pub(crate) fn sys_socketpair(&self, c: &Caller) -> KResult<(i32, i32)> {
         let (a, b) = {
             let mut net = self.net.write();
-            let a = net.alloc(
-                Domain::Unix,
-                SockType::Stream,
-                0,
-                pid.0,
-                cred.euid,
-                binary.clone(),
-            );
-            let b = net.alloc(Domain::Unix, SockType::Stream, 0, pid.0, cred.euid, binary);
+            let (pid, euid, binary) = (c.pid.0, c.cred.euid, c.binary.name());
+            let a = net.alloc(Domain::Unix, SockType::Stream, 0, pid, euid, binary);
+            let b = net.alloc(Domain::Unix, SockType::Stream, 0, pid, euid, binary);
             net.make_pair(a, b)?;
             (a, b)
         };
-        let mut t = self.task_mut(pid)?;
+        let mut t = self.task_mut(c.pid)?;
         let fa = t.fd_install(Fd {
             object: FdObject::Socket(a),
             cloexec: false,
@@ -559,8 +549,8 @@ impl Kernel {
 
     /// Netfilter administration (the iptables backend): appending,
     /// deleting, or flushing OUTPUT rules requires CAP_NET_ADMIN.
-    pub(crate) fn sys_netfilter(&self, pid: Pid, op: NetfilterOp) -> KResult<()> {
-        if !self.capable(pid, Cap::NetAdmin) {
+    pub(crate) fn sys_netfilter(&self, c: &Caller, op: NetfilterOp) -> KResult<()> {
+        if !self.capable(c, Cap::NetAdmin) {
             return Err(Errno::EPERM);
         }
         let mut nf = self.netfilter.write();
@@ -579,8 +569,7 @@ impl Kernel {
 
     /// Lists the OUTPUT chain (iptables -L). Readable by anyone, as rule
     /// listing discloses no secrets in this model.
-    pub(crate) fn sys_netfilter_list(&self, pid: Pid) -> KResult<Vec<NetfilterRule>> {
-        self.task(pid)?;
+    pub(crate) fn sys_netfilter_list(&self, _c: &Caller) -> KResult<Vec<NetfilterRule>> {
         Ok(self
             .netfilter
             .read()
@@ -591,10 +580,10 @@ impl Kernel {
     }
 
     /// Routing-table ioctls (`SIOCADDRT` / `SIOCDELRT`).
-    pub(crate) fn sys_ioctl_route(&self, pid: Pid, op: RouteOp) -> KResult<()> {
+    pub(crate) fn sys_ioctl_route(&self, c: &Caller, op: RouteOp) -> KResult<()> {
         match op {
             RouteOp::Add(mut route) => {
-                let cred = self.task(pid)?.cred.clone();
+                let cred = &c.cred;
                 let object = AuditObject::Route(format!(
                     "{}/{} via {}",
                     route.dest, route.prefix, route.dev
@@ -603,17 +592,17 @@ impl Kernel {
                 // (§4.1.2); both guards drop before any emission below.
                 let decision = {
                     let routes = self.routes.read();
-                    self.lsm().ioctl_route_add(&cred, &route, &routes)
+                    self.lsm().ioctl_route_add(cred, &route, &routes)
                 };
                 match decision {
                     Decision::UseDefault => {
-                        if !self.capable(pid, Cap::NetAdmin) {
+                        if !self.capable(c, Cap::NetAdmin) {
                             let msg = format!(
                                 "route: add {}/{} denied for {} (no CAP_NET_ADMIN)",
                                 route.dest, route.prefix, cred.ruid
                             );
                             self.emit_kernel_event(
-                                pid,
+                                c.pid,
                                 "ioctl",
                                 Hook::IoctlRoute,
                                 DecisionKind::Deny,
@@ -630,7 +619,7 @@ impl Kernel {
                             route.dest, route.prefix, route.dev, cred.ruid
                         );
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "ioctl",
                             Hook::IoctlRoute,
                             DecisionKind::Allow,
@@ -648,7 +637,7 @@ impl Kernel {
                             e.name()
                         );
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "ioctl",
                             Hook::IoctlRoute,
                             DecisionKind::Deny,
@@ -659,11 +648,11 @@ impl Kernel {
                         return Err(e);
                     }
                 }
-                route.created_by = self.task(pid)?.cred.ruid;
+                route.created_by = c.cred.ruid;
                 self.routes.write().add(route)
             }
             RouteOp::Del { dest, prefix } => {
-                let cred = self.task(pid)?.cred.clone();
+                let cred = &c.cred;
                 let owner = {
                     let routes = self.routes.read();
                     routes
@@ -675,13 +664,13 @@ impl Kernel {
                         .map(|r| r.created_by)
                         .ok_or(Errno::ENOENT)?
                 };
-                if owner != cred.ruid && !self.capable(pid, Cap::NetAdmin) {
+                if owner != cred.ruid && !self.capable(c, Cap::NetAdmin) {
                     let msg = format!(
                         "route: del {}/{} denied for {} (not owner, no CAP_NET_ADMIN)",
                         dest, prefix, cred.ruid
                     );
                     self.emit_kernel_event(
-                        pid,
+                        c.pid,
                         "ioctl",
                         Hook::IoctlRoute,
                         DecisionKind::Deny,
@@ -703,6 +692,7 @@ mod tests {
     use super::*;
     use crate::cred::{Credentials, Gid, Uid};
     use crate::net::SimNet;
+    use crate::task::Pid;
 
     fn boot() -> (Kernel, Pid, Pid) {
         let k = Kernel::new(SimNet::standard_topology());
@@ -725,14 +715,19 @@ mod tests {
     #[test]
     fn user_udp_socket_ok_raw_denied() {
         let (k, _, user) = boot();
-        assert!(k.sys_socket(user, Domain::Inet, SockType::Dgram, 0).is_ok());
+        assert!(k
+            .process(user)
+            .socket(Domain::Inet, SockType::Dgram, 0)
+            .is_ok());
         assert_eq!(
-            k.sys_socket(user, Domain::Inet, SockType::Raw, 1)
+            k.process(user)
+                .socket(Domain::Inet, SockType::Raw, 1)
                 .unwrap_err(),
             Errno::EPERM
         );
         assert_eq!(
-            k.sys_socket(user, Domain::Packet, SockType::Dgram, 0)
+            k.process(user)
+                .socket(Domain::Packet, SockType::Dgram, 0)
                 .unwrap_err(),
             Errno::EPERM
         );
@@ -741,58 +736,69 @@ mod tests {
     #[test]
     fn root_raw_socket_ok() {
         let (k, root, _) = boot();
-        assert!(k.sys_socket(root, Domain::Inet, SockType::Raw, 1).is_ok());
+        assert!(k
+            .process(root)
+            .socket(Domain::Inet, SockType::Raw, 1)
+            .is_ok());
     }
 
     #[test]
     fn low_port_bind_requires_cap() {
         let (k, root, user) = boot();
         let fd_u = k
-            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
         assert_eq!(
-            k.sys_bind(user, fd_u, Ipv4::ANY, 80).unwrap_err(),
+            k.process(user).bind(fd_u, Ipv4::ANY, 80).unwrap_err(),
             Errno::EACCES
         );
         let fd_r = k
-            .sys_socket(root, Domain::Inet, SockType::Stream, 0)
+            .process(root)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
-        k.sys_bind(root, fd_r, Ipv4::ANY, 80).unwrap();
+        k.process(root).bind(fd_r, Ipv4::ANY, 80).unwrap();
         // High ports are free for everyone.
         let fd_u2 = k
-            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
-        k.sys_bind(user, fd_u2, Ipv4::ANY, 8080).unwrap();
+        k.process(user).bind(fd_u2, Ipv4::ANY, 8080).unwrap();
     }
 
     #[test]
     fn loopback_stream_roundtrip() {
         let (k, _, user) = boot();
         let srv = k
-            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
-        k.sys_bind(user, srv, Ipv4::ANY, 8080).unwrap();
-        k.sys_listen(user, srv).unwrap();
+        k.process(user).bind(srv, Ipv4::ANY, 8080).unwrap();
+        k.process(user).listen(srv).unwrap();
         let cli = k
-            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
-        k.sys_connect(user, cli, Ipv4::LOOPBACK, 8080).unwrap();
-        let conn = k.sys_accept(user, srv).unwrap();
-        k.sys_send(user, cli, b"GET / HTTP/1.0\r\n").unwrap();
-        let got = k.sys_recv(user, conn, 1024).unwrap();
+        k.process(user).connect(cli, Ipv4::LOOPBACK, 8080).unwrap();
+        let conn = k.process(user).accept(srv).unwrap();
+        k.process(user).send(cli, b"GET / HTTP/1.0\r\n").unwrap();
+        let got = k.process(user).recv(conn, 1024).unwrap();
         assert_eq!(got, b"GET / HTTP/1.0\r\n");
-        k.sys_send(user, conn, b"200 OK").unwrap();
-        assert_eq!(k.sys_recv(user, cli, 1024).unwrap(), b"200 OK");
+        k.process(user).send(conn, b"200 OK").unwrap();
+        assert_eq!(k.process(user).recv(cli, 1024).unwrap(), b"200 OK");
     }
 
     #[test]
     fn connect_refused_without_listener() {
         let (k, _, user) = boot();
         let cli = k
-            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
         assert_eq!(
-            k.sys_connect(user, cli, Ipv4::LOOPBACK, 9999).unwrap_err(),
+            k.process(user)
+                .connect(cli, Ipv4::LOOPBACK, 9999)
+                .unwrap_err(),
             Errno::ECONNREFUSED
         );
     }
@@ -801,14 +807,19 @@ mod tests {
     fn remote_tcp_connect() {
         let (k, _, user) = boot();
         let cli = k
-            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
-        k.sys_connect(user, cli, Ipv4::new(8, 8, 8, 8), 80).unwrap();
+        k.process(user)
+            .connect(cli, Ipv4::new(8, 8, 8, 8), 80)
+            .unwrap();
         let cli2 = k
-            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
         assert_eq!(
-            k.sys_connect(user, cli2, Ipv4::new(8, 8, 8, 8), 25)
+            k.process(user)
+                .connect(cli2, Ipv4::new(8, 8, 8, 8), 25)
                 .unwrap_err(),
             Errno::ECONNREFUSED
         );
@@ -819,10 +830,12 @@ mod tests {
         let (k, _, user) = boot();
         k.routes.write().remove(Ipv4::ANY, 0).unwrap();
         let cli = k
-            .sys_socket(user, Domain::Inet, SockType::Stream, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Stream, 0)
             .unwrap();
         assert_eq!(
-            k.sys_connect(user, cli, Ipv4::new(8, 8, 8, 8), 80)
+            k.process(user)
+                .connect(cli, Ipv4::new(8, 8, 8, 8), 80)
                 .unwrap_err(),
             Errno::ENETUNREACH
         );
@@ -831,7 +844,10 @@ mod tests {
     #[test]
     fn root_ping_roundtrip_via_raw_socket() {
         let (k, root, _) = boot();
-        let fd = k.sys_socket(root, Domain::Inet, SockType::Raw, 1).unwrap();
+        let fd = k
+            .process(root)
+            .socket(Domain::Inet, SockType::Raw, 1)
+            .unwrap();
         let pkt = Packet::echo_request(
             Ipv4::new(10, 0, 0, 100),
             Ipv4::new(8, 8, 8, 8),
@@ -839,8 +855,8 @@ mod tests {
             1,
             Uid::ROOT,
         );
-        k.sys_send_packet(root, fd, pkt).unwrap();
-        let reply = k.sys_recv_packet(root, fd).unwrap();
+        k.process(root).send_packet(fd, pkt).unwrap();
+        let reply = k.process(root).recv_packet(fd).unwrap();
         assert_eq!(reply.l4, L4::Icmp(IcmpKind::EchoReply { id: 7, seq: 1 }));
     }
 
@@ -848,12 +864,14 @@ mod tests {
     fn udp_sendto_and_remote_echo() {
         let (k, _, user) = boot();
         let fd = k
-            .sys_socket(user, Domain::Inet, SockType::Dgram, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Dgram, 0)
             .unwrap();
         // Port 7 on 8.8.8.8 echoes.
-        k.sys_sendto(user, fd, Ipv4::new(8, 8, 8, 8), 7, b"hi")
+        k.process(user)
+            .sendto(fd, Ipv4::new(8, 8, 8, 8), 7, b"hi")
             .unwrap();
-        let reply = k.sys_recv_packet(user, fd).unwrap();
+        let reply = k.process(user).recv_packet(fd).unwrap();
         assert_eq!(reply.payload, b"hi");
     }
 
@@ -861,26 +879,29 @@ mod tests {
     fn local_udp_delivery() {
         let (k, _, user) = boot();
         let rx = k
-            .sys_socket(user, Domain::Inet, SockType::Dgram, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Dgram, 0)
             .unwrap();
-        k.sys_bind(user, rx, Ipv4::ANY, 5000).unwrap();
+        k.process(user).bind(rx, Ipv4::ANY, 5000).unwrap();
         let tx = k
-            .sys_socket(user, Domain::Inet, SockType::Dgram, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Dgram, 0)
             .unwrap();
-        k.sys_sendto(user, tx, Ipv4::LOOPBACK, 5000, b"msg")
+        k.process(user)
+            .sendto(tx, Ipv4::LOOPBACK, 5000, b"msg")
             .unwrap();
-        let got = k.sys_recv_packet(user, rx).unwrap();
+        let got = k.process(user).recv_packet(rx).unwrap();
         assert_eq!(got.payload, b"msg");
     }
 
     #[test]
     fn socketpair_roundtrip() {
         let (k, _, user) = boot();
-        let (a, b) = k.sys_socketpair(user).unwrap();
-        k.sys_send(user, a, b"ping").unwrap();
-        assert_eq!(k.sys_recv(user, b, 16).unwrap(), b"ping");
-        k.sys_send(user, b, b"pong").unwrap();
-        assert_eq!(k.sys_recv(user, a, 16).unwrap(), b"pong");
+        let (a, b) = k.process(user).socketpair().unwrap();
+        k.process(user).send(a, b"ping").unwrap();
+        assert_eq!(k.process(user).recv(b, 16).unwrap(), b"ping");
+        k.process(user).send(b, b"pong").unwrap();
+        assert_eq!(k.process(user).recv(a, 16).unwrap(), b"pong");
     }
 
     #[test]
@@ -894,11 +915,12 @@ mod tests {
             created_by: Uid(1000),
         };
         assert_eq!(
-            k.sys_ioctl_route(user, RouteOp::Add(r.clone()))
+            k.process(user)
+                .ioctl_route(RouteOp::Add(r.clone()))
                 .unwrap_err(),
             Errno::EPERM
         );
-        k.sys_ioctl_route(root, RouteOp::Add(r)).unwrap();
+        k.process(root).ioctl_route(RouteOp::Add(r)).unwrap();
         assert_eq!(k.routes.read().len(), 2);
     }
 
@@ -906,24 +928,20 @@ mod tests {
     fn route_del_owner_or_cap() {
         let (k, root, user) = boot();
         assert_eq!(
-            k.sys_ioctl_route(
-                user,
-                RouteOp::Del {
+            k.process(user)
+                .ioctl_route(RouteOp::Del {
                     dest: Ipv4::ANY,
                     prefix: 0
-                }
-            )
-            .unwrap_err(),
+                })
+                .unwrap_err(),
             Errno::EPERM
         );
-        k.sys_ioctl_route(
-            root,
-            RouteOp::Del {
+        k.process(root)
+            .ioctl_route(RouteOp::Del {
                 dest: Ipv4::ANY,
                 prefix: 0,
-            },
-        )
-        .unwrap();
+            })
+            .unwrap();
         assert!(k.routes.read().is_empty());
     }
 
@@ -931,9 +949,10 @@ mod tests {
     fn recv_on_empty_socket_is_eagain() {
         let (k, _, user) = boot();
         let fd = k
-            .sys_socket(user, Domain::Inet, SockType::Dgram, 0)
+            .process(user)
+            .socket(Domain::Inet, SockType::Dgram, 0)
             .unwrap();
-        assert_eq!(k.sys_recv_packet(user, fd).unwrap_err(), Errno::EAGAIN);
+        assert_eq!(k.process(user).recv_packet(fd).unwrap_err(), Errno::EAGAIN);
     }
 }
 
@@ -942,6 +961,7 @@ mod edge_tests {
     use super::*;
     use crate::cred::{Credentials, Gid, Uid};
     use crate::net::SimNet;
+    use crate::task::Pid;
 
     fn boot() -> (Kernel, Pid) {
         let k = Kernel::new(SimNet::standard_topology());
@@ -952,41 +972,53 @@ mod edge_tests {
     #[test]
     fn accept_on_non_listener_is_einval() {
         let (k, u) = boot();
-        let fd = k.sys_socket(u, Domain::Inet, SockType::Stream, 0).unwrap();
-        assert_eq!(k.sys_accept(u, fd).unwrap_err(), Errno::EINVAL);
+        let fd = k
+            .process(u)
+            .socket(Domain::Inet, SockType::Stream, 0)
+            .unwrap();
+        assert_eq!(k.process(u).accept(fd).unwrap_err(), Errno::EINVAL);
     }
 
     #[test]
     fn listen_requires_bind() {
         let (k, u) = boot();
-        let fd = k.sys_socket(u, Domain::Inet, SockType::Stream, 0).unwrap();
-        assert_eq!(k.sys_listen(u, fd).unwrap_err(), Errno::EINVAL);
+        let fd = k
+            .process(u)
+            .socket(Domain::Inet, SockType::Stream, 0)
+            .unwrap();
+        assert_eq!(k.process(u).listen(fd).unwrap_err(), Errno::EINVAL);
     }
 
     #[test]
     fn listen_on_dgram_is_eopnotsupp() {
         let (k, u) = boot();
-        let fd = k.sys_socket(u, Domain::Inet, SockType::Dgram, 0).unwrap();
-        assert_eq!(k.sys_listen(u, fd).unwrap_err(), Errno::EOPNOTSUPP);
+        let fd = k
+            .process(u)
+            .socket(Domain::Inet, SockType::Dgram, 0)
+            .unwrap();
+        assert_eq!(k.process(u).listen(fd).unwrap_err(), Errno::EOPNOTSUPP);
     }
 
     #[test]
     fn send_on_unconnected_stream_is_enotconn() {
         let (k, u) = boot();
-        let fd = k.sys_socket(u, Domain::Inet, SockType::Stream, 0).unwrap();
-        assert_eq!(k.sys_send(u, fd, b"x").unwrap_err(), Errno::ENOTCONN);
+        let fd = k
+            .process(u)
+            .socket(Domain::Inet, SockType::Stream, 0)
+            .unwrap();
+        assert_eq!(k.process(u).send(fd, b"x").unwrap_err(), Errno::ENOTCONN);
     }
 
     #[test]
     fn recv_after_peer_close_is_eof() {
         let (k, u) = boot();
-        let (a, b) = k.sys_socketpair(u).unwrap();
-        k.sys_send(u, a, b"bye").unwrap();
-        k.sys_close(u, a).unwrap();
+        let (a, b) = k.process(u).socketpair().unwrap();
+        k.process(u).send(a, b"bye").unwrap();
+        k.process(u).close(a).unwrap();
         // Buffered data still drains...
-        assert_eq!(k.sys_recv(u, b, 16).unwrap(), b"bye");
+        assert_eq!(k.process(u).recv(b, 16).unwrap(), b"bye");
         // ...then EOF (empty read) rather than an error.
-        assert_eq!(k.sys_recv(u, b, 16).unwrap(), b"");
+        assert_eq!(k.process(u).recv(b, 16).unwrap(), b"");
     }
 
     #[test]
@@ -999,11 +1031,12 @@ mod edge_tests {
             .write_file("/tmp/f", b"", crate::vfs::Mode(0o644))
             .unwrap();
         let fd = k
-            .sys_open(u, "/tmp/f", crate::syscall::OpenFlags::read_only())
+            .process(u)
+            .open("/tmp/f", crate::syscall::OpenFlags::read_only())
             .unwrap();
-        assert_eq!(k.sys_send(u, fd, b"x").unwrap_err(), Errno::ENOTCONN);
+        assert_eq!(k.process(u).send(fd, b"x").unwrap_err(), Errno::ENOTCONN);
         assert_eq!(
-            k.sys_bind(u, fd, Ipv4::ANY, 8080).unwrap_err(),
+            k.process(u).bind(fd, Ipv4::ANY, 8080).unwrap_err(),
             Errno::ENOTCONN
         );
     }
@@ -1011,11 +1044,17 @@ mod edge_tests {
     #[test]
     fn udp_connect_then_send_uses_sendto_path() {
         let (k, u) = boot();
-        let rx = k.sys_socket(u, Domain::Inet, SockType::Dgram, 0).unwrap();
-        k.sys_bind(u, rx, Ipv4::ANY, 7100).unwrap();
-        let tx = k.sys_socket(u, Domain::Inet, SockType::Dgram, 0).unwrap();
-        k.sys_connect(u, tx, Ipv4::LOOPBACK, 7100).unwrap();
-        k.sys_send(u, tx, b"dgram").unwrap();
-        assert_eq!(k.sys_recv_packet(u, rx).unwrap().payload, b"dgram");
+        let rx = k
+            .process(u)
+            .socket(Domain::Inet, SockType::Dgram, 0)
+            .unwrap();
+        k.process(u).bind(rx, Ipv4::ANY, 7100).unwrap();
+        let tx = k
+            .process(u)
+            .socket(Domain::Inet, SockType::Dgram, 0)
+            .unwrap();
+        k.process(u).connect(tx, Ipv4::LOOPBACK, 7100).unwrap();
+        k.process(u).send(tx, b"dgram").unwrap();
+        assert_eq!(k.process(u).recv_packet(rx).unwrap().payload, b"dgram");
     }
 }

@@ -5,21 +5,23 @@
 //! (§4.3). The kernel performs the credential mathematics; running the new
 //! program image is the caller's (userland runtime's) job.
 
+use crate::cred::Credentials;
 use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::lsm::{EnvPolicy, ExecCtx, ExecDecision};
-use crate::task::{FdObject, Pid};
+use crate::task::{Binary, Caller, FdObject, Pid};
 use crate::trace::{AuditObject, DecisionKind, Hook};
 use crate::vfs::{Access, InodeData};
+use std::sync::Arc;
 
 impl Kernel {
     /// `fork(2)`.
-    pub(crate) fn sys_fork(&self, pid: Pid) -> KResult<Pid> {
-        let parent = self.task(pid)?.clone();
+    pub(crate) fn sys_fork(&self, c: &Caller) -> KResult<Pid> {
+        let parent = self.task(c.pid)?.clone();
         let child_pid = self.alloc_pid();
         let mut child = parent;
         child.pid = child_pid;
-        child.ppid = pid;
+        child.ppid = c.pid;
         child.exit_status = None;
         // A pending setuid-on-exec is a property of the calling task, not
         // inheritable — otherwise a child could consume the delegation.
@@ -42,8 +44,8 @@ impl Kernel {
     }
 
     /// `execve(2)`. Returns the resolved absolute path of the new image.
-    pub(crate) fn sys_execve(&self, pid: Pid, path: &str) -> KResult<String> {
-        let r = self.walk(pid, path)?;
+    pub(crate) fn sys_execve(&self, c: &Caller, path: &str) -> KResult<String> {
+        let r = self.walk(c, path)?;
         {
             let inode = self.vfs.inode(r.ino);
             if inode.data.is_dir() {
@@ -53,7 +55,7 @@ impl Kernel {
                 return Err(Errno::EACCES);
             }
         }
-        self.check_access(pid, r.ino, Access::EXEC)?;
+        self.check_access(c, r.ino, Access::EXEC)?;
         let abs = self.vfs.path_of(r.ino);
 
         // Mount flags covering the binary.
@@ -79,35 +81,34 @@ impl Kernel {
             )
         };
 
-        let pending = self.task_mut(pid)?.pending_setuid.take();
+        let pending = self.task_mut(c.pid)?.pending_setuid.take();
 
         let mut attempts = 0;
+        // After a successful authentication the retry sees a fresh
+        // snapshot, not the one taken at entry.
+        let mut refreshed: Option<Caller> = None;
         let decision = loop {
-            // Scoped: the task guard must drop before the arms below
-            // emit events or re-run authentication.
-            let ctx = {
-                let t = self.task(pid)?;
-                ExecCtx {
-                    cred: t.cred.clone(),
-                    binary: abs.clone(),
-                    file_owner,
-                    file_group,
-                    setuid_bit,
-                    setgid_bit,
-                    pending: pending.clone(),
-                    last_auth: t.last_auth,
-                    last_auth_scope: t.last_auth_scope,
-                    now: self.clock(),
-                }
+            let now = refreshed.as_ref().unwrap_or(c);
+            let ctx = ExecCtx {
+                cred: Credentials::clone(&now.cred),
+                binary: abs.clone(),
+                file_owner,
+                file_group,
+                setuid_bit,
+                setgid_bit,
+                pending: pending.clone(),
+                last_auth: now.last_auth,
+                last_auth_scope: now.last_auth_scope,
+                now: self.clock(),
             };
             let hook_decision = self.lsm().bprm_check(&ctx);
             match hook_decision {
                 ExecDecision::NeedAuth(scope) => {
                     attempts += 1;
-                    if attempts > 1 || !self.run_auth(pid, scope) {
+                    if attempts > 1 || !self.run_auth(c.pid, scope) {
                         let msg = format!("exec: auth failed for {}", abs);
                         self.emit_lsm_event(
-                            pid,
+                            c.pid,
                             "exec",
                             Hook::BprmCheck,
                             DecisionKind::Deny,
@@ -117,52 +118,19 @@ impl Kernel {
                         );
                         return Err(Errno::EACCES);
                     }
+                    refreshed = Some(self.live_caller(c.pid)?);
                 }
                 other => break other,
             }
         };
 
-        match decision {
-            ExecDecision::UseDefault => {
-                let mut t = self.task_mut(pid)?;
-                if setuid_bit {
-                    t.cred.apply_setuid_bit(file_owner);
-                }
-                if setgid_bit {
-                    t.cred.apply_setgid_bit(file_group);
-                }
-            }
-            ExecDecision::Transition { cred, env } => {
-                let new_euid = cred.euid;
-                {
-                    // Scoped: drop the task write guard before emitting
-                    // (the emit path re-reads the task table).
-                    let mut t = self.task_mut(pid)?;
-                    t.cred = cred;
-                    match env {
-                        EnvPolicy::KeepAll => {}
-                        EnvPolicy::ClearExcept(keep) => {
-                            t.env.retain(|(k, _)| {
-                                k == "PATH" || k == "TERM" || keep.iter().any(|x| x == k)
-                            });
-                        }
-                    }
-                }
-                let msg = format!("exec: lsm transition {} -> euid {}", abs, new_euid);
-                self.emit_lsm_event(
-                    pid,
-                    "execve",
-                    Hook::BprmCheck,
-                    DecisionKind::Allow,
-                    None,
-                    AuditObject::Binary(abs.clone()),
-                    msg,
-                );
-            }
+        let (transition, env) = match decision {
+            ExecDecision::UseDefault => (None, EnvPolicy::KeepAll),
+            ExecDecision::Transition { cred, env } => (Some(cred), env),
             ExecDecision::Deny(e) => {
                 let msg = format!("exec: lsm denied {} ({})", abs, e.name());
                 self.emit_lsm_event(
-                    pid,
+                    c.pid,
                     "execve",
                     Hook::BprmCheck,
                     DecisionKind::Deny,
@@ -173,32 +141,60 @@ impl Kernel {
                 return Err(e);
             }
             ExecDecision::NeedAuth(_) => unreachable!("resolved above"),
-        }
+        };
 
-        // Close-on-exec descriptors.
-        let mut to_close = Vec::new();
-        {
-            let mut t = self.task_mut(pid)?;
-            for (i, slot) in t.fds.iter_mut().enumerate() {
-                if slot.as_ref().map(|f| f.cloexec).unwrap_or(false) {
-                    if let Some(fd) = slot.take() {
-                        to_close.push((i, fd));
+        // Commit the new image in one task write: credentials (stock
+        // setuid/setgid bits or the module's transition), environment,
+        // the binary, and the close-on-exec descriptors taken out. The
+        // task's next snapshot sees all of it. The guard drops before any
+        // emission (the emit path re-reads the task table).
+        let new_euid = transition.as_ref().map(|cred| cred.euid);
+        let to_close: Vec<FdObject> = {
+            let mut t = self.task_mut(c.pid)?;
+            match transition {
+                Some(cred) => t.cred = Arc::new(cred),
+                None => {
+                    if setuid_bit {
+                        Arc::make_mut(&mut t.cred).apply_setuid_bit(file_owner);
+                    }
+                    if setgid_bit {
+                        Arc::make_mut(&mut t.cred).apply_setgid_bit(file_group);
                     }
                 }
             }
+            if let EnvPolicy::ClearExcept(keep) = env {
+                t.env
+                    .retain(|(k, _)| k == "PATH" || k == "TERM" || keep.iter().any(|x| x == k));
+            }
+            t.binary = Binary::new(&abs);
+            t.fds
+                .iter_mut()
+                .filter(|slot| slot.as_ref().is_some_and(|f| f.cloexec))
+                .filter_map(|slot| slot.take().map(|fd| fd.object))
+                .collect()
+        };
+        if let Some(euid) = new_euid {
+            let msg = format!("exec: lsm transition {} -> euid {}", abs, euid);
+            self.emit_lsm_event(
+                c.pid,
+                "execve",
+                Hook::BprmCheck,
+                DecisionKind::Allow,
+                None,
+                AuditObject::Binary(abs.clone()),
+                msg,
+            );
         }
-        for (_, fd) in to_close {
-            self.release_fd_object(fd.object);
+        for object in to_close {
+            self.release_fd_object(object);
         }
-
-        self.task_mut(pid)?.binary = abs.clone();
         // The task's image changed: drop its cached seccomp profile
         // selection so the next dispatched call re-selects by the new
         // binary (§15 exec re-selection).
-        self.seccomp.forget_pid(pid);
-        let msg = format!("exec: pid {} -> {}", pid.0, abs);
+        self.seccomp.forget_pid(c.pid);
+        let msg = format!("exec: pid {} -> {}", c.pid.0, abs);
         self.emit_kernel_event(
-            pid,
+            c.pid,
             "execve",
             Hook::BprmCheck,
             DecisionKind::Info,
@@ -216,21 +212,21 @@ impl Kernel {
     /// anyone may create a *user* namespace, and a task inside one may
     /// unshare the other kinds — the change that deprivileged
     /// chromium-sandbox without any Protego mechanism.
-    pub(crate) fn sys_unshare(&self, pid: Pid, kind: crate::task::NsKind) -> KResult<()> {
+    pub(crate) fn sys_unshare(&self, c: &Caller, kind: crate::task::NsKind) -> KResult<()> {
         use crate::caps::Cap;
         use crate::task::NsKind;
-        let privileged = self.capable(pid, Cap::SysAdmin);
+        let privileged = self.capable(c, Cap::SysAdmin);
         let allowed = match kind {
             NsKind::User => privileged || self.unprivileged_userns,
             _ => {
                 privileged
-                    || (self.unprivileged_userns && self.task(pid)?.in_namespace(NsKind::User))
+                    || (self.unprivileged_userns && self.task(c.pid)?.in_namespace(NsKind::User))
             }
         };
         if !allowed {
             return Err(Errno::EPERM);
         }
-        let mut t = self.task_mut(pid)?;
+        let mut t = self.task_mut(c.pid)?;
         if !t.namespaces.contains(&kind) {
             t.namespaces.push(kind);
         }
@@ -238,9 +234,9 @@ impl Kernel {
     }
 
     /// `exit(2)`.
-    pub(crate) fn sys_exit(&self, pid: Pid, status: i32) -> KResult<()> {
+    pub(crate) fn sys_exit(&self, c: &Caller, status: i32) -> KResult<()> {
         let fds: Vec<_> = {
-            let mut t = self.task_mut(pid)?;
+            let mut t = self.task_mut(c.pid)?;
             t.exit_status = Some(status);
             t.fds.iter_mut().filter_map(|f| f.take()).collect()
         };
@@ -251,15 +247,15 @@ impl Kernel {
     }
 
     /// `waitpid(2)` — reaps an exited child and returns its status.
-    pub(crate) fn sys_wait(&self, pid: Pid, child: Pid) -> KResult<i32> {
+    pub(crate) fn sys_wait(&self, c: &Caller, child: Pid) -> KResult<i32> {
         // Scoped: the read guard must drop before `reap` write-locks the
         // same shard.
         let status = {
-            let c = self.task(child)?;
-            if c.ppid != pid {
+            let t = self.task(child)?;
+            if t.ppid != c.pid {
                 return Err(Errno::ESRCH);
             }
-            c.exit_status.ok_or(Errno::EAGAIN)?
+            t.exit_status.ok_or(Errno::EAGAIN)?
         };
         self.reap(child)?;
         Ok(status)
@@ -293,7 +289,7 @@ mod tests {
     #[test]
     fn fork_copies_credentials() {
         let (k, _, user) = boot();
-        let child = k.sys_fork(user).unwrap();
+        let child = k.process(user).fork().unwrap();
         assert_ne!(child, user);
         assert_eq!(k.task(child).unwrap().cred, k.task(user).unwrap().cred);
         assert_eq!(k.task(child).unwrap().ppid, user);
@@ -302,7 +298,7 @@ mod tests {
     #[test]
     fn exec_plain_binary_keeps_cred() {
         let (k, _, user) = boot();
-        let abs = k.sys_execve(user, "/bin/sh").unwrap();
+        let abs = k.process(user).execve("/bin/sh").unwrap();
         assert_eq!(abs, "/bin/sh");
         assert_eq!(k.task(user).unwrap().cred.euid, Uid(1000));
     }
@@ -310,7 +306,7 @@ mod tests {
     #[test]
     fn exec_setuid_root_binary_raises_euid() {
         let (k, _, user) = boot();
-        k.sys_execve(user, "/bin/passwd").unwrap();
+        k.process(user).execve("/bin/passwd").unwrap();
         let t = k.task(user).unwrap();
         let c = &t.cred;
         assert_eq!(c.ruid, Uid(1000));
@@ -322,7 +318,7 @@ mod tests {
     fn exec_requires_x_permission() {
         let (k, _, user) = boot();
         assert_eq!(
-            k.sys_execve(user, "/opt/private").unwrap_err(),
+            k.process(user).execve("/opt/private").unwrap_err(),
             Errno::EACCES
         );
     }
@@ -330,7 +326,10 @@ mod tests {
     #[test]
     fn exec_missing_is_enoent() {
         let (k, _, user) = boot();
-        assert_eq!(k.sys_execve(user, "/bin/nope").unwrap_err(), Errno::ENOENT);
+        assert_eq!(
+            k.process(user).execve("/bin/nope").unwrap_err(),
+            Errno::ENOENT
+        );
     }
 
     #[test]
@@ -338,14 +337,17 @@ mod tests {
         let (k, root, user) = boot();
         k.install_standard_devices().unwrap();
         k.vfs.mkdir_p("/mnt/usb").unwrap();
-        k.sys_mount(root, "/dev/sdb1", "/mnt/usb", "vfat", "nosuid")
+        k.process(root)
+            .mount("/dev/sdb1", "/mnt/usb", "vfat", "nosuid")
             .unwrap();
         // Drop a setuid-root binary onto the removable media.
         k.process(root)
             .write_file("/mnt/usb/evil", b"#!sim", Mode(0o755))
             .unwrap();
-        k.sys_chmod(root, "/mnt/usb/evil", Mode(0o4755)).unwrap();
-        k.sys_execve(user, "/mnt/usb/evil").unwrap();
+        k.process(root)
+            .chmod("/mnt/usb/evil", Mode(0o4755))
+            .unwrap();
+        k.process(user).execve("/mnt/usb/evil").unwrap();
         assert_eq!(k.task(user).unwrap().cred.euid, Uid(1000));
     }
 
@@ -360,9 +362,12 @@ mod tests {
             .unwrap();
         let mut fl = OpenFlags::read_only();
         fl.cloexec = true;
-        let fd_c = k.sys_open(user, "/tmp/f", fl).unwrap();
-        let fd_k = k.sys_open(user, "/tmp/f", OpenFlags::read_only()).unwrap();
-        k.sys_execve(user, "/bin/sh").unwrap();
+        let fd_c = k.process(user).open("/tmp/f", fl).unwrap();
+        let fd_k = k
+            .process(user)
+            .open("/tmp/f", OpenFlags::read_only())
+            .unwrap();
+        k.process(user).execve("/bin/sh").unwrap();
         assert!(k.task(user).unwrap().fd(fd_c).is_err());
         assert!(k.task(user).unwrap().fd(fd_k).is_ok());
     }
@@ -370,31 +375,30 @@ mod tests {
     #[test]
     fn exit_and_wait() {
         let (k, _, user) = boot();
-        let child = k.sys_fork(user).unwrap();
-        assert_eq!(k.sys_wait(user, child).unwrap_err(), Errno::EAGAIN);
-        k.sys_exit(child, 7).unwrap();
-        assert_eq!(k.sys_wait(user, child).unwrap(), 7);
+        let child = k.process(user).fork().unwrap();
+        assert_eq!(k.process(user).wait(child).unwrap_err(), Errno::EAGAIN);
+        k.process(child).exit(7).unwrap();
+        assert_eq!(k.process(user).wait(child).unwrap(), 7);
         assert_eq!(k.task(child).unwrap_err(), Errno::ESRCH);
     }
 
     #[test]
     fn wait_on_non_child_is_esrch() {
         let (k, root, user) = boot();
-        let child = k.sys_fork(user).unwrap();
-        k.sys_exit(child, 0).unwrap();
-        assert_eq!(k.sys_wait(root, child).unwrap_err(), Errno::ESRCH);
+        let child = k.process(user).fork().unwrap();
+        k.process(child).exit(0).unwrap();
+        assert_eq!(k.process(root).wait(child).unwrap_err(), Errno::ESRCH);
     }
 
     #[test]
     fn fork_bumps_pipe_refcounts() {
         let (k, _, user) = boot();
-        let (r, w) = k.sys_pipe(user).unwrap();
-        let child = k.sys_fork(user).unwrap();
+        let (r, w) = k.process(user).pipe().unwrap();
+        let child = k.process(user).fork().unwrap();
         // Parent closes both ends; child's copies keep the pipe alive.
-        k.sys_close(user, r).unwrap();
-        k.sys_close(user, w).unwrap();
-        k.sys_write(child, w, b"alive").unwrap();
-        let mut buf = Vec::new();
-        assert_eq!(k.sys_read(child, r, &mut buf, 16).unwrap(), 5);
+        k.process(user).close(r).unwrap();
+        k.process(user).close(w).unwrap();
+        k.process(child).write(w, b"alive").unwrap();
+        assert_eq!(k.process(child).read(r, 16).unwrap(), b"alive");
     }
 }

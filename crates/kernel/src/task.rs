@@ -1,65 +1,127 @@
 //! Tasks (processes) and file-descriptor tables.
 
-use crate::cred::Credentials;
+use crate::cred::{Credentials, Gid, Uid};
 use crate::error::{Errno, KResult};
 use crate::lsm::{AuthScope, PendingSetuid};
 use crate::net::SockId;
 use crate::vfs::{Ino, Name};
 use std::collections::VecDeque;
+use std::sync::{Arc, OnceLock};
 
 /// A process identity.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
 pub struct Pid(pub u32);
 
-/// A cheap, `Copy` snapshot of the calling task's identity — everything an
-/// interceptor may need to attribute a dispatched call without touching the
-/// task table itself. [`crate::kernel::Kernel::dispatch`] takes exactly one
-/// snapshot per dispatched call (a single task-shard read) and hands the
-/// same value to every hook via
-/// [`SysCtx`](crate::syscall::SysCtx); the binary path is carried as an
-/// interned [`Name`] so copying the snapshot moves four words and no heap.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct TaskIdentity {
+/// The path of the binary image a task runs, interned once when the task
+/// is spawned or execs: the symbol for integer compares and map keys
+/// (seccomp profile selection) and its text for glob matches and audit
+/// messages, so no syscall interns, resolves or clones it.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub struct Binary {
+    name: Name,
+    path: &'static str,
+}
+
+impl Binary {
+    /// Interns `path`.
+    pub fn new(path: &str) -> Binary {
+        let name = Name::intern(path);
+        Binary {
+            name,
+            path: name.as_str(),
+        }
+    }
+
+    /// The interned path.
+    pub fn name(self) -> Name {
+        self.name
+    }
+
+    /// The path's text.
+    pub fn as_str(self) -> &'static str {
+        self.path
+    }
+}
+
+impl From<&str> for Binary {
+    fn from(path: &str) -> Binary {
+        Binary::new(path)
+    }
+}
+
+impl std::fmt::Display for Binary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.path)
+    }
+}
+
+/// The calling task as one dispatched syscall sees it: the kernel's
+/// `current_cred()`.
+///
+/// [`crate::kernel::Kernel::dispatch`] takes one `Caller` per call (a
+/// single task-shard read) and hands it by reference to every
+/// interceptor (via [`SysCtx`](crate::syscall::SysCtx)), to the `sys_*`
+/// body, to the path walk and DAC checks, to `capable` and to each LSM
+/// hook context. The credentials are the task's own `Arc`, shared rather
+/// than copied, and the binary is interned, so taking the snapshot
+/// allocates nothing. A body that changes its own task partway through a
+/// call (authentication, a credential or image commit) takes a fresh
+/// snapshot for its later checks; no `Caller` outlives its dispatch.
+#[derive(Debug)]
+pub struct Caller {
     /// The dispatching process.
     pub pid: Pid,
-    /// Real uid at dispatch time.
-    pub uid: crate::cred::Uid,
-    /// Effective uid at dispatch time.
-    pub euid: crate::cred::Uid,
-    /// Interned absolute path of the binary image the task is executing
-    /// (re-resolved across `execve`, so a profile keyed on it follows the
-    /// image, not the pid). [`TaskIdentity::UNKNOWN_BINARY`] when the pid
-    /// has no live task.
-    pub binary: Name,
+    /// Credentials at dispatch time.
+    pub cred: Arc<Credentials>,
+    /// Working directory at dispatch time.
+    pub cwd: Ino,
+    /// The binary image the task is executing (re-resolved across
+    /// `execve`, so a profile keyed on it follows the image, not the
+    /// pid). [`Caller::UNKNOWN_BINARY`] when the pid has no live task.
+    pub binary: Binary,
+    /// Logical time of the task's last successful authentication.
+    pub last_auth: Option<u64>,
+    /// Which principal that authentication proved.
+    pub last_auth_scope: Option<AuthScope>,
     /// Whether the pid mapped to a live task when the snapshot was taken.
-    /// Dead or never-born pids still dispatch (the entry point returns
-    /// `ESRCH`), so interceptors must not assume liveness.
+    /// Dead or never-born pids still dispatch (interceptors see them; the
+    /// call fails with `ESRCH`), so interceptors must not assume liveness.
     pub alive: bool,
 }
 
-impl TaskIdentity {
+impl Caller {
     /// Binary-path placeholder used when the pid has no live task.
     pub const UNKNOWN_BINARY: &'static str = "[unknown]";
 
-    /// The snapshot for a pid with no live task: overflow uids, the
-    /// [`TaskIdentity::UNKNOWN_BINARY`] placeholder, `alive == false`.
-    pub fn unknown(pid: Pid) -> TaskIdentity {
-        TaskIdentity {
+    /// The snapshot for a pid with no live task: overflow uids and no
+    /// capabilities, the [`Caller::UNKNOWN_BINARY`] placeholder, `alive ==
+    /// false`.
+    pub fn unknown(pid: Pid) -> Caller {
+        static NOBODY: OnceLock<(Arc<Credentials>, Binary)> = OnceLock::new();
+        let (cred, binary) = NOBODY.get_or_init(|| {
+            let overflow = Credentials::user(Uid(u32::MAX), Gid(u32::MAX));
+            (Arc::new(overflow), Binary::new(Caller::UNKNOWN_BINARY))
+        });
+        Caller {
             pid,
-            uid: crate::cred::Uid(u32::MAX),
-            euid: crate::cred::Uid(u32::MAX),
-            binary: Name::intern(TaskIdentity::UNKNOWN_BINARY),
+            cred: Arc::clone(cred),
+            cwd: Ino(0),
+            binary: *binary,
+            last_auth: None,
+            last_auth_scope: None,
             alive: false,
         }
     }
 
     /// Snapshots a live task.
-    pub fn of(task: &Task) -> TaskIdentity {
-        TaskIdentity {
+    pub fn of(task: &Task) -> Caller {
+        Caller {
             pid: task.pid,
-            uid: task.cred.ruid,
-            euid: task.cred.euid,
-            binary: Name::intern(&task.binary),
+            cred: Arc::clone(&task.cred),
+            cwd: task.cwd,
+            binary: task.binary,
+            last_auth: task.last_auth,
+            last_auth_scope: task.last_auth_scope,
             alive: true,
         }
     }
@@ -130,14 +192,17 @@ pub struct Task {
     pub pid: Pid,
     /// Parent process id.
     pub ppid: Pid,
-    /// Credential state.
-    pub cred: Credentials,
+    /// Credential state, shared with the [`Caller`] snapshots of the
+    /// task's in-flight calls. Commits replace it through
+    /// `Arc::make_mut`, in the style of Linux's `commit_creds`: a
+    /// snapshot keeps the credentials it was taken with.
+    pub cred: Arc<Credentials>,
     /// Current working directory inode.
     pub cwd: Ino,
     /// Open file descriptors.
     pub fds: Vec<Option<Fd>>,
-    /// Path of the binary image the task is executing.
-    pub binary: String,
+    /// The binary image the task is executing.
+    pub binary: Binary,
     /// Environment variables.
     pub env: Vec<(String, String)>,
     /// Logical time of the task's last successful authentication — the
@@ -163,10 +228,10 @@ impl Task {
         Task {
             pid,
             ppid,
-            cred,
+            cred: Arc::new(cred),
             cwd,
             fds: Vec::new(),
-            binary: binary.to_string(),
+            binary: Binary::new(binary),
             env: Vec::new(),
             last_auth: None,
             last_auth_scope: None,
@@ -271,7 +336,6 @@ impl Task {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cred::{Gid, Uid};
 
     fn task() -> Task {
         Task::new(

@@ -22,7 +22,7 @@
 //! equal any interned name, so callers may treat `lookup() == None` as
 //! "not equal to any symbol" without a string-compare fallback.
 
-use crate::sync;
+use crate::sync::{self, Shard, Sharded};
 use crate::trace::{span, CacheStats, Pathway};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -70,11 +70,14 @@ impl std::fmt::Display for Name {
 /// the dcache and LSM lookup caches report through `/proc/<lsm>/metrics`.
 /// A "hit" is an intern or probe that found an existing symbol; a "miss"
 /// is a fresh insertion or a failed probe. Invalidations are structurally
-/// impossible (symbols are immortal) and stay 0.
+/// impossible (symbols are immortal) and stay 0. Hits are summed over
+/// every thread's shard.
 pub fn stats() -> CacheStats {
     let i = interner();
+    let mut hits = 0;
+    i.hits.for_each(|h| hits += h.0.load(Ordering::Relaxed));
     CacheStats {
-        hits: i.hits.load(Ordering::Relaxed),
+        hits,
         misses: i.misses.load(Ordering::Relaxed),
         invalidations: 0,
     }
@@ -83,8 +86,22 @@ pub fn stats() -> CacheStats {
 struct Interner {
     stripes: [RwLock<HashMap<&'static str, u32>>; NSTRIPES],
     names: RwLock<Vec<&'static str>>,
-    hits: AtomicU64,
+    /// Hits, counted per thread: every path probe hits, so one shared
+    /// counter would be a cache line all workers write.
+    hits: Sharded<Hits>,
     misses: AtomicU64,
+}
+
+/// One thread's hit count. Only the owning thread writes it (or, on the
+/// fallback path of [`Sharded::with`], writers serialized by the retired
+/// total's lock), so a plain load and store suffice.
+#[derive(Default)]
+struct Hits(AtomicU64);
+
+impl Shard for Hits {
+    fn fold_into(&self, total: &mut Hits) {
+        *total.0.get_mut() += self.0.load(Ordering::Relaxed);
+    }
 }
 
 fn interner() -> &'static Interner {
@@ -92,7 +109,7 @@ fn interner() -> &'static Interner {
     GLOBAL.get_or_init(|| Interner {
         stripes: std::array::from_fn(|_| RwLock::new(HashMap::new())),
         names: RwLock::new(Vec::new()),
-        hits: AtomicU64::new(0),
+        hits: Sharded::default(),
         misses: AtomicU64::new(0),
     })
 }
@@ -104,10 +121,16 @@ fn stripe_of(s: &str) -> usize {
 }
 
 impl Interner {
+    fn hit(&self) {
+        self.hits.with(|h| {
+            h.0.store(h.0.load(Ordering::Relaxed) + 1, Ordering::Relaxed)
+        });
+    }
+
     fn intern(&self, s: &str) -> Name {
         let stripe = &self.stripes[stripe_of(s)];
         if let Some(&id) = sync::read(stripe).get(s) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hit();
             return Name(id);
         }
         // Miss path: leak the text, append to the resolve-back table,
@@ -116,7 +139,7 @@ impl Interner {
         let mut map = sync::write(stripe);
         if let Some(&id) = map.get(s) {
             // Another thread inserted between our probe and the write lock.
-            self.hits.fetch_add(1, Ordering::Relaxed);
+            self.hit();
             return Name(id);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -133,7 +156,7 @@ impl Interner {
         let found = sync::read(&self.stripes[stripe_of(s)]).get(s).copied();
         match found {
             Some(id) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                self.hit();
                 Some(Name(id))
             }
             None => {

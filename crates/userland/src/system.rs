@@ -385,11 +385,11 @@ impl<'a> Proc<'a> {
     }
 
     /// The binary path this task is executing.
-    pub fn binary(&self) -> String {
+    pub fn binary(&self) -> &'static str {
         self.sys
             .kernel
             .task(self.pid)
-            .map(|t| t.binary.clone())
+            .map(|t| t.binary.as_str())
             .unwrap_or_default()
     }
 
@@ -414,7 +414,7 @@ impl<'a> Proc<'a> {
     /// Marks a coverage point.
     pub fn cov(&mut self, point: &'static str) {
         let b = self.binary();
-        self.sys.coverage.hit(&b, point);
+        self.sys.coverage.hit(b, point);
     }
 
     /// Marks a coverage point that is also a *vulnerability point*: if an

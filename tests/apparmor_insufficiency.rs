@@ -45,9 +45,9 @@ fn kernel_with_confined_mount() -> Kernel {
 /// A task standing in for an exploited setuid mount: it runs the
 /// /bin/mount image with root credentials (what the setuid bit grants).
 fn exploited_mount(k: &mut Kernel) -> protego::kernel::Pid {
-    let pid = k.spawn_session(Credentials::root(), "/bin/mount");
-    k.task_mut(pid).unwrap().cred.ruid = Uid(1000); // invoked by a user
-    pid
+    let mut cred = Credentials::root();
+    cred.ruid = Uid(1000); // invoked by a user
+    k.spawn_session(cred, "/bin/mount")
 }
 
 #[test]
