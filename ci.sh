@@ -75,6 +75,12 @@ echo "== smoke seccomp: committed profiles are fresh and enforce cleanly =="
 cargo run --release -p bench --bin tables -- seccomp-derive --smoke --check
 cargo run --release -p bench --bin tables -- bench-verify SECCOMP_PROFILES.json
 
+echo "== smoke ablations: the ablation studies still run =="
+# Low-iteration run of the netfilter, auth-window and whitelist-scaling
+# (10..10,000 rules) ablations; it gates on nothing but completing, so
+# the ablation code cannot rot. The printed timings carry no bound.
+cargo run --release -p bench --bin tables -- ablations --quick
+
 echo "== span-timing feature compiles out cleanly =="
 # The no-default-features build makes span timing a constant no-op (no
 # shard is ever created); keep that configuration compiling, and run the

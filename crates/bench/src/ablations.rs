@@ -7,7 +7,8 @@
 //! 2. **Authentication recency window** — sweep the window and count the
 //!    password prompts a scripted session generates (usability vs
 //!    re-authentication exposure).
-//! 3. **Whitelist scaling** — mount-policy lookup with 10/100/1000 rules.
+//! 3. **Whitelist scaling** — mount-policy lookup with 10/100/1000/10000
+//!    rules.
 
 use crate::Fixture;
 use sim_kernel::net::{Domain, Ipv4, Packet, SockType};
@@ -63,8 +64,10 @@ pub fn prompts_for_window(spacing_secs: u64) -> u64 {
         .count() as u64
 }
 
-/// Installs `n` mount whitelist rules and times `iters` user mounts that
-/// match the *last* rule (worst-case linear scan).
+/// Installs `n` mount whitelist rules and times `iters` user mount+umount
+/// pairs that match the *last* rule, the position a linear scan would pay
+/// most for. The compiled mountpoint index finds it in O(log n) key
+/// comparisons, so the cost should stay flat as `n` grows.
 pub fn mount_lookup_cost(n: usize, iters: u32) -> u128 {
     let f = crate::fixture(SystemMode::Protego);
     let mut rules = String::new();

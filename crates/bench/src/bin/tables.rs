@@ -613,7 +613,7 @@ fn print_ablations(quick: bool) {
     }
 
     // 3. Mount whitelist scaling.
-    for rules in [10usize, 100, 1000] {
+    for rules in [10usize, 100, 1000, 10_000] {
         let t = ablations::mount_lookup_cost(rules, if quick { 20 } else { 200 });
         println!(
             "  mount whitelist {} rules: {:.0} ns/mount-umount",

@@ -43,6 +43,7 @@
 #![warn(missing_docs)]
 
 pub mod fstab;
+mod index;
 pub mod lsm;
 pub mod policy;
 pub mod sudoers;

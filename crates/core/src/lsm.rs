@@ -16,10 +16,8 @@
 //! * **file open** — binary-identity grants (ssh-keysign) and
 //!   reauthentication-gated, CLOEXEC-forced shadow fragments.
 
-use crate::policy::{
-    self, AuthReq, BindRule, CmdSpec, GroupRule, KeyFileRule, MountRule, MountScope, PolicySet,
-    Principal, SudoRule, Target,
-};
+use crate::index::PolicyIndex;
+use crate::policy::{self, AuthReq, CmdSpec, KeyFileRule, MountScope, PolicySet};
 use sim_kernel::caps::Cap;
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::dev::{ModemOpt, ModemState};
@@ -46,6 +44,9 @@ const KEYFILE_CACHE_CAP: usize = 1024;
 #[derive(Debug, Default)]
 pub struct ProtegoLsm {
     policy: PolicySet,
+    /// The compiled rule lookups over `policy`, rebuilt per node on every
+    /// policy write.
+    index: PolicyIndex,
     /// Identifier of the policy rule the most recent hook matched, drained
     /// by the kernel (via [`SecurityModule::take_matched_rule`]) to attach
     /// rule provenance to audit events. Hooks take `&self`, hence the
@@ -70,6 +71,7 @@ impl ProtegoLsm {
     /// A module preconfigured with a policy set (used by image builders).
     pub fn with_policy(policy: PolicySet) -> ProtegoLsm {
         ProtegoLsm {
+            index: PolicyIndex::build(&policy),
             policy,
             ..ProtegoLsm::default()
         }
@@ -83,47 +85,6 @@ impl ProtegoLsm {
     /// Read-only view of the active policy.
     pub fn policy(&self) -> &PolicySet {
         &self.policy
-    }
-
-    fn find_mount_rule(&self, req: &MountRequest) -> Option<&MountRule> {
-        self.policy.mounts.iter().find(|r| {
-            r.source == req.source
-                && r.mountpoint == req.target
-                && r.fstype.as_deref().map(|t| t == req.fstype).unwrap_or(true)
-        })
-    }
-
-    fn find_umount_rule(&self, target: &str) -> Option<&MountRule> {
-        self.policy.mounts.iter().find(|r| r.mountpoint == target)
-    }
-
-    fn find_bind_rule(&self, port: u16, tcp: bool) -> Option<&BindRule> {
-        self.policy
-            .binds
-            .iter()
-            .find(|r| r.port == port && r.tcp == tcp)
-    }
-
-    fn principal_matches(p: Principal, cred: &Credentials) -> bool {
-        match p {
-            Principal::Any => true,
-            Principal::Uid(u) => cred.ruid == Uid(u),
-            Principal::Gid(g) => cred.in_group(Gid(g)),
-        }
-    }
-
-    fn find_sudo_rule(&self, cred: &Credentials, target: Uid) -> Option<&SudoRule> {
-        self.policy.sudo.iter().find(|r| {
-            Self::principal_matches(r.from, cred)
-                && match r.target {
-                    Target::Any => true,
-                    Target::Uid(u) => target == Uid(u),
-                }
-        })
-    }
-
-    fn group_rule(&self, gid: Gid) -> Option<&GroupRule> {
-        self.policy.groups.iter().find(|g| g.gid == gid.0)
     }
 
     fn keyfile_rule(&self, path: &str) -> Option<&KeyFileRule> {
@@ -239,7 +200,7 @@ impl SecurityModule for ProtegoLsm {
             // The administrator path is unchanged.
             return Decision::UseDefault;
         }
-        match self.find_mount_rule(req) {
+        match self.index.mount(&self.policy, req) {
             Some(rule) => {
                 self.note_rule(format!("mounts:{}->{}", rule.source, rule.mountpoint));
                 if rule.read_only && !req.options.read_only {
@@ -259,7 +220,7 @@ impl SecurityModule for ProtegoLsm {
         if cred.euid.is_root() {
             return Decision::UseDefault;
         }
-        match self.find_umount_rule(&req.target) {
+        match self.index.umount(&self.policy, &req.target) {
             Some(rule) => {
                 self.note_rule(format!(
                     "mounts:{}->{} scope={:?}",
@@ -297,7 +258,7 @@ impl SecurityModule for ProtegoLsm {
     }
 
     fn socket_bind(&self, cred: &Credentials, req: &BindRequest) -> Decision {
-        match self.find_bind_rule(req.port, req.tcp) {
+        match self.index.bind(&self.policy, req.port, req.tcp) {
             Some(rule) => {
                 self.note_rule(format!(
                     "bind:{}/{} -> ({}, {})",
@@ -328,7 +289,7 @@ impl SecurityModule for ProtegoLsm {
         if ctx.cred.has_cap(Cap::Setuid) || target == ctx.cred.ruid || target == ctx.cred.suid {
             return SetuidDecision::UseDefault;
         }
-        let rule = match self.find_sudo_rule(ctx.cred, target) {
+        let rule = match self.index.sudo(&self.policy, ctx.cred, target) {
             Some(r) => r,
             None => return SetuidDecision::UseDefault, // -> EPERM
         };
@@ -381,7 +342,7 @@ impl SecurityModule for ProtegoLsm {
             self.note_rule(format!("groups:membership gid={}", target.0));
             return SetuidDecision::Allow;
         }
-        match self.group_rule(target) {
+        match self.index.group(&self.policy, target) {
             Some(g) if g.password_protected => {
                 self.note_rule(format!("groups:{} password", g.gid));
                 let scope = AuthScope::Group(target);
@@ -539,6 +500,7 @@ impl SecurityModule for ProtegoLsm {
             "creddb" => self.policy.creddb = policy::parse_creddb(content)?,
             _ => return Err(Errno::ENOENT),
         }
+        self.index.rebuild(node, &self.policy);
         // Any policy write may change what a cached lookup would answer;
         // be conservative and drop the whole cache.
         self.flush_keyfile_cache();
@@ -571,15 +533,6 @@ impl SecurityModule for ProtegoLsm {
     }
 }
 
-/// Convenience used by exploit analysis: would the Protego policy allow
-/// this (binary, uid) to bind the port?
-pub fn bind_would_allow(policy: &PolicySet, port: u16, tcp: bool, binary: &str, uid: u32) -> bool {
-    policy
-        .binds
-        .iter()
-        .any(|r| r.port == port && r.tcp == tcp && r.binary == binary && r.uid == uid)
-}
-
 /// Convenience: access decision summary for diagnostics/tests.
 pub fn describe_access(access: Access) -> &'static str {
     match (
@@ -598,6 +551,7 @@ pub fn describe_access(access: Access) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{BindRule, GroupRule, MountRule, Principal, SudoRule, Target};
 
     fn lsm_with(policy: PolicySet) -> ProtegoLsm {
         ProtegoLsm::with_policy(policy)
@@ -828,6 +782,126 @@ mod tests {
             lsm.task_setuid(&ctx(&admin, None), Uid::ROOT),
             SetuidDecision::Allow
         );
+    }
+
+    fn sudo_rule(from: Principal, target: Target, auth: AuthReq) -> SudoRule {
+        SudoRule {
+            from,
+            target,
+            cmd: CmdSpec::Any,
+            auth,
+            keep_env: vec![],
+        }
+    }
+
+    #[test]
+    fn first_match_holds_across_principal_buckets() {
+        let mut carol = Credentials::user(Uid(1003), Gid(1003));
+        carol.groups.push(Gid(27));
+        let group = sudo_rule(Principal::Gid(27), Target::Any, AuthReq::None);
+        let user = sudo_rule(Principal::Uid(1003), Target::Uid(0), AuthReq::Invoker);
+        let setuid = |rules: &[SudoRule], who: &Credentials, target: Uid| {
+            let p = PolicySet {
+                sudo: rules.to_vec(),
+                ..PolicySet::default()
+            };
+            lsm_with(p).task_setuid(&ctx(who, None), target)
+        };
+        // A %group rule at a lower ordinal beats a matching uid: rule, and
+        // the other way round.
+        assert_eq!(
+            setuid(&[group.clone(), user.clone()], &carol, Uid::ROOT),
+            SetuidDecision::Allow
+        );
+        assert_eq!(
+            setuid(&[user, group], &carol, Uid::ROOT),
+            SetuidDecision::NeedAuth(AuthScope::User(Uid(1003)))
+        );
+        // The su rule (`Any`) placed after an admin rule loses to it: the
+        // admin proves their own password, where legacy su asks for the
+        // target's (the pinned divergence of the functional battery).
+        let admin = sudo_rule(Principal::Gid(27), Target::Any, AuthReq::Invoker);
+        assert_eq!(
+            setuid(&[admin.clone(), SudoRule::su_rule()], &carol, Uid(1001)),
+            SetuidDecision::NeedAuth(AuthScope::User(Uid(1003)))
+        );
+        assert_eq!(
+            setuid(&[SudoRule::su_rule(), admin], &carol, Uid(1001)),
+            SetuidDecision::NeedAuth(AuthScope::User(Uid(1001)))
+        );
+    }
+
+    /// `n` mount and `n` sudoers rules, with the rules the requests of the
+    /// test below match (the cdrom line, the admin group's rule) last,
+    /// where a linear scan pays for all of them.
+    fn site_policy(n: u32) -> PolicySet {
+        let mut p = PolicySet::default();
+        for i in 0..n - 1 {
+            p.mounts.push(MountRule {
+                source: format!("/dev/site{}", i),
+                mountpoint: format!("/srv/site/{}", i),
+                fstype: None,
+                scope: MountScope::Users,
+                read_only: false,
+            });
+            let from = if i % 2 == 0 {
+                Principal::Uid(1001)
+            } else {
+                Principal::Gid(8)
+            };
+            p.sudo
+                .push(sudo_rule(from, Target::Uid(i % 4), AuthReq::Invoker));
+        }
+        p.mounts.extend(cdrom_policy().mounts);
+        p.sudo
+            .push(sudo_rule(Principal::Gid(27), Target::Any, AuthReq::Invoker));
+        p
+    }
+
+    #[test]
+    fn hook_lookups_examine_a_constant_number_of_rules() {
+        use crate::index::{examined, linear};
+        const N: u64 = 10_000;
+        let p = site_policy(N as u32);
+        let lsm = lsm_with(p.clone());
+        let alice = user_cred();
+        let mount = mount_req("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro");
+        let umount = UmountRequest {
+            target: "/mnt/cdrom".into(),
+            source: "/dev/cdrom".into(),
+            fstype: "iso9660".into(),
+            mounted_by: Uid(1000),
+        };
+        examined::take();
+        assert_eq!(lsm.sb_mount(&alice, &mount), Decision::Allow);
+        assert_eq!(lsm.sb_umount(&alice, &umount), Decision::Allow);
+        let pair = examined::take();
+        // alice holds no delegation rule.
+        assert_eq!(
+            lsm.task_setuid(&ctx(&alice, None), Uid::ROOT),
+            SetuidDecision::UseDefault
+        );
+        let refused = examined::take();
+        let mut carol = Credentials::user(Uid(1003), Gid(1003));
+        carol.groups.push(Gid(27));
+        assert_eq!(
+            lsm.task_setuid(&ctx(&carol, None), Uid::ROOT),
+            SetuidDecision::NeedAuth(AuthScope::User(Uid(1003)))
+        );
+        let granted = examined::take();
+        assert!(
+            pair <= 2 && refused <= 2 && granted <= 2,
+            "rules examined: mount+umount {}, refused sudo {}, granted sudo {}",
+            pair,
+            refused,
+            granted
+        );
+        // The linear scan the index replaced examines the whole policy.
+        assert!(linear::mount(&p, &mount).is_some());
+        assert!(linear::umount(&p, "/mnt/cdrom").is_some());
+        assert_eq!(examined::take(), 2 * N);
+        assert!(linear::sudo(&p, &alice, Uid::ROOT).is_none());
+        assert_eq!(examined::take(), N);
     }
 
     #[test]
@@ -1172,7 +1246,7 @@ mod tests {
     }
 
     #[test]
-    fn bind_would_allow_helper() {
+    fn bind_hook_grants_only_the_allocated_instance() {
         let mut p = PolicySet::default();
         p.binds.push(BindRule {
             port: 25,
@@ -1180,11 +1254,31 @@ mod tests {
             binary: "/usr/sbin/exim4".into(),
             uid: 8,
         });
-        assert!(bind_would_allow(&p, 25, true, "/usr/sbin/exim4", 8));
-        assert!(!bind_would_allow(&p, 25, true, "/usr/sbin/exim4", 0));
-        assert!(!bind_would_allow(&p, 25, true, "/usr/sbin/httpd", 8));
-        assert!(!bind_would_allow(&p, 25, false, "/usr/sbin/exim4", 8));
-        assert!(!bind_would_allow(&p, 26, true, "/usr/sbin/exim4", 8));
+        let lsm = lsm_with(p);
+        let bind = |port, tcp, binary: &str, uid| {
+            let cred = Credentials::user(Uid(uid), Gid(uid));
+            let req = BindRequest {
+                port,
+                binary: Name::intern(binary),
+                tcp,
+            };
+            lsm.socket_bind(&cred, &req)
+        };
+        assert_eq!(bind(25, true, "/usr/sbin/exim4", 8), Decision::Allow);
+        // The right binary under another uid, and another binary under
+        // the right uid, are refused.
+        assert_eq!(
+            bind(25, true, "/usr/sbin/exim4", 0),
+            Decision::Deny(Errno::EACCES)
+        );
+        assert_eq!(
+            bind(25, true, "/usr/sbin/httpd", 8),
+            Decision::Deny(Errno::EACCES)
+        );
+        // The other protocol and another port are not allocated: stock
+        // semantics decide.
+        assert_eq!(bind(25, false, "/usr/sbin/exim4", 8), Decision::UseDefault);
+        assert_eq!(bind(26, true, "/usr/sbin/exim4", 8), Decision::UseDefault);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub struct BindRule {
 }
 
 /// Subject selector of a delegation rule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Principal {
     /// A specific user.
     Uid(u32),
@@ -60,7 +60,7 @@ pub enum Principal {
 }
 
 /// Target selector of a delegation rule.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Target {
     /// A specific user.
     Uid(u32),
@@ -243,6 +243,8 @@ pub fn render_mounts(rules: &[MountRule]) -> String {
 /// Parses the `bind` node: `<port> <tcp|udp> <binary> <uid>`.
 pub fn parse_binds(text: &str) -> KResult<Vec<BindRule>> {
     let mut out: Vec<BindRule> = Vec::new();
+    // One slot per (port, protocol) key: ports are below 1024.
+    let mut taken = [false; 2048];
     for line in non_comment_lines(text) {
         let f: Vec<&str> = line.split_whitespace().collect();
         if f.len() != 4 {
@@ -262,7 +264,7 @@ pub fn parse_binds(text: &str) -> KResult<Vec<BindRule>> {
         }
         let uid: u32 = f[3].parse().map_err(|_| Errno::EINVAL)?;
         // Each port maps to exactly one application instance (§4.1.3).
-        if out.iter().any(|r| r.port == port && r.tcp == tcp) {
+        if std::mem::replace(&mut taken[usize::from(port) * 2 + usize::from(tcp)], true) {
             return Err(Errno::EEXIST);
         }
         out.push(BindRule {
