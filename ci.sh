@@ -116,4 +116,34 @@ if grep -rn "audit_event(format!" --include='*.rs' crates src examples benches 2
     exit 1
 fi
 
+echo "== guard: kernel panic sites do not grow =="
+# Counts `unreachable!(`, `.expect(` and `panic!(` in crates/kernel/src,
+# skipping comment lines and every item under `#[cfg(test)]` (a test
+# module is skipped to its closing brace). The bound is today's count;
+# lower it as panic sites are removed, never raise it.
+PANIC_SITE_LIMIT=20
+panic_sites=$(find crates/kernel/src -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { skip = 0; pending = 0; depth = 0 }
+    /^[[:space:]]*\/\// { next }
+    skip {
+        depth += gsub(/\{/, "{") - gsub(/\}/, "}")
+        if (depth <= 0) skip = 0
+        next
+    }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { pending = 1; next }
+    pending && /^[[:space:]]*#\[/ { next }
+    pending {
+        pending = 0
+        depth = gsub(/\{/, "{") - gsub(/\}/, "}")
+        if (depth > 0) skip = 1
+        next
+    }
+    { n += gsub(/unreachable!\(|\.expect\(|panic!\(/, "&") }
+    END { print n + 0 }')
+echo "kernel panic sites outside #[cfg(test)]: ${panic_sites} (limit ${PANIC_SITE_LIMIT})"
+if [ "${panic_sites}" -gt "${PANIC_SITE_LIMIT}" ]; then
+    echo "error: ${panic_sites} panic sites in crates/kernel/src exceed ${PANIC_SITE_LIMIT}" >&2
+    exit 1
+fi
+
 echo "CI OK"

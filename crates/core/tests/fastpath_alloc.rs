@@ -149,3 +149,19 @@ fn dispatched_socket_close_is_allocation_free() {
         n
     );
 }
+
+#[test]
+fn steady_state_resolve_parent_is_allocation_free() {
+    // The parent walk create/unlink/rename/mkdir start with: the name
+    // comes back borrowed from the path and the parent from the dcache.
+    let (k, _user) = boot();
+    let root = k.vfs.root();
+    let n = steady_state_allocs(|| {
+        let (parent, name) = k
+            .vfs
+            .resolve_parent(root, "/etc/hosts.new")
+            .expect("parent");
+        std::hint::black_box((parent.ino, name));
+    });
+    assert_eq!(n, 0, "resolve_parent allocated {} times (expected 0)", n);
+}

@@ -190,41 +190,45 @@ impl Kernel {
     /// refuse (Protego's binary-identity rules for ssh-keysign), demand
     /// re-authentication (Protego's shadow files), or force close-on-exec.
     pub(crate) fn sys_open(&self, c: &Caller, path: &str, flags: OpenFlags) -> KResult<i32> {
+        let ino = self.open_pin(c, path, flags)?;
+        self.open_pinned(c, ino, flags)
+            .inspect_err(|_| self.vfs.dec_open(ino))
+    }
+
+    /// Resolves (or creates) the file `open` names and pins it open, so a
+    /// concurrent unlink or atomic replace cannot reclaim and recycle the
+    /// inode while the checks below run.
+    fn open_pin(&self, c: &Caller, path: &str, flags: OpenFlags) -> KResult<Ino> {
+        loop {
+            match self.walk(c, path) {
+                Ok(r) => {
+                    if flags.create && flags.excl {
+                        return Err(Errno::EEXIST);
+                    }
+                    if self.vfs.pin(&r) {
+                        return Ok(r.ino);
+                    }
+                    // The name changed between the walk and the pin.
+                }
+                Err(Errno::ENOENT) if flags.create => break,
+                Err(e) => return Err(e),
+            }
+        }
+        let (parent, name) = self.vfs.resolve_parent(c.cwd, path)?;
+        for d in parent.dirs.iter() {
+            self.check_access(c, d, Access::EXEC)?;
+        }
+        self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
+        let ino = self
+            .vfs
+            .create_open(parent.ino, name, flags.mode, c.cred.fsuid, c.cred.egid)?;
+        self.vfs.touch(ino);
+        Ok(ino)
+    }
+
+    /// The checks and descriptor install of `open` on a pinned inode.
+    fn open_pinned(&self, c: &Caller, ino: Ino, flags: OpenFlags) -> KResult<i32> {
         let want = flags.access();
-
-        // Creation path.
-        let resolved = match self.walk(c, path) {
-            Ok(r) => {
-                if flags.create && flags.excl {
-                    return Err(Errno::EEXIST);
-                }
-                Some(r)
-            }
-            Err(Errno::ENOENT) if flags.create => None,
-            Err(e) => return Err(e),
-        };
-
-        let ino = match resolved {
-            Some(r) => r.ino,
-            None => {
-                let (parent, name) = self.vfs.resolve_parent(c.cwd, path)?;
-                for d in parent.dirs.iter() {
-                    self.check_access(c, d, Access::EXEC)?;
-                }
-                self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
-                let ino = self.vfs.create_file(
-                    parent.ino,
-                    &name,
-                    flags.mode,
-                    c.cred.fsuid,
-                    c.cred.egid,
-                    true,
-                )?;
-                self.vfs.touch(ino);
-                ino
-            }
-        };
-
         if self.vfs.inode(ino).data.is_dir() && want.wants_write() {
             return Err(Errno::EISDIR);
         }
@@ -343,7 +347,6 @@ impl Kernel {
             },
             cloexec: flags.cloexec || force_cloexec,
         };
-        self.vfs.inc_open(ino);
         self.task_mut(c.pid)?.fd_install(fd)
     }
 
@@ -740,9 +743,8 @@ impl Kernel {
         // Linux); the *power* of the bit depends on the owner.
         self.vfs.inode_mut(r.ino).mode = mode;
         self.vfs.touch(r.ino);
-        // Mode changes alter what a path *means* to permission-aware
-        // walkers, so conservatively invalidate cached resolutions.
-        self.vfs.bump_namespace_gen();
+        // No dcache invalidation: resolution reads no mode bits, and the
+        // search checks run on every walk's `dirs` afresh.
         Ok(())
     }
 
@@ -786,7 +788,6 @@ impl Kernel {
             }
         }
         self.vfs.touch(r.ino);
-        self.vfs.bump_namespace_gen();
         Ok(())
     }
 
@@ -799,7 +800,7 @@ impl Kernel {
         self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
         let cred = &c.cred;
         self.vfs
-            .mkdir(parent.ino, &name, mode, cred.fsuid, cred.egid)?;
+            .mkdir(parent.ino, name, mode, cred.fsuid, cred.egid)?;
         Ok(())
     }
 
@@ -810,7 +811,7 @@ impl Kernel {
             self.check_access(c, d, Access::EXEC)?;
         }
         self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
-        self.vfs.unlink(parent.ino, &name)
+        self.vfs.unlink(parent.ino, name)
     }
 
     /// `rmdir(2)`.
@@ -820,7 +821,7 @@ impl Kernel {
             self.check_access(c, d, Access::EXEC)?;
         }
         self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
-        self.vfs.rmdir(parent.ino, &name)
+        self.vfs.rmdir(parent.ino, name)
     }
 
     /// `rename(2)` — both parents need write+search permission.
@@ -836,7 +837,7 @@ impl Kernel {
         }
         self.check_access(c, to_parent.ino, Access::WRITE.and(Access::EXEC))?;
         self.vfs
-            .rename(from_parent.ino, &from_name, to_parent.ino, &to_name)
+            .rename(from_parent.ino, from_name, to_parent.ino, to_name)
     }
 
     /// `symlink(2)`.
@@ -845,7 +846,7 @@ impl Kernel {
         self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
         let cred = &c.cred;
         self.vfs
-            .symlink(parent.ino, &name, target, cred.fsuid, cred.egid)?;
+            .symlink(parent.ino, name, target, cred.fsuid, cred.egid)?;
         Ok(())
     }
 

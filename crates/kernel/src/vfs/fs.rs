@@ -12,9 +12,11 @@
 //! arena is sharded across [`NSHARDS`] `RwLock`s (shard = ino mod
 //! [`NSHARDS`], so a directory and the files allocated under it land in
 //! different shards and independent subtrees don't contend), the dcache is
-//! hash-sharded `Mutex`es with a generation-stamped lazy flush, the mount
-//! table is a small `RwLock` snapshot-cloned per uncached walk, and the
-//! counters (`change_seq`, `namespace_gen`) are atomics.
+//! hash-sharded `Mutex`es whose entries are stamped with per-directory
+//! generations (plus a lazy whole-cache flush for mounts and directory
+//! moves), the mount table is a small `RwLock` snapshot-cloned per
+//! uncached walk, and the counters (`change_seq`, `namespace_gen`, the
+//! directory generations) are atomics.
 //!
 //! Lock discipline (see DESIGN.md §13):
 //! * at most one inode-shard guard is held at a time, except through
@@ -35,6 +37,7 @@ use crate::error::{Errno, KResult};
 use crate::sync;
 use crate::trace::CacheStats;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -62,21 +65,86 @@ const fn slot_of(ino: Ino) -> usize {
     ino.0 / NSHARDS
 }
 
-/// One shard of the generation-stamped dentry cache fronting
-/// [`Vfs::resolve`].
+/// log2 of the number of directory-generation slots. Two directories
+/// sharing a slot only cost each other a spurious re-walk.
+const DIR_GEN_BITS: u32 = 9;
+
+/// A directory's generation slot: a multiplicative hash of its ino, so
+/// directories made one after another (`/var/mail`, `/var/www`) land on
+/// different cache lines and a writer bumping one does not slow readers
+/// validating the other.
+const fn dir_gen_of(dir: Ino) -> usize {
+    ((dir.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - DIR_GEN_BITS)) as usize
+}
+
+/// One shard of the dentry cache fronting [`Vfs::resolve`].
 ///
-/// Entries are keyed by (starting directory, raw path string, follow-last
-/// flag) and are valid only for the namespace generation they were stored
-/// under: any mutation of the tree or mount table bumps
-/// [`Vfs::namespace_generation`], and the next lookup in each shard
-/// flushes its map lazily. This mirrors how the real dcache leans on
-/// d_seq/mount generations rather than tracking per-entry dependencies.
+/// Entries are keyed by [`dcache_key`], one hash of (starting directory,
+/// follow-last flag, path), and hold the key's text, so a probe compares
+/// the text and never serves another path's result; an insert that
+/// collides evicts the old entry rather than chaining. Each entry's
+/// [`Resolved`] carries the stamp of the directories its walk read, and
+/// a hit is served only while [`Vfs::is_current`] holds. Mount, umount
+/// and directory rename bump [`Vfs::namespace_generation`] instead, and
+/// the next probe in each shard flushes it wholesale.
 #[derive(Debug, Default)]
 struct DcacheShard {
-    map: HashMap<(Ino, bool), HashMap<Name, Resolved>>,
-    entries: usize,
+    map: HashMap<u64, DcacheEntry, BuildHasherDefault<KeyHasher>>,
     gen: u64,
     stats: CacheStats,
+}
+
+/// A cached resolution and the key it answers.
+#[derive(Debug)]
+struct DcacheEntry {
+    start: Ino,
+    follow_last: bool,
+    path: Box<str>,
+    resolved: Resolved,
+}
+
+/// Passes a [`dcache_key`] through unchanged, so the shard map does not
+/// hash the key a second time.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Only `u64` keys reach this hasher; fold anything else anyway.
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+}
+
+/// Hashes a dcache probe in one multiply-rotate pass over the path, eight
+/// bytes at a time, then avalanches (murmur3's `fmix64`) so the shard pick
+/// and the map's bucket and tag bits are all well mixed.
+fn dcache_key(start: Ino, follow_last: bool, path: &str) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, w: u64| (h.rotate_left(5) ^ w).wrapping_mul(K);
+    let mut h = mix(
+        start.0 as u64,
+        (path.len() as u64) << 1 | u64::from(follow_last),
+    );
+    for chunk in path.as_bytes().chunks(8) {
+        let mut w = [0u8; 8];
+        w[..chunk.len()].copy_from_slice(chunk);
+        h = mix(h, u64::from_le_bytes(w));
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    h ^ (h >> 33)
 }
 
 /// Inode id allocator: free-list of reclaimed slots plus the
@@ -228,6 +296,15 @@ pub struct Resolved {
     /// Every directory inode traversed (for search-permission checks),
     /// excluding the final inode.
     pub dirs: DirChain,
+    /// Sum of the generations of `dirs`, each read before the walk read
+    /// that directory's entries; see [`Vfs::is_current`].
+    stamp: u64,
+    /// The entry `ino` was read from — (directory, name, the directory's
+    /// generation as the walk read it) — when the last step was a plain
+    /// lookup, possibly inside a trailing symlink; see [`Vfs::pin`].
+    via: Option<(Ino, Name, u64)>,
+    /// The namespace generation the walk started under.
+    ns_gen: u64,
 }
 
 /// Shared (read) access to a single inode; derefs to [`Inode`].
@@ -281,11 +358,13 @@ pub struct Vfs {
     /// Global change sequence, bumped on every mutation; cheap poll target
     /// for the monitoring daemon. Read via [`Vfs::change_seq`].
     change_seq: AtomicU64,
-    /// Namespace generation: bumped only on mutations that can change what
-    /// a path resolves to (link/unlink/rename/mount/umount/chmod/chown),
-    /// *not* on content writes — unlike `change_seq`, so file I/O does not
-    /// thrash the dcache.
+    /// Namespace generation: bumped by the mutations that re-parent `..`
+    /// or whole subtrees (mount, umount, directory rename), and flushes
+    /// the whole dcache.
     namespace_gen: AtomicU64,
+    /// Per-directory generations: a directory's slot is bumped after any
+    /// change to its entries (create, link, unlink, rmdir, file rename).
+    dir_gens: Box<[AtomicU64]>,
     dcache: Vec<Mutex<DcacheShard>>,
     dcache_enabled: AtomicBool,
     /// Serializes renames. Only rename re-parents a directory, so holding
@@ -361,6 +440,7 @@ impl Vfs {
             next_mount_id: AtomicU64::new(1),
             change_seq: AtomicU64::new(0),
             namespace_gen: AtomicU64::new(0),
+            dir_gens: (0..1 << DIR_GEN_BITS).map(|_| AtomicU64::new(0)).collect(),
             dcache: (0..DSHARDS)
                 .map(|_| Mutex::new(DcacheShard::default()))
                 .collect(),
@@ -479,6 +559,41 @@ impl Vfs {
         self.inode_mut(ino).opens += 1;
     }
 
+    /// Records an open of the inode `r` names if `r` still holds: no
+    /// directory its walk read has changed its entries since,
+    /// or only the last one did and its entry still names `r.ino`. Both
+    /// checks run under the inode's lock, and every unlink bumps its
+    /// directory before it tries to reclaim, so on `true` the inode is one
+    /// the path named since the walk began, and is now safe from reclaim.
+    /// On `false` the caller walks again.
+    pub fn pin(&self, r: &Resolved) -> bool {
+        {
+            let mut g = self.inode_mut(r.ino);
+            if self.is_current(r) {
+                g.opens += 1;
+                return true;
+            }
+        }
+        // Another name created or renamed in the last directory is no
+        // reason to re-walk. (`dir` is the last of `r.dirs`.)
+        let Some((dir, name, dir_gen)) = r.via else {
+            return false;
+        };
+        if dir == r.ino {
+            return false;
+        }
+        let rest = r.dirs.iter().take(r.dirs.len().saturating_sub(1));
+        self.with_pair(dir, r.ino, |d, f| {
+            let holds = self.namespace_generation() == r.ns_gen
+                && self.dir_stamp(rest) == r.stamp.wrapping_sub(dir_gen)
+                && d.dir_entries().and_then(|e| e.get(&name)) == Some(&r.ino);
+            if holds {
+                f.opens += 1;
+            }
+            holds
+        })
+    }
+
     /// Records a close; reclaims the inode if it is also unlinked.
     pub fn dec_open(&self, ino: Ino) {
         let mut g = self.inode_mut(ino);
@@ -548,21 +663,47 @@ impl Vfs {
     // Dentry cache
     // ------------------------------------------------------------------
 
-    /// The current namespace generation. Any two `resolve` calls bracketing
-    /// an unchanged generation see the same namespace.
+    /// The current namespace generation: bumped by mount, umount and
+    /// directory rename, the mutations that flush the whole dcache.
     pub fn namespace_generation(&self) -> u64 {
         self.namespace_gen.load(Ordering::SeqCst)
     }
 
-    /// Invalidates the dcache by advancing the namespace generation.
-    /// Called from every mutation that can change a path's meaning.
-    pub fn bump_namespace_gen(&self) {
+    /// Flushes the dcache by advancing the namespace generation.
+    fn bump_namespace_gen(&self) {
         self.namespace_gen.fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn dir_gen(&self, dir: Ino) -> &AtomicU64 {
+        &self.dir_gens[dir_gen_of(dir)]
+    }
+
+    /// Records that `dir`'s entries changed, after the change commits:
+    /// every resolution whose walk read `dir` stops being current.
+    fn bump_dir_gen(&self, dir: Ino) {
+        self.dir_gen(dir).fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Sum of the generations of `dirs`. Generations only grow, so the sum
+    /// is unchanged exactly when none of them has moved.
+    fn dir_stamp(&self, dirs: impl Iterator<Item = Ino>) -> u64 {
+        dirs.fold(0u64, |sum, d| {
+            sum.wrapping_add(self.dir_gen(d).load(Ordering::SeqCst))
+        })
+    }
+
+    /// Whether no directory `r`'s walk read has changed its entries since
+    /// (3 atomic loads for `/var/www/index.html`). While it holds, `r.ino`
+    /// is still linked under the walked name, so it cannot have been
+    /// reclaimed. It ignores the namespace generation: mounts and
+    /// directory moves re-route a path but never unlink an inode.
+    fn is_current(&self, r: &Resolved) -> bool {
+        self.dir_stamp(r.dirs.iter()) == r.stamp
     }
 
     /// Enables or disables the dcache (used by benches to measure the cold
     /// path). Disabling does not flush; re-enabled entries are still
-    /// generation-checked.
+    /// validated.
     pub fn set_dcache_enabled(&self, on: bool) {
         self.dcache_enabled.store(on, Ordering::Relaxed);
     }
@@ -576,86 +717,86 @@ impl Vfs {
         total
     }
 
-    fn dcache_shard_index(start: Ino, follow_last: bool, path: &str) -> usize {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        start.0.hash(&mut h);
-        follow_last.hash(&mut h);
-        path.hash(&mut h);
-        (h.finish() as usize) % DSHARDS
-    }
-
     /// Snapshot of the mount table for one walk. Cloning an empty `Vec`
     /// does not allocate, so the common no-mounts case stays cheap.
     fn mounts_snapshot(&self) -> Vec<Mount> {
         sync::read(&self.mounts).clone()
     }
 
-    /// Cache-fronted resolution. Looks up (start dir, path, follow-last) in
-    /// the dcache shard after lazily flushing a stale generation; falls
-    /// back to [`Vfs::resolve_inner`] and stores the result if the
-    /// namespace did not move underneath the walk.
+    /// Cache-fronted resolution. Hashes (start dir, follow-last, path)
+    /// once to pick the shard and the entry; a matching entry is served
+    /// if it is still current. Otherwise walks with
+    /// [`Vfs::resolve_inner`] and stores the result if no mount or
+    /// directory move happened during the walk.
     fn resolve_cached(&self, cwd: Ino, path: &str, follow_last: bool) -> KResult<Resolved> {
         let _resolve_span = crate::trace::span(crate::trace::Pathway::VfsResolve);
         if !self.dcache_enabled.load(Ordering::Relaxed) {
-            let mounts = self.mounts_snapshot();
-            return self.resolve_inner(cwd, path, follow_last, 0, &mounts);
+            return self.walk(cwd, path, follow_last);
         }
         let start = if path.starts_with('/') {
             self.root
         } else {
             cwd
         };
-        let shard_idx = Vfs::dcache_shard_index(start, follow_last, path);
+        let key = dcache_key(start, follow_last, path);
+        let shard = &self.dcache[(key >> 40) as usize % DSHARDS];
         let gen_now = self.namespace_generation();
         {
             let _probe_span = crate::trace::span(crate::trace::Pathway::DcacheProbe);
-            let mut dc = sync::lock(&self.dcache[shard_idx]);
+            let mut dc = sync::lock(shard);
             if dc.gen != gen_now {
-                if dc.entries > 0 {
+                if !dc.map.is_empty() {
                     dc.stats.invalidations += 1;
                 }
                 dc.map.clear();
-                dc.entries = 0;
                 dc.gen = gen_now;
             }
-            // The probe interns nothing: a path that was never interned
-            // cannot have been inserted, so `Name::lookup` returning
-            // `None` is itself the miss verdict. A hit clones a
-            // `Resolved` whose `DirChain` is inline for realistic
-            // depths, so the hit path stays allocation-free.
-            if let Some(hit) = Name::lookup(path).and_then(|key| {
-                dc.map
-                    .get(&(start, follow_last))
-                    .and_then(|paths| paths.get(&key))
-            }) {
-                let hit = hit.clone();
-                dc.stats.hits += 1;
-                return Ok(hit);
+            // A hit clones a `Resolved` whose `DirChain` is inline for
+            // realistic depths, so the hit path stays allocation-free.
+            match dc.map.get(&key) {
+                Some(e) if e.start == start && e.follow_last == follow_last && *e.path == *path => {
+                    if self.is_current(&e.resolved) {
+                        let hit = e.resolved.clone();
+                        dc.stats.hits += 1;
+                        return Ok(hit);
+                    }
+                    dc.map.remove(&key);
+                    dc.stats.invalidations += 1;
+                }
+                _ => {}
             }
             dc.stats.misses += 1;
         }
-        let mounts = self.mounts_snapshot();
-        let resolved = self.resolve_inner(cwd, path, follow_last, 0, &mounts)?;
-        let key = Name::intern(path);
-        let mut dc = sync::lock(&self.dcache[shard_idx]);
+        let resolved = self.walk(cwd, path, follow_last)?;
+        let mut dc = sync::lock(shard);
         // Insert only if the namespace generation is unchanged since the
-        // probe: a walk that raced a mutation may have observed either
-        // state, and the generation is monotonic, so a stale entry can
-        // never be served (the next probe's gen check flushes it).
+        // probe: a walk that raced a mount or directory move may have
+        // observed either state. Entry changes during the walk need no
+        // check here, as the stamp already predates them.
         if dc.gen == gen_now && self.namespace_generation() == gen_now {
-            if dc.entries >= DCACHE_CAPACITY / DSHARDS {
+            if dc.map.len() >= DCACHE_CAPACITY / DSHARDS {
                 dc.map.clear();
-                dc.entries = 0;
                 dc.stats.invalidations += 1;
             }
-            dc.map
-                .entry((start, follow_last))
-                .or_default()
-                .insert(key, resolved.clone());
-            dc.entries += 1;
+            dc.map.insert(
+                key,
+                DcacheEntry {
+                    start,
+                    follow_last,
+                    path: path.into(),
+                    resolved: resolved.clone(),
+                },
+            );
         }
         Ok(resolved)
+    }
+
+    /// An uncached walk over a fresh mount-table snapshot.
+    fn walk(&self, cwd: Ino, path: &str, follow_last: bool) -> KResult<Resolved> {
+        let ns_gen = self.namespace_generation();
+        let mounts = self.mounts_snapshot();
+        let r = self.resolve_inner(cwd, path, follow_last, 0, &mounts)?;
+        Ok(Resolved { ns_gen, ..r })
     }
 
     /// Returns the topmost mount covering directory `ino`, if any.
@@ -684,6 +825,9 @@ impl Vfs {
         self.resolve_cached(cwd, path, false)
     }
 
+    /// The walk itself. Each directory's generation is read *before* its
+    /// entries and summed into the result's stamp, so an entry change that
+    /// the walk missed bumps a generation the stamp predates.
     fn resolve_inner(
         &self,
         cwd: Ino,
@@ -704,12 +848,13 @@ impl Vfs {
             cwd
         };
         let mut dirs = DirChain::new();
+        let mut stamp = 0u64;
+        let mut via = None;
         let mut comps = Vfs::component_iter(path).peekable();
-        if comps.peek().is_none() {
-            return Ok(Resolved { ino: cur, dirs });
-        }
         while let Some(comp) = comps.next() {
-            let is_last = comps.peek().is_none();
+            let follow = follow_last || comps.peek().is_some();
+            let dir_gen = self.dir_gen(cur).load(Ordering::SeqCst);
+            stamp = stamp.wrapping_add(dir_gen);
             // One shard guard at a time: copy the entry and parent out,
             // then drop the guard before touching any other inode.
             // Entries are keyed by interned symbol; a `Name::lookup`
@@ -717,77 +862,63 @@ impl Vfs {
             // certainly absent from this directory.
             let (entry, parent) = {
                 let node = self.inode(cur);
-                let entries = match node.dir_entries() {
-                    Some(e) => e,
-                    None => return Err(Errno::ENOTDIR),
+                let entries = node.dir_entries().ok_or(Errno::ENOTDIR)?;
+                let entry = match comp {
+                    ".." => None,
+                    _ => Name::lookup(comp).and_then(|n| Some((n, *entries.get(&n)?))),
                 };
-                let entry = Name::lookup(comp).and_then(|n| entries.get(&n)).copied();
                 (entry, node.parent)
             };
             dirs.push(cur);
             let next = if comp == ".." {
+                via = None;
                 // At a mount root, `..` escapes to the covered directory's
                 // parent.
-                if let Some(m) = mount_rooted_at_in(mounts, cur) {
-                    self.inode(m.covered).parent
-                } else {
-                    parent
+                match mount_rooted_at_in(mounts, cur) {
+                    Some(m) => self.inode(m.covered).parent,
+                    None => parent,
                 }
             } else {
-                match entry {
-                    Some(ino) => ino,
-                    None => return Err(Errno::ENOENT),
-                }
+                let (name, ino) = entry.ok_or(Errno::ENOENT)?;
+                via = Some((cur, name, dir_gen));
+                ino
             };
             // Symlink expansion. (An inode's kind never changes while it
             // is live, so reading it in a fresh scope is race-free.)
-            let sym_target = {
-                match &self.inode(next).data {
-                    InodeData::Symlink(t) => Some(t.clone()),
-                    _ => None,
-                }
+            let target = match &self.inode(next).data {
+                InodeData::Symlink(t) if follow => Some(t.clone()),
+                _ => None,
             };
-            if let Some(target) = sym_target {
-                if is_last && !follow_last {
-                    return Ok(Resolved { ino: next, dirs });
+            cur = match target {
+                Some(target) => {
+                    let sub = self.resolve_inner(cur, &target, true, depth + 1, mounts)?;
+                    for d in sub.dirs.iter() {
+                        dirs.push(d);
+                    }
+                    stamp = stamp.wrapping_add(sub.stamp);
+                    via = sub.via;
+                    sub.ino
                 }
-                let sub = self.resolve_inner(cur, &target, true, depth + 1, mounts)?;
-                for d in sub.dirs.iter() {
-                    dirs.push(d);
-                }
-                let mut landed = sub.ino;
-                if !is_last {
-                    landed = follow_mounts_in(mounts, landed);
-                    cur = landed;
-                    continue;
-                }
-                let landed = if self.inode(landed).data.is_dir() {
-                    follow_mounts_in(mounts, landed)
-                } else {
-                    landed
-                };
-                return Ok(Resolved { ino: landed, dirs });
-            }
-            // Mount traversal.
-            let next = if self.inode(next).data.is_dir() {
-                follow_mounts_in(mounts, next)
-            } else {
-                next
+                None => next,
             };
-            if is_last {
-                return Ok(Resolved { ino: next, dirs });
-            }
-            cur = next;
+            // Mount traversal. Only directories are ever covered, so on
+            // anything else this is the identity.
+            cur = follow_mounts_in(mounts, cur);
         }
-        unreachable!("loop returns on last component");
+        Ok(Resolved {
+            ino: cur,
+            dirs,
+            stamp,
+            via,
+            ns_gen: 0,
+        })
     }
 
     /// Resolves the parent directory of `path` and returns it with the
-    /// final component name. Used by create/unlink-style operations.
-    ///
-    /// The parent prefix is borrowed straight out of `path` (no join), so
-    /// the walk itself allocates nothing beyond the returned name.
-    pub fn resolve_parent(&self, cwd: Ino, path: &str) -> KResult<(Resolved, String)> {
+    /// final component name, borrowed from `path`. Used by
+    /// create/unlink-style operations; on a dcache hit it allocates
+    /// nothing, as the parent prefix is a slice of `path` too.
+    pub fn resolve_parent<'p>(&self, cwd: Ino, path: &'p str) -> KResult<(Resolved, &'p str)> {
         // Locate the last normalized component and its byte offset.
         let mut last: Option<(usize, &str)> = None;
         let mut off = 0;
@@ -807,7 +938,7 @@ impl Vfs {
         if !self.inode(r.ino).data.is_dir() {
             return Err(Errno::ENOTDIR);
         }
-        Ok((r, name.to_string()))
+        Ok((r, name))
     }
 
     /// Computes the absolute path of an inode by walking parents. Mount
@@ -947,7 +1078,7 @@ impl Vfs {
             }
             node.version = seq;
         }
-        self.bump_namespace_gen();
+        self.bump_dir_gen(dir);
         Ok(())
     }
 
@@ -997,7 +1128,9 @@ impl Vfs {
             d.version = self.next_seq();
             Ok(())
         })?;
-        self.bump_namespace_gen();
+        // Bump before the reclaim: a walker that found `child` here and
+        // pins it after the reclaim sees the bump and re-walks.
+        self.bump_dir_gen(dir);
         self.maybe_reclaim(child);
         Ok(child)
     }
@@ -1032,6 +1165,25 @@ impl Vfs {
                 }
             }
         }
+    }
+
+    /// Creates a regular file exclusively and returns it already open
+    /// (`opens == 1`), so no concurrent unlink can reclaim it before the
+    /// caller installs its descriptor.
+    pub fn create_open(
+        &self,
+        dir: Ino,
+        name: &str,
+        mode: Mode,
+        uid: Uid,
+        gid: Gid,
+    ) -> KResult<Ino> {
+        self.dir_add_precheck(dir, name)?;
+        let ino = self.alloc(dir, mode, uid, gid, InodeData::Regular(Vec::new()));
+        self.inode_mut(ino).opens = 1;
+        self.dir_add(dir, name, ino)
+            .inspect_err(|_| self.dealloc_unlinked(ino))?;
+        Ok(ino)
     }
 
     /// Creates a directory.
@@ -1094,7 +1246,10 @@ impl Vfs {
     }
 
     /// Renames an entry, overwriting a non-directory target if present —
-    /// the atomic-replace primitive database rewriters rely on.
+    /// the atomic-replace primitive database rewriters rely on. The target
+    /// name is swapped in the same critical section that removes the
+    /// source name, so a concurrent walk of either directory sees the old
+    /// or the new entry, never neither.
     ///
     /// All renames serialize on the dedicated rename mutex; since nothing else
     /// re-parents a directory, the cycle check below cannot race another
@@ -1127,69 +1282,96 @@ impl Vfs {
                 cur = self.inode(cur).parent;
             }
         }
-        if let Some(existing) = self.dir_lookup(to_dir, to_name)? {
-            if existing == src {
-                return Ok(());
-            }
-            if self.inode(existing).data.is_dir() {
-                return Err(Errno::EISDIR);
-            }
-            self.dir_remove(to_dir, to_name)?;
-        }
         // Move the entry without touching the inode's link count. The
         // source key must already be interned (the entry exists); the
         // destination name is interned fresh.
         let from_key = Name::lookup(from_name).ok_or(Errno::ENOENT)?;
         let to_key = Name::intern(to_name);
-        if from_dir == to_dir {
-            let mut d = self.inode_mut(from_dir);
-            let seq = self.next_seq();
-            let entries = match &mut d.data {
-                InodeData::Directory(e) => e,
-                _ => return Err(Errno::ENOTDIR),
-            };
-            match entries.get(&from_key) {
-                Some(&i) if i == src => {}
-                _ => return Err(Errno::ENOENT),
-            }
-            entries.remove(&from_key);
-            entries.insert(to_key, src);
-            d.version = seq;
-        } else {
-            self.with_pair(from_dir, to_dir, |f, t| {
-                if !matches!(t.data, InodeData::Directory(_)) {
-                    return Err(Errno::ENOTDIR);
+        // The target is re-checked under the directory locks: if a create
+        // or unlink raced the lookup, the lookup is retried, so a
+        // directory that appeared there is still refused.
+        let displaced = loop {
+            let existing = self.dir_lookup(to_dir, to_name)?;
+            if let Some(existing) = existing {
+                if existing == src {
+                    return Ok(());
                 }
-                let from_entries = match &mut f.data {
+                if self.inode(existing).data.is_dir() {
+                    return Err(Errno::EISDIR);
+                }
+            }
+            let committed = if from_dir == to_dir {
+                let mut d = self.inode_mut(from_dir);
+                let seq = self.next_seq();
+                let entries = match &mut d.data {
                     InodeData::Directory(e) => e,
                     _ => return Err(Errno::ENOTDIR),
                 };
-                match from_entries.get(&from_key) {
+                match entries.get(&from_key) {
                     Some(&i) if i == src => {}
                     _ => return Err(Errno::ENOENT),
                 }
-                from_entries.remove(&from_key);
-                if src_is_dir {
-                    f.nlink -= 1;
+                let unchanged = entries.get(&to_key).copied() == existing;
+                if unchanged {
+                    entries.remove(&from_key);
+                    entries.insert(to_key, src);
+                    d.version = seq;
                 }
-                f.version = self.next_seq();
-                if let InodeData::Directory(to_entries) = &mut t.data {
+                unchanged
+            } else {
+                self.with_pair(from_dir, to_dir, |f, t| {
+                    let to_entries = match &mut t.data {
+                        InodeData::Directory(e) => e,
+                        _ => return Err(Errno::ENOTDIR),
+                    };
+                    let from_entries = match &mut f.data {
+                        InodeData::Directory(e) => e,
+                        _ => return Err(Errno::ENOTDIR),
+                    };
+                    match from_entries.get(&from_key) {
+                        Some(&i) if i == src => {}
+                        _ => return Err(Errno::ENOENT),
+                    }
+                    if to_entries.get(&to_key).copied() != existing {
+                        return Ok(false);
+                    }
+                    from_entries.remove(&from_key);
                     to_entries.insert(to_key, src);
-                }
-                if src_is_dir {
-                    t.nlink += 1;
-                }
-                t.version = self.next_seq();
-                Ok(())
-            })?;
-        }
+                    if src_is_dir {
+                        f.nlink -= 1;
+                        t.nlink += 1;
+                    }
+                    f.version = self.next_seq();
+                    t.version = self.next_seq();
+                    Ok(true)
+                })?
+            };
+            if committed {
+                break existing;
+            }
+        };
         {
             let mut s = self.inode_mut(src);
             let seq = self.next_seq();
             s.parent = to_dir;
             s.version = seq;
         }
-        self.bump_namespace_gen();
+        if src_is_dir {
+            // A moved directory re-parents `..` and every path below it.
+            self.bump_namespace_gen();
+        } else {
+            self.bump_dir_gen(from_dir);
+            self.bump_dir_gen(to_dir);
+        }
+        if let Some(old) = displaced {
+            // The replaced file lost its name in the swap above; as in
+            // `dir_remove`, the bump precedes the reclaim.
+            {
+                let mut o = self.inode_mut(old);
+                o.nlink = o.nlink.saturating_sub(1);
+            }
+            self.maybe_reclaim(old);
+        }
         Ok(())
     }
 
@@ -1221,7 +1403,7 @@ impl Vfs {
             d.version = self.next_seq();
             Ok(())
         })?;
-        self.bump_namespace_gen();
+        self.bump_dir_gen(dir);
         Ok(())
     }
 
@@ -1998,21 +2180,41 @@ mod tests {
     }
 
     #[test]
-    fn namespace_mutations_bump_generation() {
+    fn entry_changes_rewalk_only_their_directory() {
         let v = fixture();
-        let g0 = v.namespace_generation();
         let etc = v.resolve(v.root(), "/etc").unwrap().ino;
+        let fstab = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
+        let alice = v.resolve(v.root(), "/home/alice").unwrap().ino;
+        let g0 = v.namespace_generation();
+        // A create and then an unlink in /etc: each re-walks /etc's cached
+        // path (one invalidation, no hit, the right inode) and leaves
+        // /home's cached path a hit.
+        let rewalks_etc_only = |v: &Vfs| {
+            let s0 = v.dcache_stats();
+            assert_eq!(v.resolve(v.root(), "/etc/fstab").unwrap().ino, fstab);
+            let s1 = v.dcache_stats();
+            assert_eq!(s1.invalidations, s0.invalidations + 1);
+            assert_eq!(s1.hits, s0.hits);
+            assert_eq!(v.resolve(v.root(), "/home/alice").unwrap().ino, alice);
+            assert_eq!(v.dcache_stats().hits, s1.hits + 1);
+        };
         v.create_file(etc, "new", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
             .unwrap();
-        assert!(v.namespace_generation() > g0);
-        let g1 = v.namespace_generation();
+        rewalks_etc_only(&v);
         v.unlink(etc, "new").unwrap();
-        assert!(v.namespace_generation() > g1);
-        // Content writes do NOT invalidate the namespace.
-        let g2 = v.namespace_generation();
-        let f = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
-        v.append(f, b"x").unwrap();
-        assert_eq!(v.namespace_generation(), g2);
+        rewalks_etc_only(&v);
+        // Neither flushed the whole cache. Content writes do NOT
+        // invalidate anything.
+        assert_eq!(v.namespace_generation(), g0);
+        let hits = v.dcache_stats().hits;
+        v.append(fstab, b"x").unwrap();
+        assert_eq!(v.resolve(v.root(), "/etc/fstab").unwrap().ino, fstab);
+        assert_eq!(v.dcache_stats().hits, hits + 1);
+        // A directory rename re-parents a subtree: it still flushes all.
+        let home = v.resolve(v.root(), "/home").unwrap().ino;
+        v.rename(home, "alice", etc, "alice").unwrap();
+        assert!(v.namespace_generation() > g0);
+        assert_eq!(v.resolve(v.root(), "/etc/alice").unwrap().ino, alice);
     }
 
     #[test]

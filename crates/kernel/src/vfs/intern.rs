@@ -1,6 +1,6 @@
 //! Global path-component interner.
 //!
-//! Every directory-entry name, dcache key, and policy-rule literal in the
+//! Every directory-entry name and policy-rule literal in the
 //! simulator flows through here exactly once; afterwards it is a [`Name`]
 //! — a `Copy` 4-byte symbol that compares, hashes, and orders as an
 //! integer. Resolving a symbol back to its text is an O(1) indexed read
@@ -16,7 +16,7 @@
 //! path) and both are leaf locks with respect to the VFS hierarchy in
 //! DESIGN.md §13, so no cycle is possible.
 //!
-//! The fast path (`Name::lookup`, used by the dcache probe and the glob
+//! The fast path (`Name::lookup`, used by the path walk and the glob
 //! literal matcher) takes one shared stripe lock and allocates nothing.
 //! A probe miss is authoritative: a string that was never interned cannot
 //! equal any interned name, so callers may treat `lookup() == None` as

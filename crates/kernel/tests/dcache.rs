@@ -1,9 +1,10 @@
 //! Dcache invalidation properties, exercised through the syscall layer:
-//! every namespace mutation must bump the generation so a stale cached
-//! resolution can never be served, and the `/proc/<lsm>/metrics` view must
-//! report the cache counters.
+//! an entry change re-walks the cached paths through its directory and
+//! only those, mount/umount/directory rename flush everything, a stale
+//! cached resolution can never be served, and the `/proc/<lsm>/metrics`
+//! view must report the cache counters.
 
-use sim_kernel::cred::{Gid, Uid};
+use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::error::Errno;
 use sim_kernel::kernel::Kernel;
 use sim_kernel::lsm::NullLsm;
@@ -22,7 +23,35 @@ fn boot() -> (Kernel, Pid) {
     k.vfs
         .install_file("/data/b.txt", b"beta", Mode(0o644), Uid::ROOT, Gid::ROOT)
         .unwrap();
+    k.vfs
+        .install_file("/other/c.txt", b"gamma", Mode(0o644), Uid::ROOT, Gid::ROOT)
+        .unwrap();
     (k, root)
+}
+
+/// Reads `path` and asserts the read re-walked it: the cached
+/// entry was dropped as stale.
+fn read_rewalks(k: &Kernel, root: Pid, path: &str) -> Result<String, Errno> {
+    let before = k.vfs.dcache_stats();
+    let got = k.read_to_string(root, path);
+    let after = k.vfs.dcache_stats();
+    assert!(
+        after.invalidations > before.invalidations && after.hits == before.hits,
+        "{} must be re-walked",
+        path
+    );
+    got
+}
+
+/// Asserts that the sibling directory's cached path still hits.
+fn assert_sibling_hits(k: &Kernel, root: Pid) {
+    let before = k.vfs.dcache_stats();
+    assert_eq!(k.read_to_string(root, "/other/c.txt").unwrap(), "gamma");
+    let after = k.vfs.dcache_stats();
+    assert!(
+        after.hits > before.hits && after.misses == before.misses,
+        "a sibling directory's cached path must still hit"
+    );
 }
 
 #[test]
@@ -36,31 +65,49 @@ fn repeated_reads_hit_the_dcache() {
 }
 
 #[test]
-fn rename_bumps_generation_and_redirects() {
+fn rename_rewalks_its_directory_and_redirects() {
     let (k, root) = boot();
     assert_eq!(k.read_to_string(root, "/data/a.txt").unwrap(), "alpha");
-    let g0 = k.vfs.namespace_generation();
+    k.read_to_string(root, "/other/c.txt").unwrap();
     // Atomic replace: b.txt takes over the name a.txt.
     k.process(root)
         .rename("/data/b.txt", "/data/a.txt")
         .unwrap();
-    assert!(k.vfs.namespace_generation() > g0, "rename must bump gen");
     // A stale hit would return "alpha".
-    assert_eq!(k.read_to_string(root, "/data/a.txt").unwrap(), "beta");
+    assert_eq!(read_rewalks(&k, root, "/data/a.txt").unwrap(), "beta");
+    assert_sibling_hits(&k, root);
 }
 
 #[test]
-fn unlink_bumps_generation_and_uncaches() {
+fn unlink_rewalks_its_directory_and_uncaches() {
+    let (k, root) = boot();
+    k.read_to_string(root, "/data/a.txt").unwrap();
+    k.read_to_string(root, "/other/c.txt").unwrap();
+    k.process(root).unlink("/data/a.txt").unwrap();
+    // A stale hit would resolve the dead inode instead of failing.
+    assert_eq!(
+        read_rewalks(&k, root, "/data/a.txt").unwrap_err(),
+        Errno::ENOENT
+    );
+    assert_sibling_hits(&k, root);
+}
+
+#[test]
+fn directory_rename_bumps_generation() {
     let (k, root) = boot();
     k.read_to_string(root, "/data/a.txt").unwrap();
     let g0 = k.vfs.namespace_generation();
-    k.process(root).unlink("/data/a.txt").unwrap();
-    assert!(k.vfs.namespace_generation() > g0, "unlink must bump gen");
-    // A stale hit would resolve the dead inode instead of failing.
+    k.process(root).rename("/data", "/moved").unwrap();
+    assert!(
+        k.vfs.namespace_generation() > g0,
+        "directory rename must bump gen"
+    );
+    // A stale hit would still find the file under its old directory.
     assert_eq!(
         k.read_to_string(root, "/data/a.txt").unwrap_err(),
         Errno::ENOENT
     );
+    assert_eq!(k.read_to_string(root, "/moved/a.txt").unwrap(), "alpha");
 }
 
 #[test]
@@ -101,12 +148,22 @@ fn mount_and_umount_bump_generation() {
 }
 
 #[test]
-fn chmod_bumps_generation() {
+fn chmod_keeps_cached_paths_and_dac_sees_the_new_mode() {
     let (k, root) = boot();
-    k.read_to_string(root, "/data/a.txt").unwrap();
-    let g0 = k.vfs.namespace_generation();
+    let user = k.spawn_session(Credentials::user(Uid(1000), Gid(1000)), "/bin/cat");
+    assert_eq!(k.read_to_string(user, "/data/a.txt").unwrap(), "alpha");
     k.process(root).chmod("/data/a.txt", Mode(0o600)).unwrap();
-    assert!(k.vfs.namespace_generation() > g0, "chmod must bump gen");
+    // Resolution reads no mode bits, so the cached path still hits...
+    let before = k.vfs.dcache_stats();
+    assert_eq!(k.read_to_string(root, "/data/a.txt").unwrap(), "alpha");
+    let after = k.vfs.dcache_stats();
+    assert!(after.hits > before.hits && after.misses == before.misses);
+    assert_eq!(after.invalidations, before.invalidations);
+    // ...and the permission check on the hit sees the new mode.
+    assert_eq!(
+        k.read_to_string(user, "/data/a.txt").unwrap_err(),
+        Errno::EACCES
+    );
 }
 
 #[test]

@@ -73,12 +73,12 @@ proptest! {
         }
     }
 
-    /// With interned full-path dcache keys, arbitrary create/unlink/
-    /// rename sequences never produce a stale hit: every resolve agrees
+    /// Arbitrary create/unlink/rename sequences in one directory never
+    /// produce a stale dcache hit: every resolve agrees
     /// with a shadow model of the namespace, and re-resolving a path
     /// right after a mutation sees the mutation.
     #[test]
-    fn dcache_with_interned_keys_stays_stale_hit_free(
+    fn dcache_stays_stale_hit_free_under_file_churn(
         ops in prop::collection::vec((0u8..3, 0u8..5, 0u8..5), 0..60),
     ) {
         let v = Vfs::new();

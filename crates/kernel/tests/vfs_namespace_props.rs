@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sim_kernel::cred::{Gid, Uid};
 use sim_kernel::error::Errno;
-use sim_kernel::vfs::{Ino, Mode, Vfs};
+use sim_kernel::vfs::{Ino, InodeData, Mode, MountOptions, Vfs};
 use std::collections::BTreeSet;
 
 /// A namespace mutation drawn from a small pool of directory and file
@@ -212,4 +212,162 @@ fn dir_remove_on_file_parent_is_enotdir() {
         Errno::ENOENT
     );
     let _ = f;
+}
+
+/// A namespace change for the dcache differential test. Every variant
+/// draws from pools small enough that changes keep landing on paths the
+/// probes have just cached.
+#[derive(Clone, Debug)]
+enum DcOp {
+    Mkdir(u8, u8),
+    Create(u8, u8),
+    Link(u8, u8, u8, u8),
+    Unlink(u8, u8),
+    Rmdir(u8, u8),
+    Symlink(u8, u8, u8),
+    RenameFile(u8, u8, u8, u8),
+    RenameDir(u8, u8, u8, u8),
+    Mount(u8),
+    Umount,
+    Chmod(u8, u8, u8),
+}
+
+fn dc_op() -> impl Strategy<Value = DcOp> {
+    prop_oneof![
+        (0u8..6, 0u8..3).prop_map(|(d, n)| DcOp::Mkdir(d, n)),
+        (0u8..6, 0u8..3).prop_map(|(d, n)| DcOp::Create(d, n)),
+        (0u8..6, 0u8..3, 0u8..6, 0u8..3).prop_map(|(a, b, c, d)| DcOp::Link(a, b, c, d)),
+        (0u8..6, 0u8..3).prop_map(|(d, n)| DcOp::Unlink(d, n)),
+        (0u8..6, 0u8..3).prop_map(|(d, n)| DcOp::Rmdir(d, n)),
+        (0u8..6, 0u8..2, 0u8..6).prop_map(|(d, n, t)| DcOp::Symlink(d, n, t)),
+        (0u8..6, 0u8..3, 0u8..6, 0u8..3).prop_map(|(a, b, c, d)| DcOp::RenameFile(a, b, c, d)),
+        (0u8..6, 0u8..3, 0u8..6, 0u8..3).prop_map(|(a, b, c, d)| DcOp::RenameDir(a, b, c, d)),
+        (0u8..6).prop_map(DcOp::Mount),
+        Just(DcOp::Umount),
+        (0u8..6, 0u8..3, 0u8..2).prop_map(|(d, n, m)| DcOp::Chmod(d, n, m)),
+    ]
+}
+
+/// Symlink targets: absolute, relative, through `..` and `.`, to a
+/// directory, and into a loop through the other symlink.
+const SYMLINK_TARGETS: [&str; 6] = ["/d0/f0", "f1", "../d1", "/d0/d1", "./s1", "s0"];
+
+/// Probes: absolute and relative, with `.` and `..`, through symlinks
+/// and across mountpoints.
+const PROBES: [&str; 12] = [
+    "/d0/f0",
+    "/d0/d1/f1",
+    "/d1/d0/f2",
+    "d1/f0",
+    "f0",
+    "./d0/../f1",
+    "../d0/f0",
+    "/d1/../d0/./f1",
+    "s0",
+    "/d0/s1/f1",
+    "d0/s0",
+    "..",
+];
+
+/// The outcome a probe compares: the inode and the directory chain, or
+/// the errno.
+fn outcome(r: Result<sim_kernel::vfs::Resolved, Errno>) -> Result<(Ino, Vec<Ino>), Errno> {
+    r.map(|r| (r.ino, r.dirs.iter().collect()))
+}
+
+proptest! {
+    /// Interleaves random namespace changes with resolves: every resolve
+    /// must give the same inode and directory chain, or the same errno,
+    /// with the dcache on as with it off. A stale hit after an unlink or
+    /// rename, or a cached path that survived a mount or directory move,
+    /// shows up as a divergence.
+    #[test]
+    fn dcache_agrees_with_uncached_walks(
+        ops in prop::collection::vec(dc_op(), 1..60),
+    ) {
+        let v = seed_tree();
+        let mut mounts: Vec<String> = Vec::new();
+        for op in ops {
+            let pool = dir_pool(&v);
+            let dir_at = |i: u8| pool[i as usize % pool.len()];
+            let name = |n: u8| format!("f{}", n);
+            let dname = |n: u8| format!("d{}", n);
+            let file_at = |d: u8, n: u8| v.dir_lookup(dir_at(d), &name(n)).ok().flatten();
+            match op {
+                DcOp::Mkdir(d, n) => {
+                    let _ = v.mkdir(dir_at(d), &dname(n), Mode(0o755), Uid::ROOT, Gid::ROOT);
+                }
+                DcOp::Create(d, n) => {
+                    let _ = v.create_file(
+                        dir_at(d), &name(n), Mode(0o644), Uid::ROOT, Gid::ROOT, true,
+                    );
+                }
+                DcOp::Link(sd, sn, td, tn) => {
+                    if let Some(f) = file_at(sd, sn) {
+                        let _ = v.link(dir_at(td), &name(tn), f);
+                    }
+                }
+                DcOp::Unlink(d, n) => {
+                    let _ = v.unlink(dir_at(d), &name(n));
+                }
+                DcOp::Rmdir(d, n) => {
+                    let _ = v.rmdir(dir_at(d), &dname(n));
+                }
+                DcOp::Symlink(d, n, t) => {
+                    let target = SYMLINK_TARGETS[t as usize % SYMLINK_TARGETS.len()];
+                    let _ = v.symlink(dir_at(d), &format!("s{}", n), target, Uid::ROOT, Gid::ROOT);
+                }
+                DcOp::RenameFile(sd, sn, td, tn) => {
+                    let _ = v.rename(dir_at(sd), &name(sn), dir_at(td), &name(tn));
+                }
+                DcOp::RenameDir(sd, sn, td, tn) => {
+                    let _ = v.rename(dir_at(sd), &dname(sn), dir_at(td), &dname(tn));
+                }
+                DcOp::Mount(d) => {
+                    let covered = dir_at(d);
+                    let root = v.alloc(
+                        v.root(), Mode(0o755), Uid::ROOT, Gid::ROOT,
+                        InodeData::Directory(Default::default()),
+                    );
+                    let _ = v.create_file(root, "f0", Mode(0o644), Uid::ROOT, Gid::ROOT, true);
+                    let at = v.path_of(covered);
+                    if v.add_mount("m", &at, "t", MountOptions::default(), root, covered, Uid::ROOT).is_ok() {
+                        mounts.push(at);
+                    }
+                }
+                DcOp::Umount => {
+                    if let Some(at) = mounts.pop() {
+                        let _ = v.remove_mount(&at);
+                    }
+                }
+                DcOp::Chmod(d, n, m) => {
+                    if let Some(f) = file_at(d, n) {
+                        v.inode_mut(f).mode = Mode(if m == 0 { 0o600 } else { 0o755 });
+                        v.touch(f);
+                    }
+                }
+            }
+            for probe in PROBES {
+                for &start in &pool {
+                    for follow in [true, false] {
+                        let resolve = |v: &Vfs| {
+                            outcome(if follow {
+                                v.resolve(start, probe)
+                            } else {
+                                v.resolve_nofollow(start, probe)
+                            })
+                        };
+                        let cached = resolve(&v);
+                        v.set_dcache_enabled(false);
+                        let walked = resolve(&v);
+                        v.set_dcache_enabled(true);
+                        prop_assert_eq!(
+                            cached, walked,
+                            "{:?} from {:?} (follow {}) after {:?}", probe, start, follow, op
+                        );
+                    }
+                }
+            }
+        }
+    }
 }

@@ -3,13 +3,19 @@
 //! workload under a seeded 1% errno storm. The run must complete with
 //! zero panics and zero privileged artifacts, and the VFS namespace
 //! property invariants — resolution terminates, live inodes are
-//! root-reachable at their own paths — must hold after the churn.
+//! root-reachable at their own paths — must hold after the churn. A
+//! second test runs atomic-replace mail delivery next to a reader of the
+//! spool and of a sibling directory on the same kernel.
 
+use protego::kernel::error::Errno;
 use protego::kernel::net::{Domain, Ipv4, SockType};
 use protego::kernel::syscall::FaultConfig;
 use protego::kernel::vfs::Mode;
-use protego::userland::workload::{privileged_artifacts, vfs_namespace_violations};
+use protego::userland::workload::{
+    deliver_atomic, privileged_artifacts, start_mail_service, vfs_namespace_violations,
+};
 use protego::userland::{boot, System, SystemMode};
+use std::sync::{Arc, Barrier};
 
 const WORKERS: usize = 8;
 const ITERS: u64 = 400;
@@ -145,5 +151,100 @@ fn eight_workers_storm_one_kernel_without_damage() {
         violations.is_empty(),
         "namespace invariants violated after churn: {:?}",
         violations
+    );
+}
+
+const SPOOL: &str = "/var/mail/alice";
+const SIBLING: &str = "/var/www/index.html";
+const DELIVERIES: usize = 600;
+const LOCKSTEP_ROUNDS: usize = 50;
+
+/// The spool image after `k` deliveries of [`deliver_atomic`].
+fn spool_image(k: usize) -> String {
+    (0..k)
+        .map(|i| format!("From MTA: to alice\nmessage {}\n\n", i))
+        .collect()
+}
+
+#[test]
+fn atomic_replace_delivery_never_tears_a_concurrent_reader() {
+    let mut base = boot(SystemMode::Protego);
+    let srv = start_mail_service(&mut base).expect("exim4");
+    let reader = base.login("root", "rootpw").expect("root login");
+    assert_eq!(base.process(reader).read_to_string(SPOOL).unwrap(), "");
+    let page = base.process(reader).read_to_string(SIBLING).unwrap();
+    let lockstep = Arc::new(Barrier::new(2));
+
+    let mut sys = base.worker_view();
+    let gate = Arc::clone(&lockstep);
+    let writer = std::thread::spawn(move || {
+        let deliver = |sys: &mut System, i: usize| {
+            deliver_atomic(sys, srv.pid, "alice", &format!("message {}", i))
+                .unwrap_or_else(|e| panic!("delivery {} failed: {:?}", i, e));
+        };
+        for i in 0..DELIVERIES {
+            deliver(&mut sys, i);
+        }
+        // Lockstep: each delivery completes before the reader probes.
+        for i in DELIVERIES..DELIVERIES + LOCKSTEP_ROUNDS {
+            gate.wait();
+            deliver(&mut sys, i);
+            gate.wait();
+        }
+    });
+
+    let mut sys = base.worker_view();
+    let (mut reads, mut last) = (0usize, 0usize);
+    // Every read must be a whole delivered image: the rename swaps the
+    // spool's entry in one step and the open pins the inode it found.
+    let mut read_spool = |sys: &mut System| -> usize {
+        sys.process(reader)
+            .stat(SPOOL)
+            .unwrap_or_else(|e| panic!("stat saw {:?} mid-replace", e));
+        let got = match sys.process(reader).read_to_string(SPOOL) {
+            Ok(text) => text,
+            Err(Errno::ENOENT) => panic!("read saw ENOENT mid-replace"),
+            Err(e) => panic!("read failed: {:?}", e),
+        };
+        let k = got.matches("From MTA: to alice\n").count();
+        assert_eq!(
+            got,
+            spool_image(k),
+            "torn spool image after {} reads",
+            reads
+        );
+        reads += 1;
+        k
+    };
+    while last < DELIVERIES {
+        let k = read_spool(&mut sys);
+        assert!(
+            k >= last,
+            "the spool went back from {} to {} messages",
+            last,
+            k
+        );
+        last = k;
+        assert!(sys.process(reader).stat(SIBLING).is_ok());
+        assert_eq!(sys.process(reader).read_to_string(SIBLING).unwrap(), page);
+    }
+    // With the writer paused after each delivery, the sibling directory's
+    // cached path must still hit: a rename in /var/mail does not flush it.
+    let mut sibling_hits = 0;
+    for _ in 0..LOCKSTEP_ROUNDS {
+        lockstep.wait();
+        lockstep.wait();
+        read_spool(&mut sys);
+        let before = sys.kernel.vfs.dcache_stats();
+        sys.process(reader).stat(SIBLING).unwrap();
+        let after = sys.kernel.vfs.dcache_stats();
+        assert_eq!(after.misses, before.misses, "sibling stat re-walked");
+        sibling_hits += after.hits - before.hits;
+    }
+    writer.join().expect("writer panicked");
+    assert_eq!(sibling_hits, LOCKSTEP_ROUNDS as u64);
+    assert_eq!(
+        base.process(reader).read_to_string(SPOOL).unwrap(),
+        spool_image(DELIVERIES + LOCKSTEP_ROUNDS)
     );
 }
