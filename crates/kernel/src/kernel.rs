@@ -22,7 +22,7 @@ use crate::sync::{lock, read, write, Locked, Sharded};
 use crate::task::{Caller, Pid, PipeId, Task};
 use crate::trace::DecisionKind;
 use crate::trace::{AuditEvent, AuditObject, AuditRing, AuditSink, Hook, Metrics, Provenance};
-use crate::vfs::{Ino, InodeData, Mode, ProcHook, Vfs};
+use crate::vfs::{Create, Ino, InodeData, Mode, ProcHook, Vfs};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
@@ -1079,9 +1079,14 @@ impl Kernel {
             Gid::ROOT,
             InodeData::Directory(Default::default()),
         );
-        let f = self
-            .vfs
-            .create_file(ino, "README", Mode(0o444), Uid::ROOT, Gid::ROOT, true)?;
+        let f = self.vfs.create_file(
+            ino,
+            "README",
+            Mode(0o444),
+            Uid::ROOT,
+            Gid::ROOT,
+            Create::New,
+        )?;
         self.vfs.write_all(f, b"simulated removable media\n")?;
         roots.insert(dev, ino);
         Ok(ino)

@@ -9,7 +9,7 @@ use crate::lsm::{FileDecision, FileOpenCtx};
 use crate::syscall::abi::Whence;
 use crate::task::{Caller, Fd, FdObject, Pid};
 use crate::trace::{AuditObject, DecisionKind, Hook};
-use crate::vfs::{Access, Ino, InodeData, Mode, Name, PathArena, ProcHook, Resolved};
+use crate::vfs::{Access, Create, Ino, InodeData, Mode, Name, PathArena, ProcHook, Resolved};
 
 /// Flags for [`Process::open`](crate::syscall::Process::open).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -219,9 +219,14 @@ impl Kernel {
             self.check_access(c, d, Access::EXEC)?;
         }
         self.check_access(c, parent.ino, Access::WRITE.and(Access::EXEC))?;
-        let ino = self
-            .vfs
-            .create_open(parent.ino, name, flags.mode, c.cred.fsuid, c.cred.egid)?;
+        let ino = self.vfs.create_file(
+            parent.ino,
+            name,
+            flags.mode,
+            c.cred.fsuid,
+            c.cred.egid,
+            Create::NewOpen,
+        )?;
         self.vfs.touch(ino);
         Ok(ino)
     }

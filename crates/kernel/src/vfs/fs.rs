@@ -82,9 +82,10 @@ const fn dir_gen_of(dir: Ino) -> usize {
 /// Entries are keyed by [`dcache_key`], one hash of (starting directory,
 /// follow-last flag, path), and hold the key's text, so a probe compares
 /// the text and never serves another path's result; an insert that
-/// collides evicts the old entry rather than chaining. Each entry's
-/// [`Resolved`] carries the stamp of the directories its walk read, and
-/// a hit is served only while [`Vfs::is_current`] holds. Mount, umount
+/// collides evicts the old entry rather than chaining. Each entry
+/// carries the stamp of the directories its walk read, and a hit is
+/// served only while their generations still sum to it (the check
+/// [`Vfs::is_current`] makes of a [`Resolved`]). Mount, umount
 /// and directory rename bump [`Vfs::namespace_generation`] instead, and
 /// the next probe in each shard flushes it wholesale.
 #[derive(Debug, Default)]
@@ -94,13 +95,16 @@ struct DcacheShard {
     stats: CacheStats,
 }
 
-/// A cached resolution and the key it answers.
+/// A cached resolution and the key it answers. The directories are kept
+/// as a boxed slice, not a [`DirChain`], so an entry stays small.
 #[derive(Debug)]
 struct DcacheEntry {
     start: Ino,
     follow_last: bool,
     path: Box<str>,
-    resolved: Resolved,
+    ino: Ino,
+    dirs: Box<[Ino]>,
+    stamp: u64,
 }
 
 /// Passes a [`dcache_key`] through unchanged, so the shard map does not
@@ -153,6 +157,19 @@ fn dcache_key(start: Ino, follow_last: bool, path: &str) -> u64 {
 struct AllocState {
     free: Vec<Ino>,
     next: usize,
+}
+
+/// What [`Vfs::create_file`] does when the name already exists.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Create {
+    /// Return the existing inode.
+    OrExisting,
+    /// Fail with `EEXIST`.
+    New,
+    /// Fail with `EEXIST`; the new file is returned already open
+    /// (`opens == 1`), so no unlink can reclaim it before the caller
+    /// installs its descriptor.
+    NewOpen,
 }
 
 /// Parsed mount options.
@@ -288,6 +305,16 @@ impl Default for DirChain {
     }
 }
 
+impl FromIterator<Ino> for DirChain {
+    fn from_iter<I: IntoIterator<Item = Ino>>(dirs: I) -> Self {
+        let mut chain = DirChain::new();
+        for d in dirs {
+            chain.push(d);
+        }
+        chain
+    }
+}
+
 /// Outcome of a full path resolution.
 #[derive(Clone, Debug)]
 pub struct Resolved {
@@ -299,12 +326,6 @@ pub struct Resolved {
     /// Sum of the generations of `dirs`, each read before the walk read
     /// that directory's entries; see [`Vfs::is_current`].
     stamp: u64,
-    /// The entry `ino` was read from — (directory, name, the directory's
-    /// generation as the walk read it) — when the last step was a plain
-    /// lookup, possibly inside a trailing symlink; see [`Vfs::pin`].
-    via: Option<(Ino, Name, u64)>,
-    /// The namespace generation the walk started under.
-    ns_gen: u64,
 }
 
 /// Shared (read) access to a single inode; derefs to [`Inode`].
@@ -559,63 +580,51 @@ impl Vfs {
         self.inode_mut(ino).opens += 1;
     }
 
-    /// Records an open of the inode `r` names if `r` still holds: no
-    /// directory its walk read has changed its entries since,
-    /// or only the last one did and its entry still names `r.ino`. Both
-    /// checks run under the inode's lock, and every unlink bumps its
-    /// directory before it tries to reclaim, so on `true` the inode is one
-    /// the path named since the walk began, and is now safe from reclaim.
-    /// On `false` the caller walks again.
+    /// Records an open of the inode `r` names if no directory its walk
+    /// read has changed its entries since. The check runs under the
+    /// inode's lock, and every unlink or replace bumps its directory
+    /// before it drops the file's link, so on `true` the inode is one the
+    /// path named since the walk began, and is now safe from reclaim. On
+    /// `false` the caller walks again.
     pub fn pin(&self, r: &Resolved) -> bool {
-        {
-            let mut g = self.inode_mut(r.ino);
-            if self.is_current(r) {
-                g.opens += 1;
-                return true;
-            }
+        let mut g = self.inode_mut(r.ino);
+        let current = self.is_current(r);
+        if current {
+            g.opens += 1;
         }
-        // Another name created or renamed in the last directory is no
-        // reason to re-walk. (`dir` is the last of `r.dirs`.)
-        let Some((dir, name, dir_gen)) = r.via else {
-            return false;
-        };
-        if dir == r.ino {
-            return false;
-        }
-        let rest = r.dirs.iter().take(r.dirs.len().saturating_sub(1));
-        self.with_pair(dir, r.ino, |d, f| {
-            let holds = self.namespace_generation() == r.ns_gen
-                && self.dir_stamp(rest) == r.stamp.wrapping_sub(dir_gen)
-                && d.dir_entries().and_then(|e| e.get(&name)) == Some(&r.ino);
-            if holds {
-                f.opens += 1;
-            }
-            holds
-        })
+        current
     }
 
-    /// Records a close; reclaims the inode if it is also unlinked.
+    /// Records a close; reclaims the inode if that was its last reference.
     pub fn dec_open(&self, ino: Ino) {
         let mut g = self.inode_mut(ino);
-        g.opens = g.opens.saturating_sub(1);
-        drop(g);
-        self.maybe_reclaim(ino);
+        if g.opens > 0 {
+            g.opens -= 1;
+            self.reclaim_if_orphaned(&mut g);
+        }
     }
 
-    /// Reclaims an inode with no links and no opens. The root, mount
-    /// roots, and hook nodes always keep a link, so only orphaned
-    /// regular files/symlinks are recycled.
-    fn maybe_reclaim(&self, ino: Ino) {
-        if ino == self.root {
-            return;
-        }
+    /// Drops the link a removed name held, once its directory is bumped;
+    /// reclaims the inode if that was its last reference.
+    fn drop_link(&self, ino: Ino) {
         let mut g = self.inode_mut(ino);
-        if g.nlink == 0 && g.opens == 0 && !matches!(g.data, InodeData::Directory(_)) {
+        if g.nlink > 0 {
+            g.nlink -= 1;
+            self.reclaim_if_orphaned(&mut g);
+        }
+    }
+
+    /// Reclaims an inode with no links and no opens. It runs in the same
+    /// critical section as the decrement that reached that state, so two
+    /// racing last references (a close and an unlink) free the slot once.
+    /// The root, mount roots, and hook nodes always keep a link, so only
+    /// orphaned regular files/symlinks are recycled.
+    fn reclaim_if_orphaned(&self, g: &mut Inode) {
+        if g.ino != self.root && g.nlink == 0 && g.opens == 0 && !g.data.is_dir() {
             // Drop contents eagerly and remember the slot. The free-list
-            // push happens under the shard guard (shard → alloc order) so
-            // concurrent callers cannot double-free the slot.
+            // push happens under the shard guard (shard → alloc order).
             g.data = InodeData::Regular(Vec::new());
-            sync::lock(&self.alloc).free.push(ino);
+            sync::lock(&self.alloc).free.push(g.ino);
         }
     }
 
@@ -751,12 +760,16 @@ impl Vfs {
                 dc.map.clear();
                 dc.gen = gen_now;
             }
-            // A hit clones a `Resolved` whose `DirChain` is inline for
+            // A hit copies the directories into a `DirChain`, inline for
             // realistic depths, so the hit path stays allocation-free.
             match dc.map.get(&key) {
                 Some(e) if e.start == start && e.follow_last == follow_last && *e.path == *path => {
-                    if self.is_current(&e.resolved) {
-                        let hit = e.resolved.clone();
+                    if self.dir_stamp(e.dirs.iter().copied()) == e.stamp {
+                        let hit = Resolved {
+                            ino: e.ino,
+                            dirs: e.dirs.iter().copied().collect(),
+                            stamp: e.stamp,
+                        };
                         dc.stats.hits += 1;
                         return Ok(hit);
                     }
@@ -784,7 +797,9 @@ impl Vfs {
                     start,
                     follow_last,
                     path: path.into(),
-                    resolved: resolved.clone(),
+                    ino: resolved.ino,
+                    dirs: resolved.dirs.iter().collect(),
+                    stamp: resolved.stamp,
                 },
             );
         }
@@ -793,10 +808,7 @@ impl Vfs {
 
     /// An uncached walk over a fresh mount-table snapshot.
     fn walk(&self, cwd: Ino, path: &str, follow_last: bool) -> KResult<Resolved> {
-        let ns_gen = self.namespace_generation();
-        let mounts = self.mounts_snapshot();
-        let r = self.resolve_inner(cwd, path, follow_last, 0, &mounts)?;
-        Ok(Resolved { ns_gen, ..r })
+        self.resolve_inner(cwd, path, follow_last, 0, &self.mounts_snapshot())
     }
 
     /// Returns the topmost mount covering directory `ino`, if any.
@@ -849,12 +861,10 @@ impl Vfs {
         };
         let mut dirs = DirChain::new();
         let mut stamp = 0u64;
-        let mut via = None;
         let mut comps = Vfs::component_iter(path).peekable();
         while let Some(comp) = comps.next() {
             let follow = follow_last || comps.peek().is_some();
-            let dir_gen = self.dir_gen(cur).load(Ordering::SeqCst);
-            stamp = stamp.wrapping_add(dir_gen);
+            stamp = stamp.wrapping_add(self.dir_gen(cur).load(Ordering::SeqCst));
             // One shard guard at a time: copy the entry and parent out,
             // then drop the guard before touching any other inode.
             // Entries are keyed by interned symbol; a `Name::lookup`
@@ -865,13 +875,12 @@ impl Vfs {
                 let entries = node.dir_entries().ok_or(Errno::ENOTDIR)?;
                 let entry = match comp {
                     ".." => None,
-                    _ => Name::lookup(comp).and_then(|n| Some((n, *entries.get(&n)?))),
+                    _ => Name::lookup(comp).and_then(|n| entries.get(&n)).copied(),
                 };
                 (entry, node.parent)
             };
             dirs.push(cur);
             let next = if comp == ".." {
-                via = None;
                 // At a mount root, `..` escapes to the covered directory's
                 // parent.
                 match mount_rooted_at_in(mounts, cur) {
@@ -879,9 +888,7 @@ impl Vfs {
                     None => parent,
                 }
             } else {
-                let (name, ino) = entry.ok_or(Errno::ENOENT)?;
-                via = Some((cur, name, dir_gen));
-                ino
+                entry.ok_or(Errno::ENOENT)?
             };
             // Symlink expansion. (An inode's kind never changes while it
             // is live, so reading it in a fresh scope is race-free.)
@@ -896,7 +903,6 @@ impl Vfs {
                         dirs.push(d);
                     }
                     stamp = stamp.wrapping_add(sub.stamp);
-                    via = sub.via;
                     sub.ino
                 }
                 None => next,
@@ -909,8 +915,6 @@ impl Vfs {
             ino: cur,
             dirs,
             stamp,
-            via,
-            ns_gen: 0,
         })
     }
 
@@ -1122,20 +1126,18 @@ impl Vfs {
                 d.nlink -= 1;
                 // The emptiness check above guarantees nothing is orphaned.
                 c.nlink = 0;
-            } else {
-                c.nlink = c.nlink.saturating_sub(1);
             }
             d.version = self.next_seq();
             Ok(())
         })?;
-        // Bump before the reclaim: a walker that found `child` here and
-        // pins it after the reclaim sees the bump and re-walks.
+        // Bump before the file's link drops: a walker that found `child`
+        // here and pins it after the drop sees the bump and re-walks.
         self.bump_dir_gen(dir);
-        self.maybe_reclaim(child);
+        self.drop_link(child);
         Ok(child)
     }
 
-    /// Creates a regular file; `exclusive` makes an existing name an error.
+    /// Creates a regular file; `how` says what an existing name does.
     pub fn create_file(
         &self,
         dir: Ino,
@@ -1143,8 +1145,9 @@ impl Vfs {
         mode: Mode,
         uid: Uid,
         gid: Gid,
-        exclusive: bool,
+        how: Create,
     ) -> KResult<Ino> {
+        let exclusive = how != Create::OrExisting;
         match self.dir_add_precheck(dir, name) {
             Ok(()) => {}
             Err(Errno::EEXIST) if !exclusive => {
@@ -1153,6 +1156,9 @@ impl Vfs {
             Err(e) => return Err(e),
         }
         let ino = self.alloc(dir, mode, uid, gid, InodeData::Regular(Vec::new()));
+        if how == Create::NewOpen {
+            self.inode_mut(ino).opens = 1;
+        }
         match self.dir_add(dir, name, ino) {
             Ok(()) => Ok(ino),
             Err(e) => {
@@ -1165,25 +1171,6 @@ impl Vfs {
                 }
             }
         }
-    }
-
-    /// Creates a regular file exclusively and returns it already open
-    /// (`opens == 1`), so no concurrent unlink can reclaim it before the
-    /// caller installs its descriptor.
-    pub fn create_open(
-        &self,
-        dir: Ino,
-        name: &str,
-        mode: Mode,
-        uid: Uid,
-        gid: Gid,
-    ) -> KResult<Ino> {
-        self.dir_add_precheck(dir, name)?;
-        let ino = self.alloc(dir, mode, uid, gid, InodeData::Regular(Vec::new()));
-        self.inode_mut(ino).opens = 1;
-        self.dir_add(dir, name, ino)
-            .inspect_err(|_| self.dealloc_unlinked(ino))?;
-        Ok(ino)
     }
 
     /// Creates a directory.
@@ -1245,11 +1232,11 @@ impl Vfs {
         Ok(())
     }
 
-    /// Renames an entry, overwriting a non-directory target if present —
-    /// the atomic-replace primitive database rewriters rely on. The target
-    /// name is swapped in the same critical section that removes the
-    /// source name, so a concurrent walk of either directory sees the old
-    /// or the new entry, never neither.
+    /// Renames an entry. A non-directory may replace a non-directory
+    /// target — the atomic-replace primitive database rewriters rely on.
+    /// The target name is swapped in the same critical section that
+    /// removes the source name, so a concurrent walk of either directory
+    /// sees the old or the new entry, never neither.
     ///
     /// All renames serialize on the dedicated rename mutex; since nothing else
     /// re-parents a directory, the cycle check below cannot race another
@@ -1298,6 +1285,11 @@ impl Vfs {
                 }
                 if self.inode(existing).data.is_dir() {
                     return Err(Errno::EISDIR);
+                }
+                // A directory never replaces a non-directory (as on Linux),
+                // so only a file rename displaces an inode.
+                if src_is_dir {
+                    return Err(Errno::ENOTDIR);
                 }
             }
             let committed = if from_dir == to_dir {
@@ -1356,21 +1348,16 @@ impl Vfs {
             s.parent = to_dir;
             s.version = seq;
         }
+        self.bump_dir_gen(from_dir);
+        self.bump_dir_gen(to_dir);
         if src_is_dir {
             // A moved directory re-parents `..` and every path below it.
             self.bump_namespace_gen();
-        } else {
-            self.bump_dir_gen(from_dir);
-            self.bump_dir_gen(to_dir);
         }
         if let Some(old) = displaced {
             // The replaced file lost its name in the swap above; as in
-            // `dir_remove`, the bump precedes the reclaim.
-            {
-                let mut o = self.inode_mut(old);
-                o.nlink = o.nlink.saturating_sub(1);
-            }
-            self.maybe_reclaim(old);
+            // `dir_remove`, the bump precedes the link drop.
+            self.drop_link(old);
         }
         Ok(())
     }
@@ -1607,7 +1594,7 @@ impl Vfs {
             return Err(Errno::EINVAL);
         }
         let dir = self.mkdir_p(dir_path)?;
-        let ino = self.create_file(dir, name, mode, uid, gid, false)?;
+        let ino = self.create_file(dir, name, mode, uid, gid, Create::OrExisting)?;
         {
             let mut g = self.inode_mut(ino);
             g.mode = mode;
@@ -1777,7 +1764,7 @@ mod tests {
             Mode(0o444),
             Uid::ROOT,
             Gid::ROOT,
-            true,
+            Create::New,
         )
         .unwrap();
         v.add_mount(
@@ -1801,8 +1788,15 @@ mod tests {
     fn umount_restores_view() {
         let v = fixture();
         let mnt = v.mkdir_p("/mnt/usb").unwrap();
-        v.create_file(mnt, "under.txt", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
-            .unwrap();
+        v.create_file(
+            mnt,
+            "under.txt",
+            Mode(0o644),
+            Uid::ROOT,
+            Gid::ROOT,
+            Create::New,
+        )
+        .unwrap();
         let media = v.alloc(
             Ino(0),
             Mode(0o755),
@@ -1892,8 +1886,15 @@ mod tests {
             Uid::ROOT,
         )
         .unwrap();
-        v.create_file(m1, "one.txt", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
-            .unwrap();
+        v.create_file(
+            m1,
+            "one.txt",
+            Mode(0o644),
+            Uid::ROOT,
+            Gid::ROOT,
+            Create::New,
+        )
+        .unwrap();
         v.add_mount(
             "two",
             "/mnt/x",
@@ -1904,8 +1905,15 @@ mod tests {
             Uid::ROOT,
         )
         .unwrap();
-        v.create_file(m2, "two.txt", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
-            .unwrap();
+        v.create_file(
+            m2,
+            "two.txt",
+            Mode(0o644),
+            Uid::ROOT,
+            Gid::ROOT,
+            Create::New,
+        )
+        .unwrap();
         assert!(v.resolve(v.root(), "/mnt/x/two.txt").is_ok());
         assert!(v.resolve(v.root(), "/mnt/x/one.txt").is_err());
         v.remove_mount("/mnt/x").unwrap();
@@ -1969,8 +1977,15 @@ mod tests {
         assert_eq!(v.resolve(v.root(), "/tmp/fstab.new").unwrap().ino, f);
         assert_eq!(v.path_of(f), "/tmp/fstab.new");
         // Overwrite an existing target (atomic replace).
-        v.create_file(tmp, "target", Mode(0o600), Uid::ROOT, Gid::ROOT, true)
-            .unwrap();
+        v.create_file(
+            tmp,
+            "target",
+            Mode(0o600),
+            Uid::ROOT,
+            Gid::ROOT,
+            Create::New,
+        )
+        .unwrap();
         v.rename(tmp, "fstab.new", tmp, "target").unwrap();
         let t = v.resolve(v.root(), "/tmp/target").unwrap();
         assert_eq!(t.ino, f);
@@ -2024,11 +2039,18 @@ mod tests {
         let v = fixture();
         let tmp = v.mkdir_p("/tmp").unwrap();
         let old = v
-            .create_file(tmp, "spool", Mode(0o600), Uid::ROOT, Gid::ROOT, true)
+            .create_file(tmp, "spool", Mode(0o600), Uid::ROOT, Gid::ROOT, Create::New)
             .unwrap();
         v.write_all(old, b"old contents").unwrap();
         let new = v
-            .create_file(tmp, "spool.tmp", Mode(0o600), Uid::ROOT, Gid::ROOT, true)
+            .create_file(
+                tmp,
+                "spool.tmp",
+                Mode(0o600),
+                Uid::ROOT,
+                Gid::ROOT,
+                Create::New,
+            )
             .unwrap();
         v.write_all(new, b"new contents").unwrap();
         // A reader holds the about-to-be-replaced inode open.
@@ -2073,14 +2095,71 @@ mod tests {
     }
 
     #[test]
+    fn a_directory_never_replaces_a_file() {
+        let v = fixture();
+        let etc = v.resolve(v.root(), "/etc").unwrap().ino;
+        v.mkdir(etc, "d", Mode(0o755), Uid::ROOT, Gid::ROOT)
+            .unwrap();
+        let walked = v.resolve(v.root(), "/etc/fstab").unwrap();
+        assert_eq!(
+            v.rename(etc, "d", etc, "fstab").unwrap_err(),
+            Errno::ENOTDIR
+        );
+        // The file keeps its name, its link and its contents, so the
+        // earlier walk still names it.
+        assert_eq!(v.inode(walked.ino).nlink, 1);
+        assert_eq!(v.read_all(walked.ino).unwrap(), b"# fstab\n");
+        assert!(v.pin(&walked));
+        v.dec_open(walked.ino);
+    }
+
+    #[test]
+    fn pin_refuses_a_walk_the_target_was_replaced_under() {
+        let v = fixture();
+        let etc = v.resolve(v.root(), "/etc").unwrap().ino;
+        let new = v
+            .create_file(
+                etc,
+                "fstab.new",
+                Mode(0o644),
+                Uid::ROOT,
+                Gid::ROOT,
+                Create::New,
+            )
+            .unwrap();
+        let walked = v.resolve(v.root(), "/etc/fstab").unwrap();
+        v.rename(etc, "fstab.new", etc, "fstab").unwrap();
+        // The walked inode was displaced (and reclaimed): no open of it.
+        assert_eq!(v.reclaimed_slots(), vec![walked.ino]);
+        assert!(!v.pin(&walked));
+        // A directory move elsewhere in /etc also makes the walk re-run.
+        v.mkdir(etc, "d", Mode(0o755), Uid::ROOT, Gid::ROOT)
+            .unwrap();
+        let again = v.resolve(v.root(), "/etc/fstab").unwrap();
+        assert_eq!(again.ino, new);
+        v.rename(etc, "d", etc, "e").unwrap();
+        assert!(!v.pin(&again));
+        let fresh = v.resolve(v.root(), "/etc/fstab").unwrap();
+        assert!(v.pin(&fresh));
+        assert_eq!(v.inode(new).opens, 1);
+    }
+
+    #[test]
     fn dir_remove_refuses_nonempty_directory() {
         let v = fixture();
         let home = v.resolve(v.root(), "/home").unwrap().ino;
         let alice = v.resolve(v.root(), "/home/alice").unwrap().ino;
         // /home/alice is populated via /home — direct dir_remove must
         // refuse rather than orphan the subtree.
-        v.create_file(alice, "notes", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
-            .unwrap();
+        v.create_file(
+            alice,
+            "notes",
+            Mode(0o644),
+            Uid::ROOT,
+            Gid::ROOT,
+            Create::New,
+        )
+        .unwrap();
         assert_eq!(
             v.dir_remove(v.root(), "home").unwrap_err(),
             Errno::ENOTEMPTY
@@ -2198,7 +2277,7 @@ mod tests {
             assert_eq!(v.resolve(v.root(), "/home/alice").unwrap().ino, alice);
             assert_eq!(v.dcache_stats().hits, s1.hits + 1);
         };
-        v.create_file(etc, "new", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
+        v.create_file(etc, "new", Mode(0o644), Uid::ROOT, Gid::ROOT, Create::New)
             .unwrap();
         rewalks_etc_only(&v);
         v.unlink(etc, "new").unwrap();
@@ -2223,7 +2302,7 @@ mod tests {
         let etc = v.resolve(v.root(), "/etc").unwrap().ino;
         let old = v.resolve(v.root(), "/etc/fstab").unwrap().ino;
         // Warm the cache, then swap a different file into the same name.
-        v.create_file(etc, "other", Mode(0o600), Uid::ROOT, Gid::ROOT, true)
+        v.create_file(etc, "other", Mode(0o600), Uid::ROOT, Gid::ROOT, Create::New)
             .unwrap();
         let other = v.resolve(v.root(), "/etc/other").unwrap().ino;
         v.rename(etc, "other", etc, "fstab").unwrap();
@@ -2294,7 +2373,7 @@ mod tests {
                                 Mode(0o644),
                                 Uid(1000 + w as u32),
                                 Gid::ROOT,
-                                true,
+                                Create::New,
                             )
                             .unwrap();
                         v.write_all(ino, format!("{}:{}", w, i).as_bytes()).unwrap();
@@ -2325,7 +2404,14 @@ mod tests {
             .map(|_| {
                 let v = Arc::clone(&v);
                 std::thread::spawn(move || {
-                    v.create_file(dir, "winner", Mode(0o644), Uid::ROOT, Gid::ROOT, false)
+                    v.create_file(
+                        dir,
+                        "winner",
+                        Mode(0o644),
+                        Uid::ROOT,
+                        Gid::ROOT,
+                        Create::OrExisting,
+                    )
                 })
             })
             .collect();
@@ -2347,7 +2433,7 @@ mod tests {
         let v = Arc::new(Vfs::new());
         let dir = v.mkdir_p("/links").unwrap();
         let f = v
-            .create_file(dir, "base", Mode(0o644), Uid::ROOT, Gid::ROOT, true)
+            .create_file(dir, "base", Mode(0o644), Uid::ROOT, Gid::ROOT, Create::New)
             .unwrap();
         let handles: Vec<_> = (0..4)
             .map(|w| {
@@ -2367,5 +2453,22 @@ mod tests {
         // All temporary links came and went; only "base" remains.
         assert_eq!(v.inode(f).nlink, 1);
         assert_eq!(v.resolve(v.root(), "/links/base").unwrap().ino, f);
+    }
+
+    #[test]
+    fn an_orphan_is_reclaimed_once() {
+        let v = fixture();
+        let tmp = v.mkdir_p("/tmp").unwrap();
+        let f = v
+            .create_file(tmp, "f", Mode(0o600), Uid::ROOT, Gid::ROOT, Create::NewOpen)
+            .unwrap();
+        v.unlink(tmp, "f").unwrap();
+        assert!(v.reclaimed_slots().is_empty(), "still open");
+        v.dec_open(f);
+        assert_eq!(v.reclaimed_slots(), vec![f]);
+        // Only the drop that reaches no links and no opens frees the slot;
+        // another drop on the freed slot frees nothing more.
+        v.dec_open(f);
+        assert_eq!(v.reclaimed_slots(), vec![f]);
     }
 }

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use sim_kernel::cred::{Gid, Uid};
-use sim_kernel::vfs::{Mode, Name, Vfs};
+use sim_kernel::vfs::{Create, Mode, Name, Vfs};
 use std::collections::HashMap;
 
 proptest! {
@@ -92,7 +92,7 @@ proptest! {
                 // create (non-exclusive: no-op when present)
                 0 => {
                     if let Ok(ino) =
-                        v.create_file(dir, &name(a), Mode(0o644), Uid::ROOT, Gid::ROOT, true)
+                        v.create_file(dir, &name(a), Mode(0o644), Uid::ROOT, Gid::ROOT, Create::New)
                     {
                         model.insert(a, ino);
                     }

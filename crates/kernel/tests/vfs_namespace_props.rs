@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 use sim_kernel::cred::{Gid, Uid};
 use sim_kernel::error::Errno;
-use sim_kernel::vfs::{Ino, InodeData, Mode, MountOptions, Vfs};
+use sim_kernel::vfs::{Create, Ino, InodeData, Mode, MountOptions, Vfs};
 use std::collections::BTreeSet;
 
 /// A namespace mutation drawn from a small pool of directory and file
@@ -125,7 +125,7 @@ proptest! {
                 }
                 NsOp::Create(d, n) => {
                     let _ = v.create_file(
-                        dir_at(d), &name(n), Mode(0o644), Uid::ROOT, Gid::ROOT, false,
+                        dir_at(d), &name(n), Mode(0o644), Uid::ROOT, Gid::ROOT, Create::OrExisting,
                     );
                 }
                 NsOp::Link(sd, sn, td, tn) => {
@@ -299,7 +299,7 @@ proptest! {
                 }
                 DcOp::Create(d, n) => {
                     let _ = v.create_file(
-                        dir_at(d), &name(n), Mode(0o644), Uid::ROOT, Gid::ROOT, true,
+                        dir_at(d), &name(n), Mode(0o644), Uid::ROOT, Gid::ROOT, Create::New,
                     );
                 }
                 DcOp::Link(sd, sn, td, tn) => {
@@ -329,7 +329,7 @@ proptest! {
                         v.root(), Mode(0o755), Uid::ROOT, Gid::ROOT,
                         InodeData::Directory(Default::default()),
                     );
-                    let _ = v.create_file(root, "f0", Mode(0o644), Uid::ROOT, Gid::ROOT, true);
+                    let _ = v.create_file(root, "f0", Mode(0o644), Uid::ROOT, Gid::ROOT, Create::New);
                     let at = v.path_of(covered);
                     if v.add_mount("m", &at, "t", MountOptions::default(), root, covered, Uid::ROOT).is_ok() {
                         mounts.push(at);

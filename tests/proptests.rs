@@ -11,7 +11,7 @@ use protego::kernel::lsm::{sim_crypt, sim_crypt_verify};
 use protego::kernel::net::{
     IcmpKind, Ipv4, Netfilter, Packet, PacketMeta, ProtoMatch, Route, RouteTable, Rule, Verdict, L4,
 };
-use protego::kernel::vfs::{InodeData, Mode, Vfs};
+use protego::kernel::vfs::{Create, InodeData, Mode, Vfs};
 
 fn name_strategy() -> impl Strategy<Value = String> {
     "[a-z][a-z0-9_.-]{0,12}"
@@ -67,7 +67,7 @@ proptest! {
         unique.dedup();
         // Create all, delete every other one, re-create with new content.
         for n in &unique {
-            v.create_file(dir, n, Mode(0o644), Uid::ROOT, Gid::ROOT, true).unwrap();
+            v.create_file(dir, n, Mode(0o644), Uid::ROOT, Gid::ROOT, Create::New).unwrap();
         }
         for (i, n) in unique.iter().enumerate() {
             if i % 2 == 0 {
