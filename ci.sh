@@ -121,7 +121,7 @@ echo "== guard: kernel panic sites do not grow =="
 # skipping comment lines and every item under `#[cfg(test)]` (a test
 # module is skipped to its closing brace). The bound is today's count;
 # lower it as panic sites are removed, never raise it.
-PANIC_SITE_LIMIT=20
+PANIC_SITE_LIMIT=19
 panic_sites=$(find crates/kernel/src -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { skip = 0; pending = 0; depth = 0 }
     /^[[:space:]]*\/\// { next }

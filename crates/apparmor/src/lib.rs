@@ -39,9 +39,6 @@ const BINARY_CACHE_CAP: usize = 1024;
 #[derive(Debug)]
 pub struct AppArmorLsm {
     profiles: Vec<Profile>,
-    /// Name of the profile the most recent hook matched, drained by the
-    /// kernel to attach rule provenance to audit events.
-    matched: Mutex<Option<String>>,
     /// Exec identity → index of the governing profile (None = unconfined).
     /// Invalidated whenever profiles reload.
     binary_cache: Mutex<HashMap<String, Option<usize>>>,
@@ -55,7 +52,6 @@ impl Default for AppArmorLsm {
     fn default() -> AppArmorLsm {
         AppArmorLsm {
             profiles: Vec::new(),
-            matched: Mutex::new(None),
             binary_cache: Mutex::new(HashMap::new()),
             binary_cache_stats: Mutex::new(CacheStats::default()),
             caching: AtomicBool::new(true),
@@ -173,7 +169,7 @@ impl SecurityModule for AppArmorLsm {
     fn capable(&self, _cred: &Credentials, binary: &str, cap: Cap) -> Decision {
         match self.profile_for(binary) {
             Some(p) if !p.check_cap(cap) => {
-                *lock(&self.matched) = Some(format!("profile {}", p.binary));
+                sim_kernel::lsm::note_rule(format!("profile {}", p.binary));
                 Decision::Deny(Errno::EPERM)
             }
             _ => Decision::UseDefault,
@@ -191,16 +187,12 @@ impl SecurityModule for AppArmorLsm {
                 if allowed {
                     FileDecision::UseDefault
                 } else {
-                    *lock(&self.matched) = Some(format!("profile {}", p.binary));
+                    sim_kernel::lsm::note_rule(format!("profile {}", p.binary));
                     FileDecision::Deny(Errno::EACCES)
                 }
             }
             None => FileDecision::UseDefault,
         }
-    }
-
-    fn take_matched_rule(&self) -> Option<String> {
-        lock(&self.matched).take()
     }
 
     fn cache_stats(&self) -> Vec<(&'static str, CacheStats)> {
@@ -401,10 +393,8 @@ mod tests {
         };
         for path in ["/etc/fstab", "/etc/shadow", "/dev/null"] {
             let cached = matches!(a.file_open(&ctx(path)), FileDecision::UseDefault);
-            a.take_matched_rule();
             a.set_caching(false);
             let interpreted = matches!(a.file_open(&ctx(path)), FileDecision::UseDefault);
-            a.take_matched_rule();
             a.set_caching(true);
             assert_eq!(cached, interpreted, "path {:?}", path);
         }

@@ -402,9 +402,7 @@ pub fn measure_dispatch_seccomp(warmup: u32, iters: u32) -> DispatchSeccompRow {
         .expect("bench profile compiles");
     f.sys.attach_seccomp();
 
-    let stat = || Syscall::Stat {
-        path: "/etc/motd".into(),
-    };
+    let stat = || Syscall::Stat { path: "/etc/motd" };
     let mut run_round = |mode: SeccompMode| {
         let sys = &mut f.sys;
         let user = f.user;

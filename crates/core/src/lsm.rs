@@ -23,8 +23,9 @@ use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::dev::{ModemOpt, ModemState};
 use sim_kernel::error::{Errno, KResult};
 use sim_kernel::lsm::{
-    AuthScope, BindRequest, Decision, EnvPolicy, ExecCtx, ExecDecision, FileDecision, FileOpenCtx,
-    KmsOp, MountRequest, PendingSetuid, SecurityModule, SetidCtx, SetuidDecision, UmountRequest,
+    self, AuthScope, BindRequest, Decision, EnvPolicy, ExecCtx, ExecDecision, FileDecision,
+    FileOpenCtx, KmsOp, MountRequest, PendingSetuid, SecurityModule, SetidCtx, SetuidDecision,
+    UmountRequest,
 };
 use sim_kernel::net::{Domain, ProtoMatch, Route, RouteTable, Rule, SockType, Verdict};
 use sim_kernel::sync::lock;
@@ -47,11 +48,6 @@ pub struct ProtegoLsm {
     /// The compiled rule lookups over `policy`, rebuilt per node on every
     /// policy write.
     index: PolicyIndex,
-    /// Identifier of the policy rule the most recent hook matched, drained
-    /// by the kernel (via [`SecurityModule::take_matched_rule`]) to attach
-    /// rule provenance to audit events. Hooks take `&self`, hence the
-    /// interior mutability.
-    matched: Mutex<Option<String>>,
     /// Interned path → index of the governing keyfile rule (None = no
     /// rule). Keyed on [`Name`] so the steady-state probe hashes a u32
     /// and touches no heap; the cache stores the *index* rather than the
@@ -75,11 +71,6 @@ impl ProtegoLsm {
             policy,
             ..ProtegoLsm::default()
         }
-    }
-
-    /// Records the rule identifier the current hook matched.
-    fn note_rule(&self, rule: String) {
-        *lock(&self.matched) = Some(rule);
     }
 
     /// Read-only view of the active policy.
@@ -202,7 +193,7 @@ impl SecurityModule for ProtegoLsm {
         }
         match self.index.mount(&self.policy, req) {
             Some(rule) => {
-                self.note_rule(format!("mounts:{}->{}", rule.source, rule.mountpoint));
+                lsm::note_rule(format!("mounts:{}->{}", rule.source, rule.mountpoint));
                 if rule.read_only && !req.options.read_only {
                     // The whitelist requires ro; a rw request is refused
                     // outright rather than falling back to EPERM, so the
@@ -222,7 +213,7 @@ impl SecurityModule for ProtegoLsm {
         }
         match self.index.umount(&self.policy, &req.target) {
             Some(rule) => {
-                self.note_rule(format!(
+                lsm::note_rule(format!(
                     "mounts:{}->{} scope={:?}",
                     rule.source, rule.mountpoint, rule.scope
                 ));
@@ -260,7 +251,7 @@ impl SecurityModule for ProtegoLsm {
     fn socket_bind(&self, cred: &Credentials, req: &BindRequest) -> Decision {
         match self.index.bind(&self.policy, req.port, req.tcp) {
             Some(rule) => {
-                self.note_rule(format!(
+                lsm::note_rule(format!(
                     "bind:{}/{} -> ({}, {})",
                     rule.port,
                     if rule.tcp { "tcp" } else { "udp" },
@@ -293,7 +284,7 @@ impl SecurityModule for ProtegoLsm {
             Some(r) => r,
             None => return SetuidDecision::UseDefault, // -> EPERM
         };
-        self.note_rule(format!(
+        lsm::note_rule(format!(
             "sudoers:{:?} -> {:?} cmd={:?} auth={:?}",
             rule.from, rule.target, rule.cmd, rule.auth
         ));
@@ -339,12 +330,12 @@ impl SecurityModule for ProtegoLsm {
         // A member may switch to any of her groups (stock allows only
         // rgid/sgid; newgrp's job was exactly this widening).
         if ctx.cred.in_group(target) {
-            self.note_rule(format!("groups:membership gid={}", target.0));
+            lsm::note_rule(format!("groups:membership gid={}", target.0));
             return SetuidDecision::Allow;
         }
         match self.index.group(&self.policy, target) {
             Some(g) if g.password_protected => {
-                self.note_rule(format!("groups:{} password", g.gid));
+                lsm::note_rule(format!("groups:{} password", g.gid));
                 let scope = AuthScope::Group(target);
                 if ctx.authed_for(scope, AUTH_WINDOW) {
                     SetuidDecision::Allow
@@ -361,7 +352,7 @@ impl SecurityModule for ProtegoLsm {
             // Resolve a setuid-on-exec transition: the exec must name an
             // allowed binary, else permission denied (§4.3's deliberate
             // change in error behaviour).
-            self.note_rule(format!(
+            lsm::note_rule(format!(
                 "sudoers:pending target={} cmds={:?}",
                 p.target, p.allowed_binaries
             ));
@@ -406,7 +397,7 @@ impl SecurityModule for ProtegoLsm {
         if !self.policy.ppp.user_routes {
             return Decision::UseDefault;
         }
-        self.note_rule("ppp:user_routes".to_string());
+        lsm::note_rule("ppp:user_routes".to_string());
         match table.conflict_with(route) {
             None => Decision::Allow,
             Some(_) => Decision::Deny(Errno::EEXIST),
@@ -419,13 +410,13 @@ impl SecurityModule for ProtegoLsm {
         }
         if self.policy.ppp.safe_modem_opts && opt.is_safe() && state.in_use_by.is_none() {
             // "A user may configure a modem (if not in use)" — Table 4.
-            self.note_rule("ppp:safe_modem_opts".to_string());
+            lsm::note_rule("ppp:safe_modem_opts".to_string());
             return Decision::Allow;
         }
         if self.policy.ppp.safe_modem_opts && opt.is_safe() {
             // Already claimed: only the claimer's further configuration is
             // mediated by the claim ioctl; be conservative here.
-            self.note_rule("ppp:safe_modem_opts".to_string());
+            lsm::note_rule("ppp:safe_modem_opts".to_string());
             return Decision::Allow;
         }
         Decision::UseDefault
@@ -451,7 +442,7 @@ impl SecurityModule for ProtegoLsm {
         // file, regardless of uid ("instead of, or in addition to, user
         // IDs" — Table 4).
         if let Some(rule) = self.keyfile_rule(ctx.path) {
-            self.note_rule(format!("keyfiles:{} -> {}", rule.path, rule.binary));
+            lsm::note_rule(format!("keyfiles:{} -> {}", rule.path, rule.binary));
             return if ctx.binary == rule.binary && !ctx.access.wants_write() {
                 FileDecision::AllowCloexec
             } else {
@@ -461,7 +452,7 @@ impl SecurityModule for ProtegoLsm {
         // Per-user shadow fragments: reading your own requires a fresh
         // authentication, and the handle may not be inherited (§4.4).
         if self.is_shadow_fragment(ctx.path) && ctx.access.wants_read() {
-            self.note_rule(format!("creddb:{}", ctx.path));
+            lsm::note_rule(format!("creddb:{}", ctx.path));
             if ctx.cred.euid.is_root() {
                 // The trusted authentication agent and root tools.
                 return FileDecision::UseDefault;
@@ -522,10 +513,6 @@ impl SecurityModule for ProtegoLsm {
 
     fn boot_netfilter_rules(&self) -> Vec<Rule> {
         Self::default_raw_rules()
-    }
-
-    fn take_matched_rule(&self) -> Option<String> {
-        lock(&self.matched).take()
     }
 
     fn cache_stats(&self) -> Vec<(&'static str, CacheStats)> {
@@ -1209,7 +1196,7 @@ mod tests {
         assert_eq!(lsm.file_open(&mk()), FileDecision::AllowCloexec);
         assert_eq!(lsm.file_open(&mk()), FileDecision::AllowCloexec);
         // Provenance must still be recorded on the cached (second) hit.
-        assert!(lsm.take_matched_rule().is_some());
+        assert!(lsm::take_noted_rule().is_some());
         let s = lsm.keyfile_cache_stats();
         assert_eq!(s.hits, 1);
         assert!(s.misses >= 1);
@@ -1284,22 +1271,62 @@ mod tests {
     #[test]
     fn matched_rule_is_recorded_and_drained() {
         let lsm = lsm_with(cdrom_policy());
-        assert_eq!(lsm.take_matched_rule(), None);
+        assert_eq!(lsm::take_noted_rule(), None);
         let d = lsm.sb_mount(
             &user_cred(),
             &mount_req("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro"),
         );
         assert_eq!(d, Decision::Allow);
-        let rule = lsm.take_matched_rule().expect("rule recorded");
+        let rule = lsm::take_noted_rule().expect("rule recorded");
         assert_eq!(rule, "mounts:/dev/cdrom->/mnt/cdrom");
         // Drained: a second take yields nothing.
-        assert_eq!(lsm.take_matched_rule(), None);
+        assert_eq!(lsm::take_noted_rule(), None);
         // Off-whitelist requests record no rule.
         let _ = lsm.sb_mount(
             &user_cred(),
             &mount_req("/dev/sda1", "/etc", "iso9660", "ro"),
         );
-        assert_eq!(lsm.take_matched_rule(), None);
+        assert_eq!(lsm::take_noted_rule(), None);
+    }
+
+    #[test]
+    fn a_rule_noted_on_one_thread_never_reaches_another_threads_event() {
+        use sim_kernel::kernel::Kernel;
+        use sim_kernel::net::SimNet;
+        use sim_kernel::task::Pid;
+        use sim_kernel::trace::{AuditObject, DecisionKind, Hook};
+        let k = Kernel::new(SimNet::new());
+        k.register_lsm(Box::new(lsm_with(cdrom_policy()))).unwrap();
+        // Thread A's hook matches a whitelisted mount; it reports nothing.
+        // Thread B then reports its own decision on the same kernel. The
+        // two run one after the other, so the interleaving is fixed.
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let req = mount_req("/dev/cdrom", "/mnt/cdrom", "iso9660", "ro");
+                assert_eq!(k.lsm().sb_mount(&user_cred(), &req), Decision::Allow);
+            })
+            .join()
+            .unwrap();
+            s.spawn(|| {
+                k.emit_lsm_event(
+                    Pid(1),
+                    "mount",
+                    Hook::SbMount,
+                    DecisionKind::Deny,
+                    Some(Errno::EPERM),
+                    AuditObject::None,
+                    "thread B's own decision".into(),
+                );
+            })
+            .join()
+            .unwrap();
+        });
+        let ev = k.audit.last().expect("a denial is always stored");
+        assert_eq!(ev.message, "thread B's own decision");
+        assert_eq!(
+            ev.provenance.rule, None,
+            "thread B's event carries thread A's rule"
+        );
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! pools and fd table are warm, a resolve/open/read/close/getuid cycle
 //! under the full Protego LSM performs **zero** heap allocations.
 //!
-//! The open/read/close legs run through the kernel's caller-buffer
-//! inspection read ([`Kernel::read_file_into`]): `dispatch` cannot serve
-//! those, because its owned requests (`Open { path: String }`) and
-//! responses (`Data(Vec)`) allocate by design. The `getuid` and
-//! `socket` + `close` legs carry no owned data, so they run through
-//! `dispatch` itself: taking the caller snapshot, the LSM socket hook and
-//! the socket's owner identity must not allocate either.
+//! The read leg runs through the kernel's caller-buffer inspection read
+//! ([`Kernel::read_file_into`]): a dispatched `read` answers with an
+//! owned `Data(Vec)`, which allocates by design. Requests borrow their
+//! arguments, so `stat`, `open` and `close` of a path, `getuid`, and
+//! `socket` + `close` run through `dispatch` itself: taking the caller
+//! snapshot, the LSM hooks and the socket's owner identity must not
+//! allocate either.
 //!
 //! Built only with `--features alloc-count` (see `[[test]]` in
 //! Cargo.toml) so ordinary test runs keep the stock allocator.
@@ -18,6 +18,7 @@ use protego_core::ProtegoLsm;
 use sim_kernel::cred::{Credentials, Gid, Uid};
 use sim_kernel::kernel::Kernel;
 use sim_kernel::net::{Domain, SimNet, SockType};
+use sim_kernel::syscall::OpenFlags;
 use sim_kernel::task::Pid;
 use sim_kernel::vfs::Mode;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -146,6 +147,22 @@ fn dispatched_socket_close_is_allocation_free() {
     assert_eq!(
         n, 0,
         "dispatched socket + close allocated {} times (expected 0)",
+        n
+    );
+}
+
+#[test]
+fn dispatched_stat_open_close_is_allocation_free() {
+    let (k, user) = boot();
+    let n = steady_state_allocs(|| {
+        let mut p = k.process(user);
+        std::hint::black_box(p.stat("/etc/hosts").expect("stat"));
+        let fd = p.open("/etc/hosts", OpenFlags::read_only()).expect("open");
+        p.close(fd).expect("close");
+    });
+    assert_eq!(
+        n, 0,
+        "dispatched stat + open + close allocated {} times (expected 0)",
         n
     );
 }

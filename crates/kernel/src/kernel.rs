@@ -307,9 +307,9 @@ pub struct Kernel {
     media_roots: Mutex<BTreeMap<DevId, Ino>>,
     sinks: Mutex<Vec<Box<dyn AuditSink>>>,
     pub(crate) interceptors: Locked<InterceptorChain>,
-    /// How many interceptors are enabled, published under the chain's
-    /// write lock so a dispatch on an empty chain takes no lock at all.
-    pub(crate) interceptors_enabled: AtomicUsize,
+    /// The chain's length, published under its write lock so a dispatch
+    /// on an empty chain takes no lock at all.
+    pub(crate) interceptors_len: AtomicUsize,
     /// Per-binary syscall-allowlist state (profiles, mode, violations),
     /// shared with any [`crate::seccomp::SeccompInterceptor`] on the
     /// dispatch chain and surfaced under `/proc/seccomp/`.
@@ -317,53 +317,33 @@ pub struct Kernel {
 }
 
 /// A stable handle onto one registered interceptor, returned by
-/// [`Kernel::register_interceptor`]. The handle stays valid across
-/// enable/disable/replace; it dies only with [`Kernel::remove_interceptor`]
-/// or [`Kernel::clear_interceptors`].
+/// [`Kernel::register_interceptor`]. It dies with
+/// [`Kernel::remove_interceptor`] or [`Kernel::clear_interceptors`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct InterceptorSlot(u64);
 
-struct ChainEntry {
-    id: u64,
-    enabled: bool,
-    ic: Arc<dyn crate::syscall::Interceptor>,
-}
-
-/// The registered dispatch chain: entries keep their registration order
-/// (which fixes `before`/`after` hook ordering) while individual slots
-/// can be flipped off or swapped in place without rebuilding the chain —
-/// disabling a slot keeps its position, so re-enabling restores exactly
-/// the old ordering.
+/// The registered dispatch chain, in registration order (which fixes
+/// `before`/`after` hook ordering).
 #[derive(Default)]
 pub(crate) struct InterceptorChain {
-    entries: Vec<ChainEntry>,
+    entries: Vec<(u64, Arc<dyn crate::syscall::Interceptor>)>,
     next_id: u64,
 }
 
 impl InterceptorChain {
     fn register(&mut self, ic: Arc<dyn crate::syscall::Interceptor>) -> InterceptorSlot {
         self.next_id += 1;
-        let id = self.next_id;
-        self.entries.push(ChainEntry {
-            id,
-            enabled: true,
-            ic,
-        });
-        InterceptorSlot(id)
+        self.entries.push((self.next_id, ic));
+        InterceptorSlot(self.next_id)
     }
 
-    fn entry_mut(&mut self, slot: InterceptorSlot) -> Option<&mut ChainEntry> {
-        self.entries.iter_mut().find(|e| e.id == slot.0)
+    /// The interceptors in registration order (what dispatch runs).
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &Arc<dyn crate::syscall::Interceptor>> {
+        self.entries.iter().map(|(_, ic)| ic)
     }
 
-    /// Enabled interceptors in registration order (what dispatch runs).
-    pub(crate) fn enabled(&self) -> impl Iterator<Item = &Arc<dyn crate::syscall::Interceptor>> {
-        self.entries.iter().filter(|e| e.enabled).map(|e| &e.ic)
-    }
-
-    /// How many interceptors are currently enabled.
-    pub(crate) fn enabled_len(&self) -> usize {
-        self.entries.iter().filter(|e| e.enabled).count()
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
     }
 }
 
@@ -429,7 +409,7 @@ impl Kernel {
             media_roots: Mutex::new(BTreeMap::new()),
             sinks: Mutex::new(Vec::new()),
             interceptors: Locked::new(InterceptorChain::default()),
-            interceptors_enabled: AtomicUsize::new(0),
+            interceptors_len: AtomicUsize::new(0),
             seccomp: crate::seccomp::Seccomp::new(),
         }
     }
@@ -456,10 +436,7 @@ impl Kernel {
 
     /// Registers an interceptor on the dispatch chain and returns its
     /// [`InterceptorSlot`] handle. `before` hooks run in registration
-    /// order, `after` hooks in reverse (see [`Kernel::dispatch`]); the
-    /// slot can later be disabled, re-enabled, or have its interceptor
-    /// replaced in place — the chain is never rebuilt, so relative
-    /// ordering of the other interceptors is undisturbed.
+    /// order, `after` hooks in reverse (see [`Kernel::dispatch`]).
     pub fn register_interceptor(
         &self,
         ic: Box<dyn crate::syscall::Interceptor>,
@@ -468,12 +445,11 @@ impl Kernel {
     }
 
     /// Runs `f` over the chain under its write lock, then republishes the
-    /// enabled count before the lock is released.
+    /// chain's length before the lock is released.
     fn edit_interceptors<R>(&self, f: impl FnOnce(&mut InterceptorChain) -> R) -> R {
         let mut chain = self.interceptors.write();
         let r = f(&mut chain);
-        self.interceptors_enabled
-            .store(chain.enabled_len(), Ordering::Release);
+        self.interceptors_len.store(chain.len(), Ordering::Release);
         r
     }
 
@@ -484,42 +460,12 @@ impl Kernel {
         let _ = self.register_interceptor(ic);
     }
 
-    /// Enables or disables the interceptor in `slot` without removing it
-    /// (a disabled slot keeps its chain position). Returns `false` if the
-    /// slot no longer exists.
-    pub fn set_interceptor_enabled(&self, slot: InterceptorSlot, enabled: bool) -> bool {
-        self.edit_interceptors(|chain| match chain.entry_mut(slot) {
-            Some(e) => {
-                e.enabled = enabled;
-                true
-            }
-            None => false,
-        })
-    }
-
-    /// Replaces the interceptor in `slot`, keeping its chain position and
-    /// enabled state. Returns `false` if the slot no longer exists (the
-    /// new interceptor is dropped).
-    pub fn replace_interceptor(
-        &self,
-        slot: InterceptorSlot,
-        ic: Box<dyn crate::syscall::Interceptor>,
-    ) -> bool {
-        match self.interceptors.write().entry_mut(slot) {
-            Some(e) => {
-                e.ic = Arc::from(ic);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Unregisters the interceptor in `slot`. Returns `false` if the slot
     /// no longer exists.
     pub fn remove_interceptor(&self, slot: InterceptorSlot) -> bool {
         self.edit_interceptors(|chain| {
             let before = chain.entries.len();
-            chain.entries.retain(|e| e.id != slot.0);
+            chain.entries.retain(|(id, _)| *id != slot.0);
             chain.entries.len() != before
         })
     }
@@ -678,9 +624,10 @@ impl Kernel {
         }
     }
 
-    /// Emits an event attributed to the active LSM, draining the rule it
-    /// recorded for its most recent decision. Call immediately after the
-    /// hook whose outcome is being reported.
+    /// Emits an event attributed to the active LSM, draining the rule its
+    /// most recent decision on this thread noted
+    /// ([`crate::lsm::note_rule`]). Call immediately after the hook whose
+    /// outcome is being reported.
     #[allow(clippy::too_many_arguments)]
     pub fn emit_lsm_event(
         &self,
@@ -692,15 +639,12 @@ impl Kernel {
         object: AuditObject,
         message: String,
     ) {
-        let (module, rule) = {
-            let lsm = self.lsm();
-            (lsm.name(), lsm.take_matched_rule())
-        };
+        let rule = crate::lsm::take_noted_rule();
         self.emit_event(
             pid.0,
             syscall,
             object,
-            Provenance::lsm(module, hook, rule, decision, errno),
+            Provenance::lsm(self.lsm_name(), hook, rule, decision, errno),
             message,
         );
     }
@@ -719,7 +663,7 @@ impl Kernel {
     ) {
         // The stock path never involves a module rule; discard any stale
         // one so it cannot leak into a later LSM-attributed event.
-        let _ = self.lsm().take_matched_rule();
+        let _ = crate::lsm::take_noted_rule();
         self.emit_event(
             pid.0,
             syscall,
@@ -1406,21 +1350,17 @@ mod tests {
     }
 
     #[test]
-    fn an_empty_chain_publishes_zero_enabled_interceptors() {
+    fn an_empty_chain_publishes_zero_interceptors() {
         let k = Kernel::new(SimNet::new());
-        let enabled = |k: &Kernel| k.interceptors_enabled.load(Ordering::Acquire);
-        assert_eq!(enabled(&k), 0);
-        let a = k.register_interceptor(Box::new(crate::syscall::SyscallMeter));
+        let len = |k: &Kernel| k.interceptors_len.load(Ordering::Acquire);
+        assert_eq!(len(&k), 0);
+        k.register_interceptor(Box::new(crate::syscall::SyscallMeter));
         let b = k.register_interceptor(Box::new(crate::syscall::SyscallMeter));
-        assert_eq!(enabled(&k), 2);
-        k.set_interceptor_enabled(a, false);
-        assert_eq!(enabled(&k), 1);
+        assert_eq!(len(&k), 2);
         k.remove_interceptor(b);
-        assert_eq!(enabled(&k), 0);
-        k.set_interceptor_enabled(a, true);
-        assert_eq!(enabled(&k), 1);
+        assert_eq!(len(&k), 1);
         k.clear_interceptors();
-        assert_eq!(enabled(&k), 0);
+        assert_eq!(len(&k), 0);
     }
 
     #[test]

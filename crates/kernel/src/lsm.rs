@@ -21,6 +21,28 @@ use crate::error::{Errno, KResult};
 use crate::net::{Domain, Route, RouteTable, Rule, SockType};
 use crate::task::Caller;
 use crate::vfs::{Access, MountOptions, Name};
+use std::cell::Cell;
+
+thread_local! {
+    /// The policy rule the calling thread's most recent hook decision
+    /// matched. Per thread, so on a shared kernel one worker's hook can
+    /// neither overwrite nor drain another worker's rule between the hook
+    /// and the audit event that reports it.
+    static NOTED_RULE: Cell<Option<String>> = const { Cell::new(None) };
+}
+
+/// Records `rule` as the policy rule the current hook matched. A module
+/// calls this from inside a hook; the kernel attaches the rule to the
+/// next [`Kernel::emit_lsm_event`](crate::kernel::Kernel::emit_lsm_event)
+/// on the same thread.
+pub fn note_rule(rule: String) {
+    NOTED_RULE.with(|r| r.set(Some(rule)));
+}
+
+/// Returns and clears the rule noted on the calling thread, if any.
+pub fn take_noted_rule() -> Option<String> {
+    NOTED_RULE.with(Cell::take)
+}
 
 /// Tri-state outcome of a simple hook.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -408,16 +430,6 @@ pub trait SecurityModule: Send + Sync {
         Vec::new()
     }
 
-    /// Returns and clears the identifier of the policy rule the module's
-    /// *most recent* hook decision matched, if it tracks one. The kernel
-    /// drains this right after each hook call to attach rule provenance
-    /// to the corresponding audit event. Hooks take `&self`, so modules
-    /// implement this with interior mutability; the default tracks
-    /// nothing.
-    fn take_matched_rule(&self) -> Option<String> {
-        None
-    }
-
     /// Hit/miss/invalidation counters for the module's internal policy
     /// caches (compiled-profile lookup tables and the like), keyed by a
     /// stable cache name. The kernel folds these into the
@@ -432,9 +444,8 @@ pub trait SecurityModule: Send + Sync {
 /// [`mod@crate::trace::span`], feeding the per-hook latency histograms.
 /// `Kernel::register_lsm` wraps every registered module in one of these,
 /// so all `SecurityModule` implementations are timed uniformly without
-/// touching any call site. Pass-through methods (`name`,
-/// `take_matched_rule`, `cache_stats`) are not spanned: they are
-/// bookkeeping, not policy evaluation.
+/// touching any call site. Pass-through methods (`name`, `cache_stats`)
+/// are not spanned: they are bookkeeping, not policy evaluation.
 pub struct TimedLsm {
     inner: Box<dyn SecurityModule>,
 }
@@ -539,10 +550,6 @@ impl SecurityModule for TimedLsm {
     fn boot_netfilter_rules(&self) -> Vec<Rule> {
         let _span = crate::trace::span(crate::trace::Pathway::LsmNetfilter);
         self.inner.boot_netfilter_rules()
-    }
-
-    fn take_matched_rule(&self) -> Option<String> {
-        self.inner.take_matched_rule()
     }
 
     fn cache_stats(&self) -> Vec<(&'static str, crate::trace::CacheStats)> {

@@ -19,8 +19,8 @@
 //!   behavioural comparisons (the paper's §5.3 legacy-vs-Protego
 //!   divergence suite) into diffs over recorded traces.
 //!
-//! The request enum owns its arguments (`String`/`Vec` rather than
-//! borrows) so a recorded call is self-contained.
+//! A request borrows its arguments (`&str`/`&[u8]` rather than owned
+//! copies), so issuing a call copies nothing to the heap.
 
 use crate::cred::{Gid, Uid};
 use crate::error::{Errno, KResult};
@@ -140,552 +140,347 @@ impl std::fmt::Display for NetfilterRule {
     }
 }
 
-/// A typed syscall request: one variant per `sys_*` entry point, owning
-/// its arguments so a recorded call is self-contained.
-#[derive(Clone, Debug)]
-pub enum Syscall {
-    // ------------------------------------------------------------- fs --
-    /// `open(2)`.
-    Open {
-        /// Path to open.
-        path: String,
-        /// Open flags.
-        flags: OpenFlags,
-    },
-    /// `close(2)`.
-    Close {
-        /// Descriptor to close.
-        fd: i32,
-    },
-    /// `read(2)` — the response carries the bytes read.
-    Read {
-        /// Descriptor to read from.
-        fd: i32,
-        /// Maximum byte count.
-        count: usize,
-    },
-    /// `write(2)`.
-    Write {
-        /// Descriptor to write to.
-        fd: i32,
-        /// Bytes to write.
-        data: Vec<u8>,
-    },
-    /// `lseek(2)`.
-    Lseek {
-        /// Descriptor to seek.
-        fd: i32,
-        /// Signed displacement from `whence`.
-        offset: i64,
-        /// Seek origin.
-        whence: Whence,
-    },
-    /// `stat(2)`.
-    Stat {
-        /// Path to inspect.
-        path: String,
-    },
-    /// `lstat(2)`.
-    Lstat {
-        /// Path to inspect (not following a trailing symlink).
-        path: String,
-    },
-    /// `chmod(2)`.
-    Chmod {
-        /// Path to change.
-        path: String,
-        /// New mode bits.
-        mode: Mode,
-    },
-    /// `chown(2)`.
-    Chown {
-        /// Path to change.
-        path: String,
-        /// New owner, if changing.
-        uid: Option<Uid>,
-        /// New group, if changing.
-        gid: Option<Gid>,
-    },
-    /// `mkdir(2)`.
-    Mkdir {
-        /// Directory to create.
-        path: String,
-        /// Mode bits.
-        mode: Mode,
-    },
-    /// `unlink(2)`.
-    Unlink {
-        /// Path to remove.
-        path: String,
-    },
-    /// `rmdir(2)`.
-    Rmdir {
-        /// Directory to remove.
-        path: String,
-    },
-    /// `rename(2)`.
-    Rename {
-        /// Source path.
-        from: String,
-        /// Destination path.
-        to: String,
-    },
-    /// `symlink(2)`.
-    Symlink {
-        /// Link target.
-        target: String,
-        /// Path of the new link.
-        linkpath: String,
-    },
-    /// `chdir(2)`.
-    Chdir {
-        /// New working directory.
-        path: String,
-    },
-    /// `readdir(3)`.
-    Readdir {
-        /// Directory to list.
-        path: String,
-    },
-    /// `pipe(2)`.
-    Pipe,
-    // ------------------------------------------------------------- id --
-    /// `setuid(2)`.
-    Setuid {
-        /// Target uid.
-        uid: Uid,
-    },
-    /// `seteuid(2)`.
-    Seteuid {
-        /// Target effective uid.
-        uid: Uid,
-    },
-    /// `setgid(2)`.
-    Setgid {
-        /// Target gid.
-        gid: Gid,
-    },
-    /// `setgroups(2)`.
-    Setgroups {
-        /// New supplementary group list.
-        groups: Vec<Gid>,
-    },
-    /// `getuid(2)`.
-    Getuid,
-    /// `geteuid(2)`.
-    Geteuid,
-    /// `getgid(2)`.
-    Getgid,
-    // ---------------------------------------------------------- ioctl --
-    /// `ioctl(2)` on a device fd.
-    Ioctl {
-        /// Device descriptor.
-        fd: i32,
-        /// Command.
-        cmd: IoctlCmd,
-    },
-    // ---------------------------------------------------------- mount --
-    /// `mount(2)`.
-    Mount {
-        /// Device or pseudo-fs source.
-        source: String,
-        /// Mountpoint path.
-        target: String,
-        /// Filesystem type.
-        fstype: String,
-        /// Comma-separated options.
-        options: String,
-    },
-    /// `umount(2)`.
-    Umount {
-        /// Mountpoint path.
-        target: String,
-    },
-    // ------------------------------------------------------------ net --
-    /// `socket(2)`.
-    Socket {
-        /// Address family.
-        domain: Domain,
-        /// Socket type.
-        stype: SockType,
-        /// Protocol number.
-        protocol: u8,
-    },
-    /// `bind(2)`.
-    Bind {
-        /// Socket descriptor.
-        fd: i32,
-        /// Local address.
-        addr: Ipv4,
-        /// Local port.
-        port: u16,
-    },
-    /// `listen(2)`.
-    Listen {
-        /// Socket descriptor.
-        fd: i32,
-    },
-    /// `connect(2)`.
-    Connect {
-        /// Socket descriptor.
-        fd: i32,
-        /// Remote address.
-        addr: Ipv4,
-        /// Remote port.
-        port: u16,
-    },
-    /// `accept(2)`.
-    Accept {
-        /// Listening descriptor.
-        fd: i32,
-    },
-    /// `send(2)` on a connected socket.
-    Send {
-        /// Socket descriptor.
-        fd: i32,
-        /// Payload.
-        data: Vec<u8>,
-    },
-    /// `recv(2)` on a connected socket.
-    Recv {
-        /// Socket descriptor.
-        fd: i32,
-        /// Maximum byte count.
-        max: usize,
-    },
-    /// Raw packet reception.
-    RecvPacket {
-        /// Raw/packet socket descriptor.
-        fd: i32,
-    },
-    /// `sendto(2)` on a UDP socket.
-    Sendto {
-        /// Socket descriptor.
-        fd: i32,
-        /// Destination address.
-        addr: Ipv4,
-        /// Destination port.
-        port: u16,
-        /// Payload.
-        data: Vec<u8>,
-    },
-    /// Raw packet transmission (caller-built headers).
-    SendPacket {
-        /// Raw/packet socket descriptor.
-        fd: i32,
-        /// The packet, headers included.
-        pkt: Packet,
-    },
-    /// `socketpair(2)`.
-    Socketpair,
-    /// Netfilter administration (the iptables backend).
-    Netfilter {
-        /// Chain operation.
-        op: NetfilterOp,
-    },
-    /// Lists the OUTPUT-chain rules.
-    NetfilterList,
-    /// Routing-table ioctls (`SIOCADDRT`/`SIOCDELRT`).
-    IoctlRoute {
-        /// Route operation.
-        op: RouteOp,
-    },
-    // -------------------------------------------------------- process --
-    /// `fork(2)`.
-    Fork,
-    /// `execve(2)`.
-    Execve {
-        /// Program path.
-        path: String,
-    },
-    /// `unshare(2)`.
-    Unshare {
-        /// Namespace kind to unshare.
-        kind: NsKind,
-    },
-    /// `exit(2)`.
-    Exit {
-        /// Exit status.
-        status: i32,
-    },
-    /// `waitpid(2)`.
-    Wait {
-        /// Child to reap.
-        child: Pid,
-    },
+/// Declares the request enum and its ABI tables from one list: each
+/// entry is `Variant => "name", Class` plus the variant's fields, and the
+/// macro generates [`Syscall::COUNT`], [`Syscall::NAMES`] (in entry
+/// order), [`Syscall::index`], [`Syscall::name`], [`Syscall::name_index`]
+/// and [`Syscall::class`] from it, so the name table, the dispatch index
+/// and the metrics rows cannot drift apart.
+macro_rules! syscalls {
+    ($(#[$meta:meta])* pub enum $sys:ident<$a:lifetime> {
+        $(
+            $(#[$doc:meta])*
+            $variant:ident => $name:literal, $class:ident
+                $({ $($(#[$fdoc:meta])* $field:ident: $ty:ty,)* })?,
+        )*
+    }) => {
+        $(#[$meta])*
+        pub enum $sys<$a> {
+            $($(#[$doc])* $variant $({ $($(#[$fdoc])* $field: $ty,)* })?,)*
+        }
+
+        /// The table position of each variant: its discriminant.
+        enum Ordinal {
+            $($variant,)*
+        }
+
+        impl $sys<'_> {
+            /// Number of syscall variants (the fixed-counter table size).
+            pub const COUNT: usize = [$($name),*].len();
+
+            /// Every ABI syscall name, in variant-declaration order. The
+            /// index of a name here matches [`Syscall::name_index`], so
+            /// metrics can use a fixed `[T; Syscall::COUNT]` table instead
+            /// of a map on the dispatch fast path.
+            pub const NAMES: [&'static str; $sys::COUNT] = [$($name),*];
+
+            /// Fixed table index for an ABI syscall name (a compiled string
+            /// match — no allocation, no map). `None` for names that are
+            /// not ABI syscalls (kernel-internal audit pathways like
+            /// `"auth"`).
+            pub fn name_index(name: &str) -> Option<usize> {
+                match name {
+                    $($name => Some(Ordinal::$variant as usize),)*
+                    _ => None,
+                }
+            }
+
+            /// Fixed table index of this call — the position of its name
+            /// in [`Syscall::NAMES`], computed by a direct variant match so
+            /// per-call table lookups (seccomp action arrays, per-syscall
+            /// counters) cost a jump, not a string comparison.
+            pub fn index(&self) -> usize {
+                match self {
+                    $($sys::$variant { .. } => Ordinal::$variant as usize,)*
+                }
+            }
+
+            /// Stable syscall name (matches the audit-event `syscall` field
+            /// where the call emits events).
+            pub fn name(&self) -> &'static str {
+                $sys::NAMES[self.index()]
+            }
+
+            /// The class this call belongs to.
+            pub fn class(&self) -> SyscallClass {
+                match self {
+                    $($sys::$variant { .. } => SyscallClass::$class,)*
+                }
+            }
+        }
+    };
 }
 
-impl Syscall {
-    /// Stable syscall name (matches the audit-event `syscall` field where
-    /// the call emits events).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Syscall::Open { .. } => "open",
-            Syscall::Close { .. } => "close",
-            Syscall::Read { .. } => "read",
-            Syscall::Write { .. } => "write",
-            Syscall::Lseek { .. } => "lseek",
-            Syscall::Stat { .. } => "stat",
-            Syscall::Lstat { .. } => "lstat",
-            Syscall::Chmod { .. } => "chmod",
-            Syscall::Chown { .. } => "chown",
-            Syscall::Mkdir { .. } => "mkdir",
-            Syscall::Unlink { .. } => "unlink",
-            Syscall::Rmdir { .. } => "rmdir",
-            Syscall::Rename { .. } => "rename",
-            Syscall::Symlink { .. } => "symlink",
-            Syscall::Chdir { .. } => "chdir",
-            Syscall::Readdir { .. } => "readdir",
-            Syscall::Pipe => "pipe",
-            Syscall::Setuid { .. } => "setuid",
-            Syscall::Seteuid { .. } => "seteuid",
-            Syscall::Setgid { .. } => "setgid",
-            Syscall::Setgroups { .. } => "setgroups",
-            Syscall::Getuid => "getuid",
-            Syscall::Geteuid => "geteuid",
-            Syscall::Getgid => "getgid",
-            Syscall::Ioctl { .. } => "ioctl",
-            Syscall::Mount { .. } => "mount",
-            Syscall::Umount { .. } => "umount",
-            Syscall::Socket { .. } => "socket",
-            Syscall::Bind { .. } => "bind",
-            Syscall::Listen { .. } => "listen",
-            Syscall::Connect { .. } => "connect",
-            Syscall::Accept { .. } => "accept",
-            Syscall::Send { .. } => "send",
-            Syscall::Recv { .. } => "recv",
-            Syscall::RecvPacket { .. } => "recv_packet",
-            Syscall::Sendto { .. } => "sendto",
-            Syscall::SendPacket { .. } => "send_packet",
-            Syscall::Socketpair => "socketpair",
-            Syscall::Netfilter { .. } => "netfilter",
-            Syscall::NetfilterList => "netfilter_list",
-            Syscall::IoctlRoute { .. } => "ioctl_route",
-            Syscall::Fork => "fork",
-            Syscall::Execve { .. } => "execve",
-            Syscall::Unshare { .. } => "unshare",
-            Syscall::Exit { .. } => "exit",
-            Syscall::Wait { .. } => "wait",
-        }
-    }
-
-    /// Number of syscall variants (the fixed-counter table size).
-    pub const COUNT: usize = 46;
-
-    /// Every ABI syscall name, in variant-declaration order. The index of
-    /// a name here matches [`Syscall::name_index`], so metrics can use a
-    /// fixed `[T; Syscall::COUNT]` table instead of a map on the dispatch
-    /// fast path.
-    pub const NAMES: [&'static str; Syscall::COUNT] = [
-        "open",
-        "close",
-        "read",
-        "write",
-        "lseek",
-        "stat",
-        "lstat",
-        "chmod",
-        "chown",
-        "mkdir",
-        "unlink",
-        "rmdir",
-        "rename",
-        "symlink",
-        "chdir",
-        "readdir",
-        "pipe",
-        "setuid",
-        "seteuid",
-        "setgid",
-        "setgroups",
-        "getuid",
-        "geteuid",
-        "getgid",
-        "ioctl",
-        "mount",
-        "umount",
-        "socket",
-        "bind",
-        "listen",
-        "connect",
-        "accept",
-        "send",
-        "recv",
-        "recv_packet",
-        "sendto",
-        "send_packet",
-        "socketpair",
-        "netfilter",
-        "netfilter_list",
-        "ioctl_route",
-        "fork",
-        "execve",
-        "unshare",
-        "exit",
-        "wait",
-    ];
-
-    /// Fixed table index for an ABI syscall name (a compiler-optimised
-    /// string match — no allocation, no map). `None` for names that are
-    /// not ABI syscalls (kernel-internal audit pathways like `"auth"`).
-    pub fn name_index(name: &str) -> Option<usize> {
-        let idx = match name {
-            "open" => 0,
-            "close" => 1,
-            "read" => 2,
-            "write" => 3,
-            "lseek" => 4,
-            "stat" => 5,
-            "lstat" => 6,
-            "chmod" => 7,
-            "chown" => 8,
-            "mkdir" => 9,
-            "unlink" => 10,
-            "rmdir" => 11,
-            "rename" => 12,
-            "symlink" => 13,
-            "chdir" => 14,
-            "readdir" => 15,
-            "pipe" => 16,
-            "setuid" => 17,
-            "seteuid" => 18,
-            "setgid" => 19,
-            "setgroups" => 20,
-            "getuid" => 21,
-            "geteuid" => 22,
-            "getgid" => 23,
-            "ioctl" => 24,
-            "mount" => 25,
-            "umount" => 26,
-            "socket" => 27,
-            "bind" => 28,
-            "listen" => 29,
-            "connect" => 30,
-            "accept" => 31,
-            "send" => 32,
-            "recv" => 33,
-            "recv_packet" => 34,
-            "sendto" => 35,
-            "send_packet" => 36,
-            "socketpair" => 37,
-            "netfilter" => 38,
-            "netfilter_list" => 39,
-            "ioctl_route" => 40,
-            "fork" => 41,
-            "execve" => 42,
-            "unshare" => 43,
-            "exit" => 44,
-            "wait" => 45,
-            _ => return None,
-        };
-        Some(idx)
-    }
-
-    /// Fixed table index of this call — the position of its name in
-    /// [`Syscall::NAMES`], computed by a direct variant match so per-call
-    /// table lookups (seccomp action arrays, per-syscall counters) cost a
-    /// jump, not a string comparison. Invariant `Syscall::NAMES[c.index()]
-    /// == c.name()` is locked by a test.
-    pub fn index(&self) -> usize {
-        match self {
-            Syscall::Open { .. } => 0,
-            Syscall::Close { .. } => 1,
-            Syscall::Read { .. } => 2,
-            Syscall::Write { .. } => 3,
-            Syscall::Lseek { .. } => 4,
-            Syscall::Stat { .. } => 5,
-            Syscall::Lstat { .. } => 6,
-            Syscall::Chmod { .. } => 7,
-            Syscall::Chown { .. } => 8,
-            Syscall::Mkdir { .. } => 9,
-            Syscall::Unlink { .. } => 10,
-            Syscall::Rmdir { .. } => 11,
-            Syscall::Rename { .. } => 12,
-            Syscall::Symlink { .. } => 13,
-            Syscall::Chdir { .. } => 14,
-            Syscall::Readdir { .. } => 15,
-            Syscall::Pipe => 16,
-            Syscall::Setuid { .. } => 17,
-            Syscall::Seteuid { .. } => 18,
-            Syscall::Setgid { .. } => 19,
-            Syscall::Setgroups { .. } => 20,
-            Syscall::Getuid => 21,
-            Syscall::Geteuid => 22,
-            Syscall::Getgid => 23,
-            Syscall::Ioctl { .. } => 24,
-            Syscall::Mount { .. } => 25,
-            Syscall::Umount { .. } => 26,
-            Syscall::Socket { .. } => 27,
-            Syscall::Bind { .. } => 28,
-            Syscall::Listen { .. } => 29,
-            Syscall::Connect { .. } => 30,
-            Syscall::Accept { .. } => 31,
-            Syscall::Send { .. } => 32,
-            Syscall::Recv { .. } => 33,
-            Syscall::RecvPacket { .. } => 34,
-            Syscall::Sendto { .. } => 35,
-            Syscall::SendPacket { .. } => 36,
-            Syscall::Socketpair => 37,
-            Syscall::Netfilter { .. } => 38,
-            Syscall::NetfilterList => 39,
-            Syscall::IoctlRoute { .. } => 40,
-            Syscall::Fork => 41,
-            Syscall::Execve { .. } => 42,
-            Syscall::Unshare { .. } => 43,
-            Syscall::Exit { .. } => 44,
-            Syscall::Wait { .. } => 45,
-        }
-    }
-
-    /// The class this call belongs to.
-    pub fn class(&self) -> SyscallClass {
-        match self {
-            Syscall::Open { .. }
-            | Syscall::Close { .. }
-            | Syscall::Read { .. }
-            | Syscall::Write { .. }
-            | Syscall::Lseek { .. }
-            | Syscall::Stat { .. }
-            | Syscall::Lstat { .. }
-            | Syscall::Chmod { .. }
-            | Syscall::Chown { .. }
-            | Syscall::Mkdir { .. }
-            | Syscall::Unlink { .. }
-            | Syscall::Rmdir { .. }
-            | Syscall::Rename { .. }
-            | Syscall::Symlink { .. }
-            | Syscall::Chdir { .. }
-            | Syscall::Readdir { .. }
-            | Syscall::Pipe => SyscallClass::Fs,
-            Syscall::Setuid { .. }
-            | Syscall::Seteuid { .. }
-            | Syscall::Setgid { .. }
-            | Syscall::Setgroups { .. }
-            | Syscall::Getuid
-            | Syscall::Geteuid
-            | Syscall::Getgid => SyscallClass::Id,
-            Syscall::Ioctl { .. } => SyscallClass::Ioctl,
-            Syscall::Mount { .. } | Syscall::Umount { .. } => SyscallClass::Mount,
-            Syscall::Socket { .. }
-            | Syscall::Bind { .. }
-            | Syscall::Listen { .. }
-            | Syscall::Connect { .. }
-            | Syscall::Accept { .. }
-            | Syscall::Send { .. }
-            | Syscall::Recv { .. }
-            | Syscall::RecvPacket { .. }
-            | Syscall::Sendto { .. }
-            | Syscall::SendPacket { .. }
-            | Syscall::Socketpair
-            | Syscall::Netfilter { .. }
-            | Syscall::NetfilterList
-            | Syscall::IoctlRoute { .. } => SyscallClass::Net,
-            Syscall::Fork
-            | Syscall::Execve { .. }
-            | Syscall::Unshare { .. }
-            | Syscall::Exit { .. }
-            | Syscall::Wait { .. } => SyscallClass::Process,
-        }
+syscalls! {
+    /// A typed syscall request: one variant per `sys_*` entry point. It
+    /// borrows its paths, names and payloads from the caller for the span
+    /// of one dispatch; a recorder keeps the request's `Debug` text, which
+    /// renders a borrowed `&str`/`&[u8]` exactly as an owned one.
+    #[derive(Clone, Debug)]
+    pub enum Syscall<'a> {
+        /// `open(2)`.
+        Open => "open", Fs {
+            /// Path to open.
+            path: &'a str,
+            /// Open flags.
+            flags: OpenFlags,
+        },
+        /// `close(2)`.
+        Close => "close", Fs {
+            /// Descriptor to close.
+            fd: i32,
+        },
+        /// `read(2)` — the response carries the bytes read.
+        Read => "read", Fs {
+            /// Descriptor to read from.
+            fd: i32,
+            /// Maximum byte count.
+            count: usize,
+        },
+        /// `write(2)`.
+        Write => "write", Fs {
+            /// Descriptor to write to.
+            fd: i32,
+            /// Bytes to write.
+            data: &'a [u8],
+        },
+        /// `lseek(2)`.
+        Lseek => "lseek", Fs {
+            /// Descriptor to seek.
+            fd: i32,
+            /// Signed displacement from `whence`.
+            offset: i64,
+            /// Seek origin.
+            whence: Whence,
+        },
+        /// `stat(2)`.
+        Stat => "stat", Fs {
+            /// Path to inspect.
+            path: &'a str,
+        },
+        /// `lstat(2)`.
+        Lstat => "lstat", Fs {
+            /// Path to inspect (not following a trailing symlink).
+            path: &'a str,
+        },
+        /// `chmod(2)`.
+        Chmod => "chmod", Fs {
+            /// Path to change.
+            path: &'a str,
+            /// New mode bits.
+            mode: Mode,
+        },
+        /// `chown(2)`.
+        Chown => "chown", Fs {
+            /// Path to change.
+            path: &'a str,
+            /// New owner, if changing.
+            uid: Option<Uid>,
+            /// New group, if changing.
+            gid: Option<Gid>,
+        },
+        /// `mkdir(2)`.
+        Mkdir => "mkdir", Fs {
+            /// Directory to create.
+            path: &'a str,
+            /// Mode bits.
+            mode: Mode,
+        },
+        /// `unlink(2)`.
+        Unlink => "unlink", Fs {
+            /// Path to remove.
+            path: &'a str,
+        },
+        /// `rmdir(2)`.
+        Rmdir => "rmdir", Fs {
+            /// Directory to remove.
+            path: &'a str,
+        },
+        /// `rename(2)`.
+        Rename => "rename", Fs {
+            /// Source path.
+            from: &'a str,
+            /// Destination path.
+            to: &'a str,
+        },
+        /// `symlink(2)`.
+        Symlink => "symlink", Fs {
+            /// Link target.
+            target: &'a str,
+            /// Path of the new link.
+            linkpath: &'a str,
+        },
+        /// `chdir(2)`.
+        Chdir => "chdir", Fs {
+            /// New working directory.
+            path: &'a str,
+        },
+        /// `readdir(3)`.
+        Readdir => "readdir", Fs {
+            /// Directory to list.
+            path: &'a str,
+        },
+        /// `pipe(2)`.
+        Pipe => "pipe", Fs,
+        /// `setuid(2)`.
+        Setuid => "setuid", Id {
+            /// Target uid.
+            uid: Uid,
+        },
+        /// `seteuid(2)`.
+        Seteuid => "seteuid", Id {
+            /// Target effective uid.
+            uid: Uid,
+        },
+        /// `setgid(2)`.
+        Setgid => "setgid", Id {
+            /// Target gid.
+            gid: Gid,
+        },
+        /// `setgroups(2)`.
+        Setgroups => "setgroups", Id {
+            /// New supplementary group list.
+            groups: &'a [Gid],
+        },
+        /// `getuid(2)`.
+        Getuid => "getuid", Id,
+        /// `geteuid(2)`.
+        Geteuid => "geteuid", Id,
+        /// `getgid(2)`.
+        Getgid => "getgid", Id,
+        /// `ioctl(2)` on a device fd.
+        Ioctl => "ioctl", Ioctl {
+            /// Device descriptor.
+            fd: i32,
+            /// Command.
+            cmd: IoctlCmd,
+        },
+        /// `mount(2)`.
+        Mount => "mount", Mount {
+            /// Device or pseudo-fs source.
+            source: &'a str,
+            /// Mountpoint path.
+            target: &'a str,
+            /// Filesystem type.
+            fstype: &'a str,
+            /// Comma-separated options.
+            options: &'a str,
+        },
+        /// `umount(2)`.
+        Umount => "umount", Mount {
+            /// Mountpoint path.
+            target: &'a str,
+        },
+        /// `socket(2)`.
+        Socket => "socket", Net {
+            /// Address family.
+            domain: Domain,
+            /// Socket type.
+            stype: SockType,
+            /// Protocol number.
+            protocol: u8,
+        },
+        /// `bind(2)`.
+        Bind => "bind", Net {
+            /// Socket descriptor.
+            fd: i32,
+            /// Local address.
+            addr: Ipv4,
+            /// Local port.
+            port: u16,
+        },
+        /// `listen(2)`.
+        Listen => "listen", Net {
+            /// Socket descriptor.
+            fd: i32,
+        },
+        /// `connect(2)`.
+        Connect => "connect", Net {
+            /// Socket descriptor.
+            fd: i32,
+            /// Remote address.
+            addr: Ipv4,
+            /// Remote port.
+            port: u16,
+        },
+        /// `accept(2)`.
+        Accept => "accept", Net {
+            /// Listening descriptor.
+            fd: i32,
+        },
+        /// `send(2)` on a connected socket.
+        Send => "send", Net {
+            /// Socket descriptor.
+            fd: i32,
+            /// Payload.
+            data: &'a [u8],
+        },
+        /// `recv(2)` on a connected socket.
+        Recv => "recv", Net {
+            /// Socket descriptor.
+            fd: i32,
+            /// Maximum byte count.
+            max: usize,
+        },
+        /// Raw packet reception.
+        RecvPacket => "recv_packet", Net {
+            /// Raw/packet socket descriptor.
+            fd: i32,
+        },
+        /// `sendto(2)` on a UDP socket.
+        Sendto => "sendto", Net {
+            /// Socket descriptor.
+            fd: i32,
+            /// Destination address.
+            addr: Ipv4,
+            /// Destination port.
+            port: u16,
+            /// Payload.
+            data: &'a [u8],
+        },
+        /// Raw packet transmission (caller-built headers).
+        SendPacket => "send_packet", Net {
+            /// Raw/packet socket descriptor.
+            fd: i32,
+            /// The packet, headers included.
+            pkt: Packet,
+        },
+        /// `socketpair(2)`.
+        Socketpair => "socketpair", Net,
+        /// Netfilter administration (the iptables backend).
+        Netfilter => "netfilter", Net {
+            /// Chain operation.
+            op: NetfilterOp,
+        },
+        /// Lists the OUTPUT-chain rules.
+        NetfilterList => "netfilter_list", Net,
+        /// Routing-table ioctls (`SIOCADDRT`/`SIOCDELRT`).
+        IoctlRoute => "ioctl_route", Net {
+            /// Route operation.
+            op: RouteOp,
+        },
+        /// `fork(2)`.
+        Fork => "fork", Process,
+        /// `execve(2)`.
+        Execve => "execve", Process {
+            /// Program path.
+            path: &'a str,
+        },
+        /// `unshare(2)`.
+        Unshare => "unshare", Process {
+            /// Namespace kind to unshare.
+            kind: NsKind,
+        },
+        /// `exit(2)`.
+        Exit => "exit", Process {
+            /// Exit status.
+            status: i32,
+        },
+        /// `waitpid(2)`.
+        Wait => "wait", Process {
+            /// Child to reap.
+            child: Pid,
+        },
     }
 }
 
@@ -896,27 +691,26 @@ impl Kernel {
     /// never reached and an `interceptor`-provenance audit event records
     /// the injection). `after` hooks run in reverse order and always see
     /// the final response, injected or real.
-    pub fn dispatch(&self, pid: Pid, call: Syscall) -> SysRet {
+    pub fn dispatch(&self, pid: Pid, call: Syscall<'_>) -> SysRet {
         let _dispatch_span = trace::span(trace::Pathway::Dispatch);
         // Snapshot the chain's shared handles under a brief read lock, so
         // hooks run without holding any kernel lock (an interceptor may
         // itself consult kernel state) and concurrent dispatches do not
-        // serialize on the chain. Only enabled slots are snapshotted, in
-        // registration order; an empty chain (the published count is 0)
-        // takes no lock at all. Short chains (the overwhelmingly common
+        // serialize on the chain. An empty chain (the published length is
+        // 0) takes no lock at all. Short chains (the overwhelmingly common
         // case) snapshot into a stack array so dispatch entry touches no
         // heap; longer chains spill to a clone.
         const IC_INLINE: usize = 4;
         let mut inline: [Option<Arc<dyn Interceptor>>; IC_INLINE] = [None, None, None, None];
         let mut spill: Vec<Arc<dyn Interceptor>> = Vec::new();
-        if self.interceptors_enabled.load(Ordering::Acquire) != 0 {
+        if self.interceptors_len.load(Ordering::Acquire) != 0 {
             let guard = self.interceptors.read();
-            if guard.enabled_len() <= IC_INLINE {
-                for (slot, ic) in inline.iter_mut().zip(guard.enabled()) {
+            if guard.len() <= IC_INLINE {
+                for (slot, ic) in inline.iter_mut().zip(guard.iter()) {
                     *slot = Some(ic.clone());
                 }
             } else {
-                spill = guard.enabled().cloned().collect();
+                spill = guard.iter().cloned().collect();
             }
         }
         let chain = || {
@@ -1012,7 +806,7 @@ impl Kernel {
     }
 
     /// The total request→entry-point mapping behind [`Kernel::dispatch`].
-    fn dispatch_inner(&self, c: &Caller, call: &Syscall) -> SysRet {
+    fn dispatch_inner(&self, c: &Caller, call: &Syscall<'_>) -> SysRet {
         // A pid with no live task fails every call up front, before any
         // body can act for it.
         if !c.alive {

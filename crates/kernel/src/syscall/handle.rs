@@ -15,7 +15,8 @@ use crate::error::{Errno, KResult};
 use crate::kernel::Kernel;
 use crate::net::{Domain, Ipv4, Packet, SockType};
 use crate::syscall::{
-    IoctlCmd, IoctlOut, NetfilterOp, NetfilterRule, OpenFlags, RouteOp, Stat, Syscall, Whence,
+    IoctlCmd, IoctlOut, NetfilterOp, NetfilterRule, OpenFlags, RouteOp, Stat, SysRet, Syscall,
+    Whence,
 };
 use crate::task::{NsKind, Pid};
 use crate::vfs::Mode;
@@ -38,253 +39,139 @@ impl<'k> Process<'k> {
         self.pid
     }
 
+    fn dispatch(&self, call: Syscall<'_>) -> SysRet {
+        self.kernel.dispatch(self.pid, call)
+    }
+
     // ------------------------------------------------------------- fs --
 
     /// `open(2)`.
     pub fn open(&mut self, path: &str, flags: OpenFlags) -> KResult<i32> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Open {
-                    path: path.to_string(),
-                    flags,
-                },
-            )
-            .fd()
+        self.dispatch(Syscall::Open { path, flags }).fd()
     }
 
     /// `close(2)`.
     pub fn close(&mut self, fd: i32) -> KResult<()> {
-        self.kernel.dispatch(self.pid, Syscall::Close { fd }).unit()
+        self.dispatch(Syscall::Close { fd }).unit()
     }
 
     /// `read(2)` — returns up to `count` bytes.
     pub fn read(&mut self, fd: i32, count: usize) -> KResult<Vec<u8>> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Read { fd, count })
-            .data()
+        self.dispatch(Syscall::Read { fd, count }).data()
     }
 
     /// `write(2)`.
     pub fn write(&mut self, fd: i32, data: &[u8]) -> KResult<usize> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Write {
-                    fd,
-                    data: data.to_vec(),
-                },
-            )
-            .size()
+        self.dispatch(Syscall::Write { fd, data }).size()
     }
 
     /// `lseek(2)`.
     pub fn lseek(&mut self, fd: i32, offset: i64, whence: Whence) -> KResult<usize> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Lseek { fd, offset, whence })
-            .size()
+        self.dispatch(Syscall::Lseek { fd, offset, whence }).size()
     }
 
     /// `stat(2)`.
     pub fn stat(&mut self, path: &str) -> KResult<Stat> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Stat {
-                    path: path.to_string(),
-                },
-            )
-            .stat()
+        self.dispatch(Syscall::Stat { path }).stat()
     }
 
     /// `lstat(2)`.
     pub fn lstat(&mut self, path: &str) -> KResult<Stat> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Lstat {
-                    path: path.to_string(),
-                },
-            )
-            .stat()
+        self.dispatch(Syscall::Lstat { path }).stat()
     }
 
     /// `chmod(2)`.
     pub fn chmod(&mut self, path: &str, mode: Mode) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Chmod {
-                    path: path.to_string(),
-                    mode,
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Chmod { path, mode }).unit()
     }
 
     /// `chown(2)`.
     pub fn chown(&mut self, path: &str, uid: Option<Uid>, gid: Option<Gid>) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Chown {
-                    path: path.to_string(),
-                    uid,
-                    gid,
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Chown { path, uid, gid }).unit()
     }
 
     /// `mkdir(2)`.
     pub fn mkdir(&mut self, path: &str, mode: Mode) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Mkdir {
-                    path: path.to_string(),
-                    mode,
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Mkdir { path, mode }).unit()
     }
 
     /// `unlink(2)`.
     pub fn unlink(&mut self, path: &str) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Unlink {
-                    path: path.to_string(),
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Unlink { path }).unit()
     }
 
     /// `rmdir(2)`.
     pub fn rmdir(&mut self, path: &str) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Rmdir {
-                    path: path.to_string(),
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Rmdir { path }).unit()
     }
 
     /// `rename(2)`.
     pub fn rename(&mut self, from: &str, to: &str) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Rename {
-                    from: from.to_string(),
-                    to: to.to_string(),
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Rename { from, to }).unit()
     }
 
     /// `symlink(2)`.
     pub fn symlink(&mut self, target: &str, linkpath: &str) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Symlink {
-                    target: target.to_string(),
-                    linkpath: linkpath.to_string(),
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Symlink { target, linkpath }).unit()
     }
 
     /// `chdir(2)`.
     pub fn chdir(&mut self, path: &str) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Chdir {
-                    path: path.to_string(),
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Chdir { path }).unit()
     }
 
     /// `readdir(3)`.
     pub fn readdir(&mut self, path: &str) -> KResult<Vec<String>> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Readdir {
-                    path: path.to_string(),
-                },
-            )
-            .names()
+        self.dispatch(Syscall::Readdir { path }).names()
     }
 
     /// `pipe(2)`.
     pub fn pipe(&mut self) -> KResult<(i32, i32)> {
-        self.kernel.dispatch(self.pid, Syscall::Pipe).fd_pair()
+        self.dispatch(Syscall::Pipe).fd_pair()
     }
 
     // ------------------------------------------------------------- id --
 
     /// `setuid(2)`.
     pub fn setuid(&mut self, uid: Uid) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Setuid { uid })
-            .unit()
+        self.dispatch(Syscall::Setuid { uid }).unit()
     }
 
     /// `seteuid(2)`.
     pub fn seteuid(&mut self, uid: Uid) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Seteuid { uid })
-            .unit()
+        self.dispatch(Syscall::Seteuid { uid }).unit()
     }
 
     /// `setgid(2)`.
     pub fn setgid(&mut self, gid: Gid) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Setgid { gid })
-            .unit()
+        self.dispatch(Syscall::Setgid { gid }).unit()
     }
 
     /// `setgroups(2)`.
     pub fn setgroups(&mut self, groups: &[Gid]) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Setgroups {
-                    groups: groups.to_vec(),
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Setgroups { groups }).unit()
     }
 
     /// `getuid(2)`.
     pub fn getuid(&mut self) -> KResult<Uid> {
-        self.kernel.dispatch(self.pid, Syscall::Getuid).uid()
+        self.dispatch(Syscall::Getuid).uid()
     }
 
     /// `geteuid(2)`.
     pub fn geteuid(&mut self) -> KResult<Uid> {
-        self.kernel.dispatch(self.pid, Syscall::Geteuid).uid()
+        self.dispatch(Syscall::Geteuid).uid()
     }
 
     /// `getgid(2)`.
     pub fn getgid(&mut self) -> KResult<Gid> {
-        self.kernel.dispatch(self.pid, Syscall::Getgid).gid()
+        self.dispatch(Syscall::Getgid).gid()
     }
 
     // -------------------------------------------------- ioctl / mount --
 
     /// `ioctl(2)`.
     pub fn ioctl(&mut self, fd: i32, cmd: IoctlCmd) -> KResult<IoctlOut> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Ioctl { fd, cmd })
-            .ioctl()
+        self.dispatch(Syscall::Ioctl { fd, cmd }).ioctl()
     }
 
     /// `mount(2)`.
@@ -295,188 +182,128 @@ impl<'k> Process<'k> {
         fstype: &str,
         options: &str,
     ) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Mount {
-                    source: source.to_string(),
-                    target: target.to_string(),
-                    fstype: fstype.to_string(),
-                    options: options.to_string(),
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Mount {
+            source,
+            target,
+            fstype,
+            options,
+        })
+        .unit()
     }
 
     /// `umount(2)`.
     pub fn umount(&mut self, target: &str) -> KResult<()> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Umount {
-                    target: target.to_string(),
-                },
-            )
-            .unit()
+        self.dispatch(Syscall::Umount { target }).unit()
     }
 
     // ------------------------------------------------------------ net --
 
     /// `socket(2)`.
     pub fn socket(&mut self, domain: Domain, stype: SockType, protocol: u8) -> KResult<i32> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Socket {
-                    domain,
-                    stype,
-                    protocol,
-                },
-            )
-            .fd()
+        self.dispatch(Syscall::Socket {
+            domain,
+            stype,
+            protocol,
+        })
+        .fd()
     }
 
     /// `bind(2)`.
     pub fn bind(&mut self, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Bind { fd, addr, port })
-            .unit()
+        self.dispatch(Syscall::Bind { fd, addr, port }).unit()
     }
 
     /// `listen(2)`.
     pub fn listen(&mut self, fd: i32) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Listen { fd })
-            .unit()
+        self.dispatch(Syscall::Listen { fd }).unit()
     }
 
     /// `connect(2)`.
     pub fn connect(&mut self, fd: i32, addr: Ipv4, port: u16) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Connect { fd, addr, port })
-            .unit()
+        self.dispatch(Syscall::Connect { fd, addr, port }).unit()
     }
 
     /// `accept(2)`.
     pub fn accept(&mut self, fd: i32) -> KResult<i32> {
-        self.kernel.dispatch(self.pid, Syscall::Accept { fd }).fd()
+        self.dispatch(Syscall::Accept { fd }).fd()
     }
 
     /// `send(2)`.
     pub fn send(&mut self, fd: i32, data: &[u8]) -> KResult<usize> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Send {
-                    fd,
-                    data: data.to_vec(),
-                },
-            )
-            .size()
+        self.dispatch(Syscall::Send { fd, data }).size()
     }
 
     /// `recv(2)`.
     pub fn recv(&mut self, fd: i32, max: usize) -> KResult<Vec<u8>> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Recv { fd, max })
-            .data()
+        self.dispatch(Syscall::Recv { fd, max }).data()
     }
 
     /// Raw packet reception.
     pub fn recv_packet(&mut self, fd: i32) -> KResult<Packet> {
-        self.kernel
-            .dispatch(self.pid, Syscall::RecvPacket { fd })
-            .packet()
+        self.dispatch(Syscall::RecvPacket { fd }).packet()
     }
 
     /// `sendto(2)`.
     pub fn sendto(&mut self, fd: i32, addr: Ipv4, port: u16, data: &[u8]) -> KResult<usize> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Sendto {
-                    fd,
-                    addr,
-                    port,
-                    data: data.to_vec(),
-                },
-            )
-            .size()
+        self.dispatch(Syscall::Sendto {
+            fd,
+            addr,
+            port,
+            data,
+        })
+        .size()
     }
 
     /// Raw packet transmission.
     pub fn send_packet(&mut self, fd: i32, pkt: Packet) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::SendPacket { fd, pkt })
-            .unit()
+        self.dispatch(Syscall::SendPacket { fd, pkt }).unit()
     }
 
     /// `socketpair(2)`.
     pub fn socketpair(&mut self) -> KResult<(i32, i32)> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Socketpair)
-            .fd_pair()
+        self.dispatch(Syscall::Socketpair).fd_pair()
     }
 
     /// Netfilter administration.
     pub fn netfilter(&mut self, op: NetfilterOp) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Netfilter { op })
-            .unit()
+        self.dispatch(Syscall::Netfilter { op }).unit()
     }
 
     /// Lists the netfilter OUTPUT chain.
     pub fn netfilter_list(&mut self) -> KResult<Vec<NetfilterRule>> {
-        self.kernel
-            .dispatch(self.pid, Syscall::NetfilterList)
-            .rules()
+        self.dispatch(Syscall::NetfilterList).rules()
     }
 
     /// Routing-table ioctls.
     pub fn ioctl_route(&mut self, op: RouteOp) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::IoctlRoute { op })
-            .unit()
+        self.dispatch(Syscall::IoctlRoute { op }).unit()
     }
 
     // -------------------------------------------------------- process --
 
     /// `fork(2)`.
     pub fn fork(&mut self) -> KResult<Pid> {
-        self.kernel.dispatch(self.pid, Syscall::Fork).pid()
+        self.dispatch(Syscall::Fork).pid()
     }
 
     /// `execve(2)` — returns the resolved binary path.
     pub fn execve(&mut self, path: &str) -> KResult<String> {
-        self.kernel
-            .dispatch(
-                self.pid,
-                Syscall::Execve {
-                    path: path.to_string(),
-                },
-            )
-            .path()
+        self.dispatch(Syscall::Execve { path }).path()
     }
 
     /// `unshare(2)`.
     pub fn unshare(&mut self, kind: NsKind) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Unshare { kind })
-            .unit()
+        self.dispatch(Syscall::Unshare { kind }).unit()
     }
 
     /// `exit(2)`.
     pub fn exit(&mut self, status: i32) -> KResult<()> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Exit { status })
-            .unit()
+        self.dispatch(Syscall::Exit { status }).unit()
     }
 
     /// `waitpid(2)`.
     pub fn wait(&mut self, child: Pid) -> KResult<i32> {
-        self.kernel
-            .dispatch(self.pid, Syscall::Wait { child })
-            .status()
+        self.dispatch(Syscall::Wait { child }).status()
     }
 
     // ---------------------------------------------------- file helpers --

@@ -4,7 +4,7 @@
 //! An [`Interceptor`] registered with
 //! [`crate::kernel::Kernel::register_interceptor`] (which returns an
 //! [`InterceptorSlot`](crate::kernel::InterceptorSlot) handle for later
-//! enable/disable/replace) sees every call that flows through
+//! removal) sees every call that flows through
 //! [`crate::kernel::Kernel::dispatch`]. `before` hooks run in
 //! registration order and return a [`Verdict`]; `after` hooks run in
 //! reverse order and observe the final `(pid, Syscall, SysRet)` triple —

@@ -87,7 +87,7 @@ impl Kernel {
         // After a successful authentication the retry sees a fresh
         // snapshot, not the one taken at entry.
         let mut refreshed: Option<Caller> = None;
-        let decision = loop {
+        let (transition, env) = loop {
             let now = refreshed.as_ref().unwrap_or(c);
             let ctx = ExecCtx {
                 cred: Credentials::clone(&now.cred),
@@ -101,8 +101,23 @@ impl Kernel {
                 last_auth_scope: now.last_auth_scope,
                 now: self.clock(),
             };
-            let hook_decision = self.lsm().bprm_check(&ctx);
-            match hook_decision {
+            let decision = self.lsm().bprm_check(&ctx);
+            match decision {
+                ExecDecision::UseDefault => break (None, EnvPolicy::KeepAll),
+                ExecDecision::Transition { cred, env } => break (Some(cred), env),
+                ExecDecision::Deny(e) => {
+                    let msg = format!("exec: lsm denied {} ({})", abs, e.name());
+                    self.emit_lsm_event(
+                        c.pid,
+                        "execve",
+                        Hook::BprmCheck,
+                        DecisionKind::Deny,
+                        Some(e),
+                        AuditObject::Binary(abs.clone()),
+                        msg,
+                    );
+                    return Err(e);
+                }
                 ExecDecision::NeedAuth(scope) => {
                     attempts += 1;
                     if attempts > 1 || !self.run_auth(c.pid, scope) {
@@ -120,27 +135,7 @@ impl Kernel {
                     }
                     refreshed = Some(self.live_caller(c.pid)?);
                 }
-                other => break other,
             }
-        };
-
-        let (transition, env) = match decision {
-            ExecDecision::UseDefault => (None, EnvPolicy::KeepAll),
-            ExecDecision::Transition { cred, env } => (Some(cred), env),
-            ExecDecision::Deny(e) => {
-                let msg = format!("exec: lsm denied {} ({})", abs, e.name());
-                self.emit_lsm_event(
-                    c.pid,
-                    "execve",
-                    Hook::BprmCheck,
-                    DecisionKind::Deny,
-                    Some(e),
-                    AuditObject::Binary(abs.clone()),
-                    msg,
-                );
-                return Err(e);
-            }
-            ExecDecision::NeedAuth(_) => unreachable!("resolved above"),
         };
 
         // Commit the new image in one task write: credentials (stock

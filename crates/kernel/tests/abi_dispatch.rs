@@ -208,15 +208,7 @@ fn fault_injection_is_deterministic_under_a_fixed_seed() {
         let stats = inj.stats();
         k.push_interceptor(Box::new(inj));
         let pattern: Vec<bool> = (0..400)
-            .map(|_| {
-                k.dispatch(
-                    user,
-                    Syscall::Stat {
-                        path: "/tmp".into(),
-                    },
-                )
-                .is_err()
-            })
+            .map(|_| k.dispatch(user, Syscall::Stat { path: "/tmp" }).is_err())
             .collect();
         let s = stats.lock().unwrap();
         assert_eq!(s.seen, 400);
@@ -238,12 +230,7 @@ fn injected_faults_are_audited_and_getters_are_exempt() {
     let (k, _root, user) = boot();
     // rate 1 = inject on every eligible call.
     k.push_interceptor(Box::new(FaultInjector::new(FaultConfig::storm(7, 1))));
-    let ret = k.dispatch(
-        user,
-        Syscall::Stat {
-            path: "/tmp".into(),
-        },
-    );
+    let ret = k.dispatch(user, Syscall::Stat { path: "/tmp" });
     assert!(ret.is_err(), "rate-1 storm must fail the first fs call");
     let last = k.audit.last().expect("injection emits an audit event");
     assert!(
@@ -270,10 +257,10 @@ fn one_shot_fails_exactly_the_kth_mount() {
         k.dispatch(
             root,
             Syscall::Mount {
-                source: "/dev/cdrom".into(),
-                target: "/mnt/cdrom".into(),
-                fstype: "iso9660".into(),
-                options: "ro".into(),
+                source: "/dev/cdrom",
+                target: "/mnt/cdrom",
+                fstype: "iso9660",
+                options: "ro",
             },
         )
         .unit()
@@ -282,7 +269,7 @@ fn one_shot_fails_exactly_the_kth_mount() {
         k.dispatch(
             root,
             Syscall::Umount {
-                target: "/mnt/cdrom".into(),
+                target: "/mnt/cdrom",
             },
         )
         .unit()
@@ -318,10 +305,10 @@ fn consumed_one_shot_cannot_rearm_across_reselection() {
         k.dispatch(
             root,
             Syscall::Mount {
-                source: "/dev/cdrom".into(),
-                target: "/mnt/cdrom".into(),
-                fstype: "iso9660".into(),
-                options: "ro".into(),
+                source: "/dev/cdrom",
+                target: "/mnt/cdrom",
+                fstype: "iso9660",
+                options: "ro",
             },
         )
         .unit()
@@ -330,7 +317,7 @@ fn consumed_one_shot_cannot_rearm_across_reselection() {
         k.dispatch(
             root,
             Syscall::Umount {
-                target: "/mnt/cdrom".into(),
+                target: "/mnt/cdrom",
             },
         )
         .unit()
@@ -346,20 +333,13 @@ fn consumed_one_shot_cannot_rearm_across_reselection() {
     );
     assert_eq!(stats.lock().unwrap().one_shots_fired, vec![true]);
 
-    // Disable/enable churn on the slot must not reset consumption.
-    assert!(k.set_interceptor_enabled(slot, false));
-    assert_eq!(mount(&k), Ok(()));
-    assert_eq!(umount(&k), Ok(()));
-    assert!(k.set_interceptor_enabled(slot, true));
-
     // Exec re-selection: the injector object is rebuilt from the same
-    // config and swapped into the slot. Resuming the stats handle keeps
-    // the one-shot consumed even though the replacement's occurrence
-    // counter restarts (its own 2nd mount would otherwise match k=2).
-    assert!(k.replace_interceptor(
-        slot,
-        Box::new(FaultInjector::resuming(config, stats.clone()))
-    ));
+    // config and registered in place of the old one. Resuming the stats
+    // handle keeps the one-shot consumed even though the replacement's
+    // occurrence counter restarts (its own 2nd mount would otherwise
+    // match k=2).
+    assert!(k.remove_interceptor(slot));
+    k.register_interceptor(Box::new(FaultInjector::resuming(config, stats.clone())));
     for _ in 0..4 {
         assert_eq!(mount(&k), Ok(()), "consumed one-shot must not re-fire");
         assert_eq!(umount(&k), Ok(()));
@@ -375,28 +355,18 @@ fn consumed_one_shot_cannot_rearm_across_reselection() {
 fn meter_renders_per_class_metrics_lines() {
     let (k, root, user) = boot();
     k.push_interceptor(Box::new(SyscallMeter::new()));
-    let _ = k.dispatch(
-        user,
-        Syscall::Stat {
-            path: "/tmp".into(),
-        },
-    );
+    let _ = k.dispatch(user, Syscall::Stat { path: "/tmp" });
     let _ = k.dispatch(user, Syscall::Getuid);
     let _ = k.dispatch(
         root,
         Syscall::Mount {
-            source: "/dev/cdrom".into(),
-            target: "/mnt/cdrom".into(),
-            fstype: "iso9660".into(),
-            options: "ro".into(),
+            source: "/dev/cdrom",
+            target: "/mnt/cdrom",
+            fstype: "iso9660",
+            options: "ro",
         },
     );
-    let _ = k.dispatch(
-        user,
-        Syscall::Stat {
-            path: "/nope".into(),
-        },
-    );
+    let _ = k.dispatch(user, Syscall::Stat { path: "/nope" });
     let rendered = k.metrics_snapshot().render();
     assert!(
         rendered.contains("syscall_class_fs calls=2 errors=1"),
@@ -423,7 +393,7 @@ fn recorded_trace_replays_byte_identically() {
         let _ = k.dispatch(
             user,
             Syscall::Mkdir {
-                path: "/tmp/t".into(),
+                path: "/tmp/t",
                 mode: Mode(0o755),
             },
         );
@@ -431,7 +401,7 @@ fn recorded_trace_replays_byte_identically() {
             .dispatch(
                 user,
                 Syscall::Open {
-                    path: "/tmp/t/x".into(),
+                    path: "/tmp/t/x",
                     flags: OpenFlags::create_trunc(Mode(0o644)),
                 },
             )
@@ -441,17 +411,12 @@ fn recorded_trace_replays_byte_identically() {
             user,
             Syscall::Write {
                 fd,
-                data: b"trace me".to_vec(),
+                data: b"trace me",
             },
         );
         let _ = k.dispatch(user, Syscall::Close { fd });
         let _ = k.dispatch(user, Syscall::Getuid);
-        let _ = k.dispatch(
-            user,
-            Syscall::Stat {
-                path: "/tmp/t/x".into(),
-            },
-        );
+        let _ = k.dispatch(user, Syscall::Stat { path: "/tmp/t/x" });
     };
 
     let (mut k1, _r1, u1) = boot();
@@ -488,7 +453,7 @@ fn audit_header_reports_the_next_sequence_number() {
         .dispatch(
             root,
             Syscall::Open {
-                path: "/proc/null/audit".into(),
+                path: "/proc/null/audit",
                 flags: OpenFlags::read_only(),
             },
         )

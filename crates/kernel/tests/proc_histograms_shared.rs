@@ -17,7 +17,7 @@ const DISPATCHES: u64 = 200;
 
 fn read_all(k: &Kernel, pid: Pid, path: &str) -> String {
     let open = Syscall::Open {
-        path: path.into(),
+        path,
         flags: OpenFlags::read_only(),
     };
     let fd = k.dispatch(pid, open).fd().expect("open");

@@ -166,12 +166,12 @@ proptest! {
                     } else {
                         OpenFlags::read_only()
                     };
-                    let _ = k.dispatch(user, Syscall::Open { path: format!("/tmp/f{}", n), flags });
+                    let _ = k.dispatch(user, Syscall::Open { path: &format!("/tmp/f{}", n), flags });
                 }
                 Op::Close(fd) => { let _ = k.dispatch(user, Syscall::Close { fd }); }
                 Op::Read(fd) => { let _ = k.dispatch(user, Syscall::Read { fd, count: 16 }); }
                 Op::Write(fd) => {
-                    let _ = k.dispatch(user, Syscall::Write { fd, data: b"xyz".to_vec() });
+                    let _ = k.dispatch(user, Syscall::Write { fd, data: b"xyz" });
                 }
                 Op::Lseek(fd, o) => {
                     let _ = k.dispatch(
@@ -180,12 +180,12 @@ proptest! {
                     );
                 }
                 Op::Unlink(n) => {
-                    let _ = k.dispatch(user, Syscall::Unlink { path: format!("/tmp/f{}", n) });
+                    let _ = k.dispatch(user, Syscall::Unlink { path: &format!("/tmp/f{}", n) });
                 }
                 Op::Mkdir(n) => {
                     let _ = k.dispatch(
                         user,
-                        Syscall::Mkdir { path: format!("/tmp/d{}", n), mode: Mode(0o755) },
+                        Syscall::Mkdir { path: &format!("/tmp/d{}", n), mode: Mode(0o755) },
                     );
                 }
                 Op::Fork => {

@@ -140,7 +140,7 @@ impl System {
     // ------------------------------------------------------------------
     // Typed interceptor registration (the InterceptorSlot surface):
     // helpers that box the standard interceptors onto the dispatch chain
-    // and hand back both the slot handle (enable/disable/replace) and the
+    // and hand back both the slot handle (for removal) and the
     // interceptor's shared observer handle where it has one.
     // ------------------------------------------------------------------
 
